@@ -36,7 +36,7 @@ rng = np.random.default_rng(1)
 print("conservation and stability on random controls (d=2, k=3, n=4):")
 mesh = unit_square_mesh(4)
 state = StateSpace(mesh)
-solver = StateSolver(state, ControlSpace(mesh, 3), cg_tol=1e-12)
+solver = StateSolver(state, ControlSpace(mesh, 3))
 ones = np.ones(state.num_dofs)
 col_sums = np.asarray(solver.coupling.sum(axis=0)).ravel()
 for trial in range(3):

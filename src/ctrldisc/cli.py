@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .exactbasis import audit_degrees
-from .fem import CgConvergenceError
 from .ocp import (
     Discretization,
     NoNegativeBasisError,
@@ -218,7 +217,7 @@ def main(argv=None) -> int:
     except ValueError as err:
         sys.stdout.write(dumps({"error": "usage", "message": str(err)}) + "\n")
         return EXIT_USAGE
-    except (QpConvergenceError, CgConvergenceError) as err:
+    except QpConvergenceError as err:
         sys.stdout.write(dumps({"error": type(err).__name__, "message": str(err)}) + "\n")
         return EXIT_NUMERICAL
 

@@ -22,6 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exactbasis import ExactPolynomial, basis_integrals
+# cg_solve is not called here any more; it stays importable from this module
+# because perfbench's tracer test checks that ocp.cg_solve is fem.cg_solve
 from .fem import ControlSpace, StateSolver, StateSpace, assemble_control_mass, cg_solve
 from .mesh import cell_affine_map, unit_interval_mesh, unit_square_mesh
 from .quadrature import simplex_rule
@@ -63,7 +65,7 @@ class NoNegativeBasisError(Exception):
 
 
 class QpConvergenceError(RuntimeError):
-    """QP iteration cap exceeded; carries the best iterate found."""
+    """QP iteration cap exceeded or objective non-finite; carries the best iterate."""
 
     def __init__(self, message: str, best: "QpSolution"):
         super().__init__(message)
@@ -72,14 +74,13 @@ class QpConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class OcpConfig:
-    """Problem instance: dimension, control degree, mesh parameter, weights, tolerances."""
+    """Problem instance: dimension, control degree, mesh parameter, weight, QP tolerance."""
 
     dim: int
     degree: int
     n: int
     alpha: float = 0.1
     qp_tol: float = 1e-10
-    cg_tol: float = 1e-12
     max_qp_iterations: int = 200_000
 
     def __post_init__(self):
@@ -91,8 +92,8 @@ class OcpConfig:
             raise ValueError(f"mesh parameter must be >= 1, got {self.n}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not (self.qp_tol > 0 and self.cg_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.qp_tol > 0:
+            raise ValueError("qp_tol must be positive")
         if self.max_qp_iterations < 1:
             raise ValueError("max_qp_iterations must be >= 1")
 
@@ -106,7 +107,7 @@ class Discretization:
         self.mesh = mesh
         self.state_space = StateSpace(mesh)
         self.control_space = ControlSpace(mesh, config.degree)
-        self.solver = StateSolver(self.state_space, self.control_space, cg_tol=config.cg_tol)
+        self.solver = StateSolver(self.state_space, self.control_space)
         rule = simplex_rule(config.dim, 2 * config.degree + 2)
         self.audit_rule = rule
         self.control_mass = assemble_control_mass(self.control_space, rule)
@@ -123,52 +124,30 @@ class Discretization:
     def num_control_dofs(self) -> int:
         return self.control_space.num_dofs
 
-    def solve_state(self, lam: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+    def solve_state(self, lam: np.ndarray) -> np.ndarray:
         """State coefficients for control coefficients lam."""
-        return self.solver.solve_state(lam, x0=x0)
-
-    def _objective_from_state(self, lam: np.ndarray, y: np.ndarray) -> float:
-        # ||y - y_d||^2 expanded exactly: y'My - 2 y_d 1'My + y_d^2 |Omega|,
-        # which keeps J(0) = |Omega| free of cancellation noise
-        my = self.solver.mass @ y
-        return (
-            float(y @ my)
-            - 2.0 * DESIRED_STATE * float(my.sum())
-            + DESIRED_STATE**2 * self.domain_volume
-            + self.config.alpha * float(lam @ (self.control_mass @ lam))
-        )
+        return self.solver.solve_state(lam)
 
     def objective(self, lam: np.ndarray) -> float:
-        """Reduced objective J(lam) via a state solve."""
-        lam = np.asarray(lam, dtype=float)
-        return self._objective_from_state(lam, self.solve_state(lam))
+        """Reduced objective J(lam), from the one formula in gradient_objective_state."""
+        return self.gradient_objective_state(lam)[1]
 
     def gradient(self, lam: np.ndarray) -> np.ndarray:
         """Reduced gradient 2 C'p + 2 alpha M_u lam with the adjoint A p = M (y - y_d)."""
         return self.gradient_objective_state(lam)[0]
 
     def gradient_objective_state(
-        self, lam: np.ndarray, warm: dict | None = None
+        self, lam: np.ndarray
     ) -> tuple[np.ndarray, float, np.ndarray]:
-        """(gradient, objective, state) sharing the two CG solves.
-
-        `warm`, if given, is a mutable dict carrying the previous state and
-        adjoint solutions as CG starting guesses.
-        """
+        """(gradient, objective, state) at lam from one state and one adjoint solve."""
         lam = np.asarray(lam, dtype=float)
-        y = self.solve_state(lam, x0=None if warm is None else warm.get("y"))
+        y = self.solve_state(lam)
         my = self.solver.mass @ y
-        p, _ = cg_solve(
-            self.solver.operator,
-            my - DESIRED_STATE * self._mass_ones,
-            tol=self.config.cg_tol,
-            x0=None if warm is None else warm.get("p"),
-        )
-        if warm is not None:
-            warm["y"] = y
-            warm["p"] = p
+        p = self.solver.solve(my - DESIRED_STATE * self._mass_ones)
         mu_lam = self.control_mass @ lam
         g = 2.0 * (self.solver.coupling.T @ p) + 2.0 * self.config.alpha * mu_lam
+        # ||y - y_d||^2 expanded exactly: y'My - 2 y_d 1'My + y_d^2 |Omega|,
+        # which keeps J(0) = |Omega| free of cancellation noise
         j = (
             float(y @ my)
             - 2.0 * DESIRED_STATE * float(my.sum())
@@ -207,24 +186,48 @@ def minimize_nonneg_quadratic(
 
     `gradient` must be the (affine) gradient map of the quadratic; `g0` its
     value at 0 and `j0` the objective at 0, which recover objective values via
-    J(x) = j0 + x . (g(x) + g0) / 2.  Accelerated projected gradient with
-    function-value restarts; the momentum-point gradient is formed as an exact
-    affine combination of stored gradients, so each step costs one gradient
-    evaluation.  Terminates when the fixed-point residual
-    ||x - proj(x - g/L)|| drops to `tol`.
+    J(x) = j0 + x . (g(x) + g0) / 2.  Accelerated projected gradient (FISTA,
+    Beck & Teboulle 2009) with step 1/L and function-value restarts
+    (O'Donoghue & Candes 2015); the momentum-point gradient is formed as an
+    exact affine combination of stored gradients, so each step costs one
+    gradient evaluation.
+
+    A restart takes the plain projected step from x, which decreases J by at
+    least L/2 ||step||^2 whenever L bounds the Hessian.  If it does not (up
+    to roundoff in J), `lipschitz` was an underestimate: L is doubled and the
+    step retried.
+
+    Terminates when the KKT residual ||min(x, g)||_2 drops to `tol`.  It
+    vanishes exactly at the KKT points (x >= 0, g >= 0, x_i g_i = 0) and,
+    unlike the fixed-point residual ||x - proj(x - g/L)||, does not depend on L.
 
     Returns (x, g, objective, residual, iterations); a negative iteration
-    count signals that the cap was hit without reaching `tol`.
+    count signals that the cap was hit without reaching `tol`.  Raises
+    QpConvergenceError, carrying the last iterate with a finite objective (its
+    `state` is None), if the objective becomes non-finite: the quadratic is
+    not convex or `gradient` returned non-finite values.
     """
     L = float(lipschitz)
     if L <= 0:
         raise ValueError("lipschitz estimate must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+
+    def evaluate(x):
+        g = gradient(x)
+        return g, j0 + 0.5 * float(x @ (g + g0))
+
+    def diverged(x, g, j, iterations):
+        return QpConvergenceError(
+            f"QP objective became non-finite after {iterations} iterations",
+            QpSolution(x, None, j, _kkt_residual(x, g), iterations),
+        )
+
     x = np.maximum(np.asarray(x0, dtype=float), 0.0)
-    g = gradient(x)
-    j = j0 + 0.5 * float(x @ (g + g0))
-    res = float(np.linalg.norm(x - np.maximum(x - g / L, 0.0)))
+    g, j = evaluate(x)
+    if not math.isfinite(j):
+        raise diverged(x, g, j, 0)
+    res = _kkt_residual(x, g)
     if res <= tol:
         return x, g, j, res, 0
 
@@ -236,15 +239,23 @@ def minimize_nonneg_quadratic(
         z = x + gamma * (x - x_prev)
         gz = g + gamma * (g - g_prev)
         x_new = np.maximum(z - gz / L, 0.0)
-        g_new = gradient(x_new)
-        j_new = j0 + 0.5 * float(x_new @ (g_new + g0))
-        if j_new > j:
-            # momentum overshoot: restart with a plain projected step from x
+        g_new, j_new = evaluate(x_new)
+        if not (j_new <= j and math.isfinite(j_new)):
+            # momentum overshoot (or a non-finite value): restart with a
+            # plain projected step from x, doubling L until it descends
             t_next = 1.0
-            x_new = np.maximum(x - g / L, 0.0)
-            g_new = gradient(x_new)
-            j_new = j0 + 0.5 * float(x_new @ (g_new + g0))
-        res = float(np.linalg.norm(x_new - np.maximum(x_new - g_new / L, 0.0)))
+            while True:
+                x_new = np.maximum(x - g / L, 0.0)
+                g_new, j_new = evaluate(x_new)
+                if not math.isfinite(j_new):
+                    raise diverged(x, g, j, it - 1)
+                step = x_new - x
+                magnitude = abs(j0) + float(np.abs(x) @ (np.abs(g) + np.abs(g0)))
+                roundoff = _J_ROUNDOFF * magnitude
+                if j_new <= j - 0.5 * L * float(step @ step) + roundoff:
+                    break
+                L *= 2.0
+        res = _kkt_residual(x_new, g_new)
         x_prev, g_prev = x, g
         x, g, j, t = x_new, g_new, j_new, t_next
         if res <= tol:
@@ -252,14 +263,23 @@ def minimize_nonneg_quadratic(
     return x, g, j, res, -max_iterations  # negative iteration count flags the cap
 
 
+# Relative roundoff allowed in the descent test of a restart step, measured
+# against the magnitudes of the terms of J = j0 + x . (g + g0) / 2.
+_J_ROUNDOFF = 1e-13
+
+
+def _kkt_residual(x: np.ndarray, g: np.ndarray) -> float:
+    return float(np.linalg.norm(np.minimum(x, g)))
+
+
 @dataclass(frozen=True)
 class QpSolution:
     """Solution of the coefficient-constrained QP."""
 
     control: np.ndarray  # lambda >= 0, length N
-    state: np.ndarray
+    state: np.ndarray | None  # None only on a QpConvergenceError of the generic core
     objective: float
-    kkt_residual: float
+    kkt_residual: float  # ||min(D^-1 lam, D grad J)||_2 with D = diag(M_u)^(-1/2)
     iterations: int
 
 
@@ -274,22 +294,30 @@ def solve_qp(
 ) -> QpSolution:
     """Solve the QP ``min J(lam) s.t. lam >= 0`` by accelerated projected gradients.
 
-    `problem` is an OcpConfig or a prebuilt Discretization.  The step size is
-    1/L with L a power-iteration estimate of the Hessian norm (5% safety).
-    Raises QpConvergenceError with the best iterate attached when the
-    iteration cap is exceeded.
+    `problem` is an OcpConfig or a prebuilt Discretization.  The iteration
+    runs on z = D^-1 lam with D = diag(M_u)^(-1/2): the scaled Hessian D H D
+    has a mesh-independent spectrum, and a positive diagonal scaling leaves
+    the constraint (z >= 0) and its projection unchanged.  The step size is
+    1/L with L a power-iteration estimate of the scaled Hessian norm (5%
+    safety; the solver doubles it if it proves too low).  The reported
+    kkt_residual, ||min(z, grad_z J)||_2 = ||min(D^-1 lam, D grad J)||_2, is a
+    mesh-independent L2-type KKT measure, exactly 0 at lam = 0 when the
+    gradient there is non-negative.  Raises QpConvergenceError with the best
+    iterate attached when the iteration cap is exceeded or the objective
+    becomes non-finite.
     """
     disc = _as_discretization(problem)
     cfg = disc.config
     tol = cfg.qp_tol if tol is None else tol
     max_iterations = cfg.max_qp_iterations if max_iterations is None else max_iterations
 
-    warm: dict = {}
     n = disc.num_control_dofs
-    g0, j0, _ = disc.gradient_objective_state(np.zeros(n), warm)
+    scale = 1.0 / np.sqrt(disc.control_mass.diagonal())
+    g0, j0, _ = disc.gradient_objective_state(np.zeros(n))
+    g0 = scale * g0
 
-    def grad(x):
-        return disc.gradient_objective_state(x, warm)[0]
+    def grad(z):
+        return scale * disc.gradient_objective_state(scale * z)[0]
 
     def hess_mv(s):
         return grad(s) - g0
@@ -298,24 +326,27 @@ def solve_qp(
     if lipschitz <= 0.0:
         raise RuntimeError("Hessian norm estimate is zero; degenerate problem")
 
-    x, g, j, res, iters = minimize_nonneg_quadratic(
-        grad, g0, j0, np.zeros(n), lipschitz, tol, max_iterations
-    )
-    y = disc.solve_state(x, x0=warm.get("y"))
-    solution = QpSolution(
-        control=x,
-        state=y,
-        objective=disc._objective_from_state(x, y),
-        kkt_residual=res,
-        iterations=abs(iters),
-    )
+    def solution(z, objective, residual, iterations):
+        lam = scale * z
+        return QpSolution(lam, disc.solve_state(lam), objective, residual, iterations)
+
+    try:
+        z, _, j, res, iters = minimize_nonneg_quadratic(
+            grad, g0, j0, np.zeros(n), lipschitz, tol, max_iterations
+        )
+    except QpConvergenceError as err:
+        best = err.best
+        raise QpConvergenceError(
+            str(err), solution(best.control, best.objective, best.kkt_residual, best.iterations)
+        ) from None
+    result = solution(z, j, res, abs(iters))
     if iters < 0:
         raise QpConvergenceError(
             f"QP did not reach tol={tol:.3e} within {max_iterations} iterations "
             f"(residual {res:.3e})",
-            solution,
+            result,
         )
-    return solution
+    return result
 
 
 @dataclass(frozen=True)

@@ -192,7 +192,7 @@ def test_criterion_7c_conservation():
     for maker, n, degree in ((unit_interval_mesh, 8, 3), (unit_square_mesh, 4, 2)):
         mesh = maker(n)
         state = StateSpace(mesh)
-        solver = StateSolver(state, ControlSpace(mesh, degree), cg_tol=1e-12)
+        solver = StateSolver(state, ControlSpace(mesh, degree))
         ones = np.ones(state.num_dofs)
         col_sums = np.asarray(solver.coupling.sum(axis=0)).ravel()
         for _ in range(5):

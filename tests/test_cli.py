@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ctrldisc.cli import dumps, main
@@ -132,6 +133,44 @@ def test_numerical_failure_exit_3(capsys, monkeypatch):
     )
     assert code == 3
     assert json.loads(out)["error"] == "QpConvergenceError"
+
+
+def test_non_finite_gradient_is_a_numerical_failure(capsys, monkeypatch):
+    # a non-finite objective must surface as exit 3, not as a report
+    # serialization (usage) error
+    from ctrldisc import ocp
+
+    original = ocp.Discretization.gradient_objective_state
+
+    def broken(self, lam):
+        g, j, y = original(self, lam)
+        return (g * np.nan if np.any(lam) else g), j, y
+
+    monkeypatch.setattr(ocp.Discretization, "gradient_objective_state", broken)
+    monkeypatch.setattr(ocp, "estimate_operator_norm", lambda matvec, n: 1.0)
+    code, out = run_cli(
+        capsys, ["solve", "--dim", "2", "--degree", "4", "--alpha", "0.1", "--mesh", "2"]
+    )
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "QpConvergenceError"
+    assert "non-finite" in payload["message"]
+
+
+def test_underestimated_lipschitz_still_solves(capsys, monkeypatch):
+    from ctrldisc import ocp
+
+    original = ocp.estimate_operator_norm
+    monkeypatch.setattr(
+        ocp, "estimate_operator_norm", lambda matvec, n: 0.01 * original(matvec, n)
+    )
+    code, out = run_cli(
+        capsys, ["solve", "--dim", "2", "--degree", "4", "--alpha", "0.1", "--mesh", "4"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kkt_residual"] <= 1e-10
+    assert payload["J"] <= 1.0 - (1 / 15) ** 2 / (1.1 * 272 / 1575)
 
 
 def test_reports_are_byte_identical(capsys):

@@ -152,7 +152,7 @@ def test_cg_iteration_cap_raises_with_report():
 @pytest.mark.parametrize("maker,n,degree", [(unit_interval_mesh, 4, 1), (unit_square_mesh, 3, 2)])
 def test_state_of_zero_and_constant_control(maker, n, degree):
     mesh = maker(n)
-    solver = StateSolver(StateSpace(mesh), ControlSpace(mesh, degree), cg_tol=1e-12)
+    solver = StateSolver(StateSpace(mesh), ControlSpace(mesh, degree))
     zero = solver.solve_state(np.zeros(solver.control.num_dofs))
     assert np.abs(zero).max() == 0.0
     # u = 1 -> y = 1 is the exact discrete solution of the Neumann problem
@@ -166,7 +166,7 @@ def test_conservation_identity(maker, n, degree):
     mesh = maker(n)
     state = StateSpace(mesh)
     control = ControlSpace(mesh, degree)
-    solver = StateSolver(state, control, cg_tol=1e-12)
+    solver = StateSolver(state, control)
     rng = np.random.default_rng(11)
     ones = np.ones(state.num_dofs)
     for _ in range(5):
@@ -177,11 +177,41 @@ def test_conservation_identity(maker, n, degree):
         assert abs(int_y - int_u) < 1e-10
 
 
+@pytest.mark.parametrize("maker,n,degree", [(unit_interval_mesh, 6, 2), (unit_square_mesh, 4, 3)])
+def test_state_solve_residual_at_roundoff(maker, n, degree):
+    # the factored solve leaves no iteration error: ||A y - C u|| <= 1e-13 ||C u||
+    mesh = maker(n)
+    solver = StateSolver(StateSpace(mesh), ControlSpace(mesh, degree))
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        u = rng.standard_normal(solver.control.num_dofs)
+        rhs = solver.coupling @ u
+        y = solver.solve_state(u)
+        assert np.linalg.norm(solver.operator @ y - rhs) <= 1e-13 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("maker,n", [(unit_interval_mesh, 256), (unit_square_mesh, 32)])
+def test_state_solve_is_backward_stable_on_fine_meshes(maker, n):
+    # ||A y - b|| / ||b|| grows with the condition number of A, so the
+    # mesh-independent contract is the normwise backward error
+    mesh = maker(n)
+    solver = StateSolver(StateSpace(mesh), ControlSpace(mesh, 1))
+    operator_norm = abs(solver.operator).sum(axis=0).max()
+    rng = np.random.default_rng(19)
+    for _ in range(3):
+        rhs = rng.standard_normal(solver.state.num_dofs)
+        y = solver.solve(rhs)
+        backward = np.linalg.norm(solver.operator @ y - rhs, 1) / (
+            operator_norm * np.linalg.norm(y, 1) + np.linalg.norm(rhs, 1)
+        )
+        assert backward <= 1e-15
+
+
 def test_stability_bound():
     # ||y(u)|| <= ||u|| from testing the equation with y
     mesh = unit_square_mesh(4)
     control = ControlSpace(mesh, 2)
-    solver = StateSolver(StateSpace(mesh), control, cg_tol=1e-12)
+    solver = StateSolver(StateSpace(mesh), control)
     control_mass = assemble_control_mass(control, simplex_rule(2, 6))
     rng = np.random.default_rng(5)
     for _ in range(3):

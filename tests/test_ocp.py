@@ -52,14 +52,17 @@ def enumerate_nonneg_qp(matrix, linear):
 # generic QP core
 
 
-def test_core_solver_matches_enumeration_oracle():
-    rng = np.random.default_rng(42)
-    for trial in range(20):
+def _seeded_problems(count=20, seed=42):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         n = int(rng.integers(2, 11))
         raw = rng.standard_normal((n, n))
-        matrix = raw @ raw.T + n * np.eye(n)
-        linear = 3.0 * rng.standard_normal(n)
+        yield raw @ raw.T + n * np.eye(n), 3.0 * rng.standard_normal(n)
 
+
+def test_core_solver_matches_enumeration_oracle():
+    for trial, (matrix, linear) in enumerate(_seeded_problems()):
+        n = linear.size
         x_ref, val_ref = enumerate_nonneg_qp(matrix, linear)
 
         grad = lambda x: matrix @ x + linear
@@ -71,6 +74,66 @@ def test_core_solver_matches_enumeration_oracle():
         assert val == pytest.approx(val_ref, abs=1e-8)
         np.testing.assert_allclose(x, x_ref, atol=1e-6)
         assert (x >= 0).all()
+
+
+@pytest.mark.parametrize("fraction", [0.6, 0.4, 0.25])
+def test_core_solver_survives_underestimated_lipschitz(fraction):
+    # a restart step that fails to descend doubles L instead of diverging
+    for trial, (matrix, linear) in enumerate(_seeded_problems()):
+        n = linear.size
+        x_ref, val_ref = enumerate_nonneg_qp(matrix, linear)
+        lipschitz = fraction * np.linalg.eigvalsh(matrix).max()
+        x, _, val, _, iters = minimize_nonneg_quadratic(
+            lambda x: matrix @ x + linear, linear, 0.0, np.zeros(n), lipschitz, 1e-12, 50_000
+        )
+        assert iters >= 0, f"trial {trial} hit the iteration cap"
+        assert val == pytest.approx(val_ref, abs=1e-8)
+        np.testing.assert_allclose(x, x_ref, atol=1e-6)
+
+
+def test_core_solver_stops_on_lipschitz_independent_kkt_residual():
+    # the residual is ||min(x, g)||, the same measure whatever L is passed
+    for matrix, linear in _seeded_problems(count=5, seed=3):
+        n = linear.size
+        x_ref, _ = enumerate_nonneg_qp(matrix, linear)
+        lipschitz = 1.05 * np.linalg.eigvalsh(matrix).max()
+        for step_bound in (lipschitz, 3.0 * lipschitz):
+            x, g, _, res, iters = minimize_nonneg_quadratic(
+                lambda x: matrix @ x + linear, linear, 0.0, np.zeros(n), step_bound, 1e-10, 50_000
+            )
+            assert iters > 0
+            np.testing.assert_allclose(g, matrix @ x + linear, atol=1e-12)
+            assert res == np.linalg.norm(np.minimum(x, g))
+            assert res <= 1e-10
+            np.testing.assert_allclose(x, x_ref, atol=1e-8)
+
+
+def test_core_solver_raises_on_unbounded_objective():
+    # J = -|x|^2/2 - sum(x) is not convex: the iterates overflow
+    matrix, linear = -np.eye(3), -np.ones(3)
+    with pytest.raises(QpConvergenceError, match="non-finite") as excinfo:
+        with np.errstate(over="ignore", invalid="ignore"):
+            minimize_nonneg_quadratic(
+                lambda x: matrix @ x + linear, linear, 0.0, np.zeros(3), 1.0, 1e-10, 100_000
+            )
+    best = excinfo.value.best
+    assert math.isfinite(best.objective) and best.objective < 0
+    assert np.isfinite(best.control).all() and (best.control > 0).all()
+    assert best.state is None
+
+
+def test_core_solver_raises_on_nonfinite_gradient():
+    linear = np.array([-1.0, 2.0])
+
+    def gradient(x):
+        return np.full_like(x, np.nan) if x.any() else linear.copy()
+
+    with pytest.raises(QpConvergenceError) as excinfo:
+        minimize_nonneg_quadratic(gradient, linear, 0.5, np.zeros(2), 1.0, 1e-10, 100)
+    best = excinfo.value.best
+    assert best.iterations == 0
+    assert best.objective == 0.5
+    np.testing.assert_array_equal(best.control, np.zeros(2))
 
 
 def test_core_solver_flags_iteration_cap():
@@ -171,6 +234,37 @@ def test_counterexample_solution_beats_certificate_bound():
     assert solution.objective <= 1.0  # never worse than lam = 0
     assert solution.control.min() >= -1e-12
     assert solution.kkt_residual <= disc.config.qp_tol
+
+
+def scaled_kkt_residual(disc, lam):
+    """||min(lam sqrt(m), g / sqrt(m))|| with m = diag(M_u), from a fresh gradient."""
+    root = np.sqrt(disc.control_mass.diagonal())
+    return np.linalg.norm(np.minimum(lam * root, disc.gradient(lam) / root))
+
+
+def test_kkt_residual_is_the_scaled_natural_residual():
+    for degree in (3, 4):
+        disc = Discretization(OcpConfig(dim=2, degree=degree, n=4))
+        solution = solve_qp(disc)
+        expected = scaled_kkt_residual(disc, solution.control)
+        assert solution.kkt_residual == pytest.approx(expected, rel=1e-6, abs=1e-15)
+        assert solution.kkt_residual <= disc.config.qp_tol
+        if degree == 3:
+            assert solution.kkt_residual == 0.0 and solution.iterations == 0
+
+
+@pytest.mark.parametrize(
+    "n,alpha",
+    [(4, 0.1), (8, 0.1), (16, 0.1), (8, 0.05), (8, 0.0805), (8, 0.0878), (8, 0.4)],
+)
+def test_qp_iteration_budget_d2k4(n, alpha):
+    # the diagonal scaling makes the iteration count mesh-independent and
+    # steady in alpha (unscaled: 2,045 to 3,602 iterations over these meshes)
+    disc = Discretization(OcpConfig(dim=2, degree=4, n=n, alpha=alpha))
+    solution = solve_qp(disc)
+    assert solution.iterations <= 400
+    assert scaled_kkt_residual(disc, solution.control) <= 1.01 * disc.config.qp_tol
+    assert solution.objective <= build_certificate(disc).objective_bound
 
 
 def test_solve_qp_accepts_config():
