@@ -48,6 +48,7 @@ from .mesh import (
     AffineMap,
     SimplexMesh,
     cell_affine_map,
+    cell_geometry,
     cell_volumes,
     unit_interval_mesh,
     unit_square_mesh,
@@ -108,6 +109,7 @@ __all__ = [
     "basis_integrals",
     "build_certificate",
     "cell_affine_map",
+    "cell_geometry",
     "cell_volumes",
     "cg_solve",
     "conical_product_rule",

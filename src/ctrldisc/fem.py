@@ -9,6 +9,14 @@ module stays the single source of basis truth.
 Assembled symmetric matrices are built from their upper triangle and mirrored,
 so A == A.T holds exactly, not just to roundoff.
 
+Assembly is batched: :func:`~ctrldisc.mesh.cell_geometry` gives every cell's
+B and |det B| in one pass, the local blocks of all cells are stacked arrays,
+and each matrix is one COO construction.  The triplets come in the order of
+a per-cell loop (cell by cell, then the upper local pairs (a, b)), and the
+local products are per-cell BLAS products (stacked matmul, not einsum), so
+the duplicate sums in ``tocsr`` and hence the results are bitwise equal to
+those of per-cell loops, which tests/test_fem.py keeps as an oracle.
+
 The state operator A = K + M is fixed and symmetric positive definite, so
 :class:`StateSolver` factors it once (banded Cholesky; the vertex numbering
 gives bandwidth 1 on the interval and n + 2 on the unit square) and every
@@ -26,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exactbasis import lagrange_basis, multi_indices
-from .mesh import SimplexMesh, cell_affine_map
+from .mesh import SimplexMesh, cell_geometry
 from .quadrature import QuadratureRule, simplex_rule
 
 __all__ = [
@@ -176,35 +184,23 @@ def assemble_p1_stiffness_mass(
     if rule.exactness < 2:
         raise ValueError("P1 stiffness/mass assembly needs rule exactness >= 2")
     phi = space.tabulate(rule.points)  # (d+1, nq)
-    ref_grads = space.reference_gradients()
-    nloc = mesh.dim + 1
-
-    k_rows, k_cols, k_vals = [], [], []
-    m_rows, m_cols, m_vals = [], [], []
-    for ci in range(mesh.num_cells):
-        amap = cell_affine_map(mesh, ci)
-        # physical gradients: rows of ref_grads mapped by B^{-T}
-        grads = ref_grads @ np.linalg.inv(amap.matrix)
-        dofs = mesh.cells[ci]
-        w = amap.abs_det * rule.weights
-        cell_volume = float(w.sum())  # gradients are constant on the cell
-        for a in range(nloc):
-            for b in range(a, nloc):
-                kv = cell_volume * float(grads[a] @ grads[b])
-                mv = float(w @ (phi[a] * phi[b]))
-                ga, gb = dofs[a], dofs[b]
-                if ga > gb:
-                    ga, gb = gb, ga
-                k_rows.append(ga)
-                k_cols.append(gb)
-                k_vals.append(kv)
-                m_rows.append(ga)
-                m_cols.append(gb)
-                m_vals.append(mv)
+    matrices, abs_det = cell_geometry(mesh)
+    # physical gradients: rows of the reference gradients mapped by B^{-T}
+    grads = space.reference_gradients() @ np.linalg.inv(matrices)  # (cells, d+1, d)
+    w = abs_det[:, None] * rule.weights  # (cells, nq)
+    cell_volume = w.sum(axis=1)  # gradients are constant on each cell
+    a, b = np.triu_indices(mesh.dim + 1)  # local pairs a <= b
+    # the Gram products go through matmul, i.e. BLAS dot products like a
+    # per-cell loop's; an einsum rounds differently on distorted cells
+    gram = grads @ np.swapaxes(grads, 1, 2)  # (cells, d+1, d+1)
+    k_vals = cell_volume[:, None] * gram[:, a, b]
+    m_vals = w @ (phi[a] * phi[b]).T
+    ga, gb = mesh.cells[:, a], mesh.cells[:, b]
+    rows, cols = np.minimum(ga, gb).ravel(), np.maximum(ga, gb).ravel()
     n = space.num_dofs
     return (
-        _mirror_upper(n, k_rows, k_cols, k_vals),
-        _mirror_upper(n, m_rows, m_cols, m_vals),
+        _mirror_upper(n, rows, cols, k_vals.ravel()),
+        _mirror_upper(n, rows, cols, m_vals.ravel()),
     )
 
 
@@ -229,16 +225,19 @@ def reference_mass_matrix(space: ControlSpace, rule: QuadratureRule) -> np.ndarr
     return ref
 
 
-def assemble_control_mass(space: ControlSpace, rule: QuadratureRule) -> sp.csr_matrix:
+def assemble_control_mass(space: ControlSpace, rule: QuadratureRule) -> sp.bsr_matrix:
     """Block-diagonal control mass: one |det B| * M_ref block per cell.
 
     L2 products of affinely mapped scalars pick up only the |det B| factor, so
-    every block is a scaled copy of the reference mass matrix.
+    every block is a scaled copy of the reference mass matrix.  Returned in
+    BSR format, one m x m block per cell.
     """
     ref = reference_mass_matrix(space, rule)
-    mesh = space.mesh
-    dets = np.array([cell_affine_map(mesh, ci).abs_det for ci in range(mesh.num_cells)])
-    return sp.kron(sp.diags(dets), ref, format="csr")
+    cells = space.mesh.num_cells
+    blocks = cell_geometry(space.mesh)[1][:, None, None] * ref
+    return sp.bsr_matrix(
+        (blocks, np.arange(cells), np.arange(cells + 1)), shape=(space.num_dofs,) * 2
+    )
 
 
 def assemble_coupling(
@@ -250,49 +249,52 @@ def assemble_coupling(
     mesh = state.mesh
     phi = state.tabulate(rule.points)  # (d+1, nq)
     psi = control.tabulate(rule.points)  # (m, nq)
-    nloc = mesh.dim + 1
     m = control.local_dim
-
-    rows, cols, vals = [], [], []
-    for ci in range(mesh.num_cells):
-        amap = cell_affine_map(mesh, ci)
-        w = amap.abs_det * rule.weights
-        local = (phi * w) @ psi.T  # (d+1, m)
-        dofs = mesh.cells[ci]
-        base = ci * m
-        for a in range(nloc):
-            for j in range(m):
-                rows.append(dofs[a])
-                cols.append(base + j)
-                vals.append(local[a, j])
+    w = cell_geometry(mesh)[1][:, None] * rule.weights  # (cells, nq)
+    local = (phi * w[:, None, :]) @ psi.T  # (cells, d+1, m)
+    rows = np.broadcast_to(mesh.cells[:, :, None], local.shape)
+    cols = np.broadcast_to(np.arange(control.num_dofs).reshape(-1, 1, m), local.shape)
     return sp.coo_matrix(
-        (vals, (rows, cols)), shape=(state.num_dofs, control.num_dofs)
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(state.num_dofs, control.num_dofs)
     ).tocsr()
 
 
+def _at_quadrature_points(f, mesh: SimplexMesh, rule: QuadratureRule):
+    """f at every cell's quadrature points, shape (cells, nq), and |det B| per cell.
+
+    f maps an (n, d) array of points to n values; it is called once, with the
+    points of all cells.
+    """
+    matrices, abs_det = cell_geometry(mesh)
+    offsets = mesh.vertices[mesh.cells[:, 0]][:, None, :]
+    points = rule.points @ np.swapaxes(matrices, 1, 2) + offsets  # (cells, nq, d)
+    values = np.asarray(f(points.reshape(-1, mesh.dim)), dtype=float)
+    return values.reshape(points.shape[:2]), abs_det
+
+
 def assemble_load(space: StateSpace, rule: QuadratureRule, f) -> np.ndarray:
-    """Load vector b[a] = int_Omega f v_a by quadrature; f takes (nq, d) points."""
+    """Load vector b[a] = int_Omega f v_a by quadrature; f maps (n, d) points to n values."""
     mesh = space.mesh
     phi = space.tabulate(rule.points)
-    out = np.zeros(space.num_dofs)
-    for ci in range(mesh.num_cells):
-        amap = cell_affine_map(mesh, ci)
-        fvals = np.asarray(f(amap.apply(rule.points)), dtype=float)
-        out[mesh.cells[ci]] += amap.abs_det * (phi @ (rule.weights * fvals))
-    return out
+    fvals, abs_det = _at_quadrature_points(f, mesh, rule)
+    # a stack of one-row products per cell rounds like a per-cell loop; one
+    # (cells, nq) @ (nq, d+1) product sums in another order
+    local = abs_det[:, None] * ((rule.weights * fvals)[:, None, :] @ phi.T)[:, 0]
+    # bincount adds each vertex's contributions one after another, in cell order
+    return np.bincount(mesh.cells.ravel(), local.ravel(), minlength=space.num_dofs)
 
 
 def l2_error(space: StateSpace, coeffs: np.ndarray, exact, rule: QuadratureRule) -> float:
     """L2 distance between a P1 function and a callable, by cellwise quadrature."""
     mesh = space.mesh
     phi = space.tabulate(rule.points)
-    total = 0.0
-    for ci in range(mesh.num_cells):
-        amap = cell_affine_map(mesh, ci)
-        approx = coeffs[mesh.cells[ci]] @ phi
-        diff = approx - np.asarray(exact(amap.apply(rule.points)), dtype=float)
-        total += amap.abs_det * float(rule.weights @ diff**2)
-    return math.sqrt(total)
+    exact_vals, abs_det = _at_quadrature_points(exact, mesh, rule)
+    # one-row products per cell, as in assemble_load
+    approx = (coeffs[mesh.cells][:, None, :] @ phi)[:, 0]  # (cells, nq)
+    diff = approx - exact_vals
+    per_cell = abs_det * ((diff**2)[:, None, :] @ rule.weights)[:, 0]
+    # cumsum adds sequentially in cell order (np.sum would pair terms)
+    return math.sqrt(float(np.cumsum(per_cell)[-1]))
 
 
 def _banded_cholesky_solver(matrix: sp.spmatrix):

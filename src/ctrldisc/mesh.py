@@ -15,6 +15,7 @@ __all__ = [
     "AffineMap",
     "SimplexMesh",
     "cell_affine_map",
+    "cell_geometry",
     "cell_volumes",
     "unit_interval_mesh",
     "unit_square_mesh",
@@ -103,42 +104,55 @@ def unit_square_mesh(n: int) -> SimplexMesh:
     xs, ys = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xs.ravel(), ys.ravel()])
 
-    cells = []
-    for j in range(n):
-        for i in range(n):
-            a = j * (n + 1) + i
-            b = a + 1
-            c = b + (n + 1)
-            d = a + (n + 1)
-            cells.append((a, b, c))  # lower-right triangle
-            cells.append((a, c, d))  # upper-left triangle
-    return SimplexMesh(dim=2, vertices=vertices, cells=np.array(cells), h=math.sqrt(2.0) / n)
+    # square (i, j), in row-major order, is cut into the lower-right triangle
+    # (a, b, c) and the upper-left triangle (a, c, d)
+    j, i = np.divmod(np.arange(n * n), n)
+    a = j * (n + 1) + i
+    b, c, d = a + 1, a + n + 2, a + n + 1
+    cells = np.column_stack([a, b, c, a, c, d]).reshape(-1, 3)
+    return SimplexMesh(dim=2, vertices=vertices, cells=cells, h=math.sqrt(2.0) / n)
+
+
+def cell_geometry(mesh: SimplexMesh, index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """B, shape (cells, d, d), and |det B|, shape (cells,), of every cell's affine map.
+
+    One batched pass; given `index`, that cell only (leading axis of length 1).
+    Column i of B is vertex i+1 minus vertex 0, so |det B| = d! * |T|; the
+    determinant is closed-form for d <= 2.  Raises ValueError naming the first
+    degenerate cell.
+    """
+    cells = mesh.cells if index is None else mesh.cells[[index]]
+    verts = mesh.vertices[cells]  # (cells, d+1, d)
+    matrices = np.swapaxes(verts[:, 1:] - verts[:, :1], 1, 2)
+    if mesh.dim == 1:
+        det = matrices[:, 0, 0]
+    elif mesh.dim == 2:
+        det = matrices[:, 0, 0] * matrices[:, 1, 1] - matrices[:, 0, 1] * matrices[:, 1, 0]
+    else:
+        det = np.linalg.det(matrices)
+    abs_det = np.abs(det)
+    degenerate = np.flatnonzero(abs_det == 0.0)
+    if degenerate.size:
+        first = int(degenerate[0]) if index is None else index
+        raise ValueError(f"degenerate cell {first}: |det B| = 0")
+    return matrices, abs_det
 
 
 def cell_affine_map(mesh: SimplexMesh, index: int) -> AffineMap:
     """Affine map sending the reference simplex onto cell `index`.
 
     Reference vertex 0 goes to the cell's first vertex and reference vertex e_i
-    to vertex i; |det B| = d! * |T|.  Raises on a degenerate cell.
+    to vertex i; |det B| = d! * |T|.  Raises on a degenerate cell.  A per-cell
+    convenience: assembly uses the batched :func:`cell_geometry`.
     """
-    verts = mesh.cell_vertices(index)
-    offset = verts[0].copy()
-    matrix = (verts[1:] - verts[0]).T.copy()
-    if mesh.dim == 1:
-        det = matrix[0, 0]
-    elif mesh.dim == 2:
-        det = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
-    else:
-        det = np.linalg.det(matrix)
-    abs_det = abs(float(det))
-    if abs_det == 0.0:
-        raise ValueError(f"degenerate cell {index}: |det B| = 0")
+    matrices, abs_det = cell_geometry(mesh, index)
+    matrix = matrices[0].copy()
+    offset = mesh.vertices[mesh.cells[index, 0]].copy()
     matrix.setflags(write=False)
     offset.setflags(write=False)
-    return AffineMap(matrix=matrix, offset=offset, abs_det=abs_det)
+    return AffineMap(matrix=matrix, offset=offset, abs_det=float(abs_det[0]))
 
 
 def cell_volumes(mesh: SimplexMesh) -> np.ndarray:
     """|T| for every cell, via |det B| / d!."""
-    fact = math.factorial(mesh.dim)
-    return np.array([cell_affine_map(mesh, i).abs_det / fact for i in range(mesh.num_cells)])
+    return cell_geometry(mesh)[1] / math.factorial(mesh.dim)

@@ -22,10 +22,11 @@ from fractions import Fraction
 import numpy as np
 
 from .exactbasis import ExactPolynomial, basis_integrals
-# cg_solve is not called here any more; it stays importable from this module
-# because perfbench's tracer test checks that ocp.cg_solve is fem.cg_solve
+# cg_solve and cell_affine_map are not called here any more; they stay
+# importable from this module because perfbench's tracer test checks that
+# ocp.cg_solve is fem.cg_solve and ocp.cell_affine_map is mesh.cell_affine_map
 from .fem import ControlSpace, StateSolver, StateSpace, assemble_control_mass, cg_solve
-from .mesh import cell_affine_map, unit_interval_mesh, unit_square_mesh
+from .mesh import cell_affine_map, cell_geometry, unit_interval_mesh, unit_square_mesh
 from .quadrature import simplex_rule
 
 __all__ = [
@@ -65,7 +66,7 @@ class NoNegativeBasisError(Exception):
 
 
 class QpConvergenceError(RuntimeError):
-    """QP iteration cap exceeded or objective non-finite; carries the best iterate."""
+    """QP iteration cap exceeded, stagnated or objective non-finite; carries the best iterate."""
 
     def __init__(self, message: str, best: "QpSolution"):
         super().__init__(message)
@@ -114,9 +115,7 @@ class Discretization:
         self.column_sums = np.asarray(self.solver.coupling.sum(axis=0)).ravel()
         self.ref_integrals = basis_integrals(self.control_space.ref)
         self.domain_volume = 1.0
-        self.abs_dets = np.array(
-            [cell_affine_map(mesh, ci).abs_det for ci in range(mesh.num_cells)]
-        )
+        self.abs_dets = cell_geometry(mesh)[1]
         self._mass_ones = self.solver.mass @ np.ones(self.state_space.num_dofs)
         self._audit_tab = self.control_space.tabulate(rule.points)
 
@@ -200,9 +199,13 @@ def minimize_nonneg_quadratic(
     Terminates when the KKT residual ||min(x, g)||_2 drops to `tol`.  It
     vanishes exactly at the KKT points (x >= 0, g >= 0, x_i g_i = 0) and,
     unlike the fixed-point residual ||x - proj(x - g/L)||, does not depend on L.
+    Gives up when the smallest residual so far has not improved for
+    _STAGNATION_WINDOW iterations: `tol` is then below what roundoff allows.
 
     Returns (x, g, objective, residual, iterations); a negative iteration
-    count signals that the cap was hit without reaching `tol`.  Raises
+    count signals that `tol` was not reached: either the cap was hit (the
+    last iterate is returned) or the iteration stagnated (the iterate with
+    the smallest residual is returned, with minus the iterations run).  Raises
     QpConvergenceError, carrying the last iterate with a finite objective (its
     `state` is None), if the objective becomes non-finite: the quadratic is
     not convex or `gradient` returned non-finite values.
@@ -233,6 +236,7 @@ def minimize_nonneg_quadratic(
 
     x_prev, g_prev = x, g
     t = 1.0
+    best, best_it = (x, g, j, res), 0
     for it in range(1, max_iterations + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         gamma = (t - 1.0) / t_next
@@ -260,12 +264,20 @@ def minimize_nonneg_quadratic(
         x, g, j, t = x_new, g_new, j_new, t_next
         if res <= tol:
             return x, g, j, res, it
+        if res < best[3]:
+            best, best_it = (x, g, j, res), it
+        elif it - best_it >= _STAGNATION_WINDOW:
+            return (*best, -it)
     return x, g, j, res, -max_iterations  # negative iteration count flags the cap
 
 
 # Relative roundoff allowed in the descent test of a restart step, measured
 # against the magnitudes of the terms of J = j0 + x . (g + g0) / 2.
 _J_ROUNDOFF = 1e-13
+
+# Iterations without a new smallest KKT residual after which the iteration
+# counts as stagnated.
+_STAGNATION_WINDOW = 1000
 
 
 def _kkt_residual(x: np.ndarray, g: np.ndarray) -> float:
@@ -303,8 +315,8 @@ def solve_qp(
     kkt_residual, ||min(z, grad_z J)||_2 = ||min(D^-1 lam, D grad J)||_2, is a
     mesh-independent L2-type KKT measure, exactly 0 at lam = 0 when the
     gradient there is non-negative.  Raises QpConvergenceError with the best
-    iterate attached when the iteration cap is exceeded or the objective
-    becomes non-finite.
+    iterate attached when the iteration cap is exceeded, the iteration
+    stagnates above `tol` or the objective becomes non-finite.
     """
     disc = _as_discretization(problem)
     cfg = disc.config
@@ -341,11 +353,12 @@ def solve_qp(
         ) from None
     result = solution(z, j, res, abs(iters))
     if iters < 0:
-        raise QpConvergenceError(
-            f"QP did not reach tol={tol:.3e} within {max_iterations} iterations "
-            f"(residual {res:.3e})",
-            result,
-        )
+        stop = f"within {max_iterations} iterations"
+        if -iters < max_iterations:
+            window = _STAGNATION_WINDOW
+            stop = f"and stagnated: no new best in the last {window} of {-iters} iterations"
+        message = f"QP did not reach tol={tol:.3e} {stop} (residual {res:.3e})"
+        raise QpConvergenceError(message, result)
     return result
 
 

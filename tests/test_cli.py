@@ -1,6 +1,9 @@
 """CLI: subcommands, report schemas, exit codes, determinism."""
 
 import json
+import re
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +194,48 @@ def test_dumps_float_formatting():
         dumps(float("nan"))
     with pytest.raises(TypeError):
         dumps(object())
+
+
+def test_unreachable_tolerance_stagnates_quickly(capsys):
+    # the residual floor is about 2.7e-16 here; without a stagnation stop the
+    # QP ran its whole 200,000-iteration budget (about 40 s) before exit 3
+    argv = ["solve", "--dim", "2", "--degree", "4", "--mesh", "4", "--tol", "1e-16"]
+    start = time.perf_counter()
+    code, out = run_cli(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["error"] == "QpConvergenceError"
+    assert "stagnated" in payload["message"]
+    assert int(re.search(r"of (\d+) iterations", payload["message"]).group(1)) < 5_000
+    assert elapsed < 20.0
+
+
+# Reports pinned byte for byte.  A change that moves one on purpose rewrites
+# its file with the new `main(argv)` stdout and says so in CHANGES.md.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_ARGV = {
+    "solve_d2_k4_n8_alpha0.1": [
+        "solve", "--dim", "2", "--degree", "4", "--mesh", "8", "--alpha", "0.1"
+    ],
+    "solve_d2_k3_n64_alpha0.0502188": [
+        "solve", "--dim", "2", "--degree", "3", "--mesh", "64", "--alpha", "0.0502188"
+    ],
+    "solve_d1_k10_n256": ["solve", "--dim", "1", "--degree", "10", "--mesh", "256"],
+    "certificate_d2_k4": ["certificate", "--dim", "2", "--degree", "4"],
+    "convergence_d2_k4_m4_8_16": [
+        "convergence", "--dim", "2", "--degree", "4", "--meshes", "4,8,16"
+    ],
+    "audit_basis_d3_k6": ["audit-basis", "--dim", "3", "--max-degree", "6"],
+}
+
+
+def test_every_golden_report_has_its_argv():
+    assert sorted(path.stem for path in GOLDEN.glob("*.json")) == sorted(GOLDEN_ARGV)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
+def test_report_matches_golden(capsys, name):
+    code, out = run_cli(capsys, GOLDEN_ARGV[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()

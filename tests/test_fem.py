@@ -19,8 +19,9 @@ from ctrldisc.fem import (
     assemble_state_operator,
     cg_solve,
     l2_error,
+    reference_mass_matrix,
 )
-from ctrldisc.mesh import unit_interval_mesh, unit_square_mesh
+from ctrldisc.mesh import SimplexMesh, unit_interval_mesh, unit_square_mesh
 from ctrldisc.quadrature import simplex_rule
 
 
@@ -67,7 +68,6 @@ def test_control_mass_blocks_scale_with_det():
     control = ControlSpace(mesh, 2)
     rule = simplex_rule(2, 6)
     control_mass = assemble_control_mass(control, rule).toarray()
-    from ctrldisc.fem import reference_mass_matrix
     from ctrldisc.mesh import cell_affine_map
 
     ref = reference_mass_matrix(control, rule)
@@ -278,3 +278,162 @@ def test_solver_rejects_wrong_length():
     solver = StateSolver(StateSpace(mesh), ControlSpace(mesh, 1))
     with pytest.raises(ValueError):
         solver.solve_state(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# batched assembly: bitwise equal to the per-cell loops it replaced
+
+
+def _jittered_square_mesh(n, seed=20161):
+    mesh = unit_square_mesh(n)
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-0.15 / n, 0.15 / n, size=mesh.vertices.shape)
+    return SimplexMesh(dim=2, vertices=mesh.vertices + shift, cells=mesh.cells, h=mesh.h)
+
+
+def _loop_affine_map(mesh, ci):
+    """Per-cell (B, b, |det B|), computed as before assembly was batched."""
+    verts = mesh.cell_vertices(ci)
+    matrix = (verts[1:] - verts[0]).T.copy()
+    if mesh.dim == 1:
+        det = matrix[0, 0]
+    else:
+        det = matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0]
+    return matrix, verts[0], abs(float(det))
+
+
+def _loop_mirror(n, rows, cols, vals):
+    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return (upper + sp.triu(upper, k=1).T).tocsr()
+
+
+def _loop_stiffness_mass(space, rule):
+    mesh = space.mesh
+    phi = space.tabulate(rule.points)
+    ref_grads = space.reference_gradients()
+    rows, cols, k_vals, m_vals = [], [], [], []
+    for ci in range(mesh.num_cells):
+        matrix, _, abs_det = _loop_affine_map(mesh, ci)
+        grads = ref_grads @ np.linalg.inv(matrix)
+        w = abs_det * rule.weights
+        dofs = mesh.cells[ci]
+        for a in range(mesh.dim + 1):
+            for b in range(a, mesh.dim + 1):
+                rows.append(min(dofs[a], dofs[b]))
+                cols.append(max(dofs[a], dofs[b]))
+                k_vals.append(float(w.sum()) * float(grads[a] @ grads[b]))
+                m_vals.append(float(w @ (phi[a] * phi[b])))
+    n = space.num_dofs
+    return _loop_mirror(n, rows, cols, k_vals), _loop_mirror(n, rows, cols, m_vals)
+
+
+def _loop_coupling(state, control, rule):
+    mesh = state.mesh
+    phi = state.tabulate(rule.points)
+    psi = control.tabulate(rule.points)
+    m = control.local_dim
+    rows, cols, vals = [], [], []
+    for ci in range(mesh.num_cells):
+        w = _loop_affine_map(mesh, ci)[2] * rule.weights
+        local = (phi * w) @ psi.T
+        for a in range(mesh.dim + 1):
+            for j in range(m):
+                rows.append(mesh.cells[ci][a])
+                cols.append(ci * m + j)
+                vals.append(local[a, j])
+    shape = (state.num_dofs, control.num_dofs)
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def _loop_control_mass(control, rule):
+    mesh = control.mesh
+    dets = [_loop_affine_map(mesh, ci)[2] for ci in range(mesh.num_cells)]
+    return sp.kron(sp.diags(dets), reference_mass_matrix(control, rule), format="csr")
+
+
+def _loop_load(space, rule, f):
+    mesh = space.mesh
+    phi = space.tabulate(rule.points)
+    out = np.zeros(space.num_dofs)
+    for ci in range(mesh.num_cells):
+        matrix, offset, abs_det = _loop_affine_map(mesh, ci)
+        fvals = f(rule.points @ matrix.T + offset)
+        out[mesh.cells[ci]] += abs_det * (phi @ (rule.weights * fvals))
+    return out
+
+
+def _loop_l2_error(space, coeffs, exact, rule):
+    mesh = space.mesh
+    phi = space.tabulate(rule.points)
+    total = 0.0
+    for ci in range(mesh.num_cells):
+        matrix, offset, abs_det = _loop_affine_map(mesh, ci)
+        diff = coeffs[mesh.cells[ci]] @ phi - exact(rule.points @ matrix.T + offset)
+        total += abs_det * float(rule.weights @ diff**2)
+    return math.sqrt(total)
+
+
+def _bumpy(points):
+    return np.sin(3.0 * points[:, 0]) + np.exp(points.sum(axis=1)) * points[:, -1]
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize(
+    "make_mesh",
+    [lambda: unit_interval_mesh(37), lambda: unit_square_mesh(6), lambda: _jittered_square_mesh(6)],
+    ids=["interval", "square", "jittered-square"],
+)
+def test_batched_assembly_equals_per_cell_loops(make_mesh, degree):
+    mesh = make_mesh()
+    state, control = StateSpace(mesh), ControlSpace(mesh, degree)
+    d = mesh.dim
+    batched = assemble_p1_stiffness_mass(state, simplex_rule(d, 2))
+    looped = _loop_stiffness_mass(state, simplex_rule(d, 2))
+    coupling_rule, mass_rule = simplex_rule(d, degree + 1), simplex_rule(d, 2 * degree + 2)
+    batched += (
+        assemble_coupling(state, control, coupling_rule),
+        assemble_control_mass(control, mass_rule),
+    )
+    looped += (
+        _loop_coupling(state, control, coupling_rule),
+        _loop_control_mass(control, mass_rule),
+    )
+    for new, old in zip(batched, looped):
+        assert new.shape == old.shape
+        assert (sp.csr_matrix(new) != old).nnz == 0
+
+    coeffs = np.cos(np.arange(state.num_dofs))
+    assert (assemble_load(state, mass_rule, _bumpy) == _loop_load(state, mass_rule, _bumpy)).all()
+    assert l2_error(state, coeffs, _bumpy, mass_rule) == _loop_l2_error(
+        state, coeffs, _bumpy, mass_rule
+    )
+
+
+def test_assembly_makes_no_per_cell_affine_maps(monkeypatch):
+    import ctrldisc.fem
+    import ctrldisc.mesh
+    import ctrldisc.ocp
+    from ctrldisc.ocp import Discretization, OcpConfig, feasibility_audit, solve_qp
+
+    def per_cell(*args, **kwargs):
+        raise AssertionError("per-cell affine map in the solve path")
+
+    monkeypatch.setattr(ctrldisc.mesh, "cell_affine_map", per_cell)
+    monkeypatch.setattr(ctrldisc.ocp, "cell_affine_map", per_cell)
+    monkeypatch.setattr(ctrldisc.fem, "cell_affine_map", per_cell, raising=False)
+    disc = Discretization(OcpConfig(2, 3, 8))
+    solution = solve_qp(disc)
+    assert solution.kkt_residual <= disc.config.qp_tol
+    assert feasibility_audit(disc, solution.control).min_cell_average >= 0.0
+
+
+def test_assembly_names_the_first_degenerate_cell():
+    # cells 1 and 2 are flat (vertices 0, 1, 3 are collinear)
+    mesh = SimplexMesh(
+        dim=2,
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]),
+        cells=np.array([[0, 1, 2], [0, 1, 3], [0, 3, 1]]),
+        h=2.0,
+    )
+    with pytest.raises(ValueError, match=r"degenerate cell 1\b"):
+        assemble_p1_stiffness_mass(StateSpace(mesh), simplex_rule(2, 2))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ctrldisc.mesh import (
+    SimplexMesh,
     cell_affine_map,
+    cell_geometry,
     cell_volumes,
     unit_interval_mesh,
     unit_square_mesh,
@@ -144,3 +146,34 @@ def test_mesh_json_dump():
     assert payload["dimension"] == 1
     assert len(payload["vertices"]) == 3
     assert len(payload["cells"]) == 2
+
+
+def test_unit_square_cell_order():
+    # square (i, j) gives cells 2(jn + i) and 2(jn + i) + 1, lower right first
+    n = 3
+    expected = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            expected += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
+    np.testing.assert_array_equal(unit_square_mesh(n).cells, expected)
+
+
+def test_cell_geometry_matches_affine_maps():
+    for mesh in (unit_interval_mesh(4), unit_square_mesh(3)):
+        matrices, abs_det = cell_geometry(mesh)
+        assert matrices.shape == (mesh.num_cells, mesh.dim, mesh.dim)
+        for ci in range(mesh.num_cells):
+            amap = cell_affine_map(mesh, ci)
+            np.testing.assert_array_equal(matrices[ci], amap.matrix)
+            assert abs_det[ci] == amap.abs_det
+
+
+def test_cell_geometry_general_dimension():
+    # two tetrahedra of the Kuhn split of the unit cube: |det B| = 1 each
+    cube = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
+    mesh = SimplexMesh(dim=3, vertices=cube, cells=np.array([[0, 1, 2, 3], [0, 2, 4, 3]]), h=1.0)
+    matrices, abs_det = cell_geometry(mesh)
+    np.testing.assert_allclose(abs_det, [1.0, 1.0], rtol=1e-15)
+    np.testing.assert_allclose(cell_volumes(mesh), [1 / 6, 1 / 6], rtol=1e-15)
+    np.testing.assert_array_equal(matrices[0], [[1, 1, 1], [0, 1, 1], [0, 0, 1]])

@@ -136,6 +136,27 @@ def test_core_solver_raises_on_nonfinite_gradient():
     np.testing.assert_array_equal(best.control, np.zeros(2))
 
 
+def test_core_solver_stops_when_the_residual_stagnates():
+    # an interior optimum: the KKT residual is |g| and cannot go below roundoff
+    rng = np.random.default_rng(8)
+    factor = rng.standard_normal((8, 8))
+    matrix = factor @ factor.T + np.eye(8)
+    linear = -matrix @ rng.uniform(0.5, 1.5, 8)
+    residuals = []
+
+    def gradient(x):
+        g = matrix @ x + linear
+        residuals.append(float(np.linalg.norm(np.minimum(x, g))))
+        return g
+
+    x, g, _, res, iters = minimize_nonneg_quadratic(
+        gradient, linear, 0.0, np.zeros(8), np.linalg.norm(matrix, 2), 1e-300, 100_000
+    )
+    assert iters < 0 and -iters < 100_000
+    assert res == np.linalg.norm(np.minimum(x, g)) == min(residuals)
+    np.testing.assert_allclose(x, np.linalg.solve(matrix, -linear), rtol=1e-12)
+
+
 def test_core_solver_flags_iteration_cap():
     matrix = np.array([[2.0, 0.0], [0.0, 1.0]])
     linear = np.array([-1.0, -1.0])
