@@ -7,7 +7,11 @@ quadratic triangle), so floating point is never allowed near a sign decision.
 
 The reference simplex in dimension ``d`` is ``{x in R^d : x_i >= 0, sum x <= 1}``
 with volume ``1/d!``.  Basis functions are the nodal (Lagrange) polynomials of
-degree ``k`` on the equispaced lattice ``{alpha/k : |alpha| <= k}``.
+degree ``k`` on the equispaced lattice ``{alpha/k : |alpha| <= k}``, built
+from Silvester's closed product form in barycentric coordinates (see
+`lagrange_basis`).  Lagrange interpolation on the lattice is unique, so the
+closed form gives exactly the rationals of the generalized Vandermonde
+solve, which the tests keep as an oracle (`solve_rational_system`).
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ class ExactPolynomial:
                 raise ValueError(f"negative exponent in {alpha}")
             coeff = Fraction(coeff)
             if coeff:
-                acc[alpha] = acc.get(alpha, Fraction(0)) + coeff
+                acc[alpha] = acc[alpha] + coeff if alpha in acc else coeff
         self.terms = {a: c for a, c in acc.items() if c}
 
     @classmethod
@@ -204,6 +208,8 @@ def solve_rational_system(matrix, rhs):
     Dense Gaussian elimination with partial pivoting by rational magnitude.
     `matrix` is a square list-of-rows, `rhs` a list-of-rows with the same row
     count; both are left untouched.  Raises ValueError on a singular matrix.
+    The package no longer calls it (`lagrange_basis` uses the closed form);
+    it is kept as a public utility and as the tests' Vandermonde oracle.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -249,71 +255,142 @@ class LagrangeBasisSpec:
 
     nodes[i] and basis[i] correspond; basis[i](nodes[j]) is exactly the
     Kronecker delta and the basis sums exactly to the constant 1.
+    integrals[i] is the exact integral of basis[i] over the reference simplex.
     """
 
     dim: int
     degree: int
     nodes: tuple[tuple[Fraction, ...], ...]
     basis: tuple[ExactPolynomial, ...]
+    integrals: tuple[Fraction, ...]
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
 
+def _falling_factorial(shift: int, m: int) -> list[int]:
+    """Integer coefficients of prod_{j<m} (t + shift - j), lowest power of t first."""
+    coeffs = [1]
+    for j in range(m):
+        nxt = [(shift - j) * c for c in coeffs] + [0]
+        for p, c in enumerate(coeffs):
+            nxt[p + 1] += c
+        coeffs = nxt
+    return coeffs
+
+
+def _integer_product(a: dict, b: dict) -> dict:
+    """Product of two polynomials stored as {exponent tuple: int}."""
+    out: dict[tuple[int, ...], int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
 @lru_cache(maxsize=None)
 def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
     """Construct the degree-k Lagrange basis on the reference simplex, exactly.
 
-    Solves the generalized Vandermonde system in the monomial basis
-    {x^alpha : |alpha| <= k} (graded-lex) by exact Gaussian elimination.
+    Silvester's closed form for the equispaced lattice: with barycentric
+    coordinates lambda_0 = 1 - sum(x), lambda_i = x_i and alpha_0 = k - |alpha|,
+
+        phi_alpha = prod_{i=0..d} prod_{j<alpha_i} (k lambda_i - j) / (j + 1).
+
+    The products are expanded in integer arithmetic in y = k x (the falling
+    factorials of each y_i and of k - sum(y) are built once per order), and
+    the coefficient of x^beta is c_beta * k^|beta| / prod_i alpha_i!; each
+    integral is one Fraction from the same integers and the moment formula.
+    The interpolant on the lattice is unique, so every coefficient is the
+    same Fraction that solving the generalized Vandermonde system in the
+    monomial basis gives (`solve_rational_system`, kept as the test oracle).
+    The partition of unity and the integral sum 1/d! are checked exactly.
     Memoized; the result is immutable and safe to share.
     """
     _check_dimension(d)
     if k < 1:
         raise ValueError(f"degree must be >= 1, got {k}")
-    monos = multi_indices(d, k)
-    nodes = lattice_nodes(d, k)
-    n = len(monos)
+    alphas = multi_indices(d, k)
+    zero = (0,) * d
 
-    vandermonde = []
-    for node in nodes:
-        row = []
-        for alpha in monos:
-            v = Fraction(1)
-            for x, a in zip(node, alpha):
-                if a:
-                    v *= x**a
-            row.append(v)
-        vandermonde.append(row)
+    # y_c (y_c - 1) ... (y_c - m + 1), per (coordinate c, order m)
+    falling_y = {}
+    for m in range(k + 1):
+        coeffs = _falling_factorial(0, m)
+        for c in range(d):
+            falling_y[c, m] = {
+                zero[:c] + (p,) + zero[c + 1 :]: v for p, v in enumerate(coeffs) if v
+            }
+    # (k - s)(k - 1 - s) ... (k - m + 1 - s) with s = sum(y), per order m,
+    # through s^p = sum_{|beta| = p} p! / prod(beta!) y^beta
+    falling_0 = {}
+    for m in range(k + 1):
+        coeffs = _falling_factorial(k, m)  # in t = -s
+        falling_0[m] = {
+            beta: (-1) ** sum(beta)
+            * coeffs[sum(beta)]
+            * (math.factorial(sum(beta)) // math.prod(map(math.factorial, beta)))
+            for beta in multi_indices(d, m)
+            if coeffs[sum(beta)]
+        }
 
-    identity = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    try:
-        inverse = solve_rational_system(vandermonde, identity)
-    except ValueError as err:  # cannot happen for lattice nodes
-        raise RuntimeError(f"Vandermonde system singular for d={d}, k={k}") from err
+    # x^beta = y^beta / k^|beta|, and over the simplex
+    # int x^beta = prod(beta!) / (|beta| + d)! = moment[beta] / (k + d)!
+    scale = {beta: k ** sum(beta) for beta in alphas}
+    moment = {
+        beta: scale[beta]
+        * math.prod(map(math.factorial, beta))
+        * (math.factorial(k + d) // math.factorial(sum(beta) + d))
+        for beta in alphas
+    }
 
-    basis = tuple(
-        ExactPolynomial(d, {monos[j]: inverse[j][i] for j in range(n)}) for i in range(n)
-    )
+    basis, integrals = [], []
+    for alpha in alphas:
+        alpha_0 = k - sum(alpha)
+        product = falling_0[alpha_0]
+        denominator = math.factorial(alpha_0)
+        for c, a in enumerate(alpha):
+            if a:
+                product = _integer_product(product, falling_y[c, a])
+                denominator *= math.factorial(a)
+        basis.append(
+            ExactPolynomial(
+                d,
+                {
+                    beta: Fraction(v * scale[beta], denominator)
+                    for beta, v in product.items()
+                    if v
+                },
+            )
+        )
+        integrals.append(
+            Fraction(
+                sum(v * moment[beta] for beta, v in product.items()),
+                denominator * math.factorial(k + d),
+            )
+        )
 
-    # Cheap exact self-checks: partition of unity and total moment.
-    total = ExactPolynomial.zero(d)
+    # Exact self-checks: partition of unity and total moment.
+    total: dict[tuple[int, ...], Fraction] = {}
     for p in basis:
-        total = total + p
-    if total != ExactPolynomial.constant(d, 1):
+        for beta, v in p.terms.items():
+            total[beta] = total.get(beta, 0) + v
+    if {beta: v for beta, v in total.items() if v} != {zero: 1}:
         raise RuntimeError(f"partition of unity violated for d={d}, k={k}")
-    if sum((p.integral_over_simplex() for p in basis), Fraction(0)) != Fraction(
-        1, math.factorial(d)
-    ):
+    if sum(integrals, Fraction(0)) != Fraction(1, math.factorial(d)):
         raise RuntimeError(f"basis integrals do not sum to 1/d! for d={d}, k={k}")
 
-    return LagrangeBasisSpec(d, k, tuple(nodes), basis)
+    return LagrangeBasisSpec(d, k, tuple(lattice_nodes(d, k)), tuple(basis), tuple(integrals))
 
 
 def basis_integrals(spec: LagrangeBasisSpec) -> tuple[Fraction, ...]:
-    """Exact integrals of every basis function over the reference simplex."""
-    return tuple(p.integral_over_simplex() for p in spec.basis)
+    """Exact integrals of every basis function over the reference simplex.
+
+    Computed once, when the basis is built; this returns `spec.integrals`.
+    """
+    return spec.integrals
 
 
 @dataclass(frozen=True)

@@ -314,9 +314,11 @@ def solve_qp(
     safety; the solver doubles it if it proves too low).  The reported
     kkt_residual, ||min(z, grad_z J)||_2 = ||min(D^-1 lam, D grad J)||_2, is a
     mesh-independent L2-type KKT measure, exactly 0 at lam = 0 when the
-    gradient there is non-negative.  Raises QpConvergenceError with the best
-    iterate attached when the iteration cap is exceeded, the iteration
-    stagnates above `tol` or the objective becomes non-finite.
+    gradient there is non-negative; lam = 0 is then returned after one
+    gradient evaluation, without estimating L or iterating.  Raises
+    QpConvergenceError with the best iterate attached when the iteration cap
+    is exceeded, the iteration stagnates above `tol` or the objective becomes
+    non-finite.
     """
     disc = _as_discretization(problem)
     cfg = disc.config
@@ -328,6 +330,15 @@ def solve_qp(
     g0, j0, _ = disc.gradient_objective_state(np.zeros(n))
     g0 = scale * g0
 
+    def solution(z, objective, residual, iterations):
+        lam = scale * z
+        return QpSolution(lam, disc.solve_state(lam), objective, residual, iterations)
+
+    # lam = 0 is already a KKT point (the clean regime): skip the L estimate
+    res0 = _kkt_residual(np.zeros(n), g0)
+    if res0 <= tol and math.isfinite(j0):
+        return solution(np.zeros(n), j0, res0, 0)
+
     def grad(z):
         return scale * disc.gradient_objective_state(scale * z)[0]
 
@@ -337,10 +348,6 @@ def solve_qp(
     lipschitz = 1.05 * estimate_operator_norm(hess_mv, n)
     if lipschitz <= 0.0:
         raise RuntimeError("Hessian norm estimate is zero; degenerate problem")
-
-    def solution(z, objective, residual, iterations):
-        lam = scale * z
-        return QpSolution(lam, disc.solve_state(lam), objective, residual, iterations)
 
     try:
         z, _, j, res, iters = minimize_nonneg_quadratic(

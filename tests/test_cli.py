@@ -227,15 +227,22 @@ GOLDEN_ARGV = {
         "convergence", "--dim", "2", "--degree", "4", "--meshes", "4,8,16"
     ],
     "audit_basis_d3_k6": ["audit-basis", "--dim", "3", "--max-degree", "6"],
+    "audit_basis_d2_k8": ["audit-basis", "--dim", "2", "--max-degree", "8"],
+    "audit_basis_d1_k10_csv": ["audit-basis", "--dim", "1", "--max-degree", "10", "--csv"],
 }
 
 
+def golden_path(name):
+    suffix = ".csv" if "--csv" in GOLDEN_ARGV[name] else ".json"
+    return GOLDEN / f"{name}{suffix}"
+
+
 def test_every_golden_report_has_its_argv():
-    assert sorted(path.stem for path in GOLDEN.glob("*.json")) == sorted(GOLDEN_ARGV)
+    assert sorted(GOLDEN.iterdir()) == sorted(golden_path(name) for name in GOLDEN_ARGV)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ARGV))
 def test_report_matches_golden(capsys, name):
     code, out = run_cli(capsys, GOLDEN_ARGV[name])
     assert code == 0
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    assert out == golden_path(name).read_text()

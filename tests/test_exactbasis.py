@@ -188,6 +188,35 @@ def test_moment_sum_exact(d, k):
     assert sum(integrals, Fraction(0)) == Fraction(1, math.factorial(d))
 
 
+def vandermonde_basis(d, k):
+    """Basis terms from the generalized Vandermonde system, inverted exactly."""
+    monos = multi_indices(d, k)
+    matrix = [
+        [math.prod(x**a for x, a in zip(node, alpha)) for alpha in monos]
+        for node in lattice_nodes(d, k)
+    ]
+    n = len(monos)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = solve_rational_system(matrix, identity)
+    return [{monos[j]: inverse[j][i] for j in range(n) if inverse[j][i]} for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "d,k",
+    [(1, k) for k in range(1, 11)] + [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 7)],
+)
+def test_closed_form_equals_vandermonde_oracle(d, k):
+    spec = lagrange_basis(d, k)
+    assert [p.terms for p in spec.basis] == vandermonde_basis(d, k)
+
+
+@pytest.mark.parametrize("d,k", SUPPORTED)
+def test_stored_integrals_equal_term_by_term_integrals(d, k):
+    spec = lagrange_basis(d, k)
+    assert spec.integrals == tuple(p.integral_over_simplex() for p in spec.basis)
+    assert basis_integrals(spec) is spec.integrals
+
+
 def test_lagrange_basis_rejects_bad_input():
     with pytest.raises(ValueError):
         lagrange_basis(4, 2)

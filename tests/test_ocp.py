@@ -246,6 +246,25 @@ def test_zero_is_kkt_point_for_clean_degrees():
         assert solution.kkt_residual <= disc.config.qp_tol
 
 
+def test_kkt_point_at_zero_needs_one_gradient_evaluation(monkeypatch):
+    # lam = 0 is a KKT point in the clean regime: no Lipschitz estimate, no
+    # second evaluation at 0
+    disc = Discretization(OcpConfig(2, 3, 8))
+    original = Discretization.gradient_objective_state
+    calls = []
+
+    def counted(self, lam):
+        calls.append(lam)
+        return original(self, lam)
+
+    monkeypatch.setattr(Discretization, "gradient_objective_state", counted)
+    solution = solve_qp(disc)
+    assert len(calls) == 1
+    assert solution.iterations == 0
+    assert solution.objective == 1.0
+    assert not solution.control.any()
+
+
 def test_counterexample_solution_beats_certificate_bound():
     disc = Discretization(OcpConfig(dim=2, degree=4, n=4))
     certificate = build_certificate(disc)
