@@ -122,6 +122,18 @@ class ExactPolynomial:
         self.terms = {a: c for a, c in acc.items() if c}
 
     @classmethod
+    def _trusted(cls, dim: int, terms: dict) -> "ExactPolynomial":
+        """Wrap terms the package built itself, without re-validating them.
+
+        `terms` must map length-`dim` tuples of non-negative ints to
+        Fractions; zero coefficients are dropped here, nothing else is checked.
+        """
+        poly = object.__new__(cls)
+        poly.dim = dim
+        poly.terms = {a: c for a, c in terms.items() if c}
+        return poly
+
+    @classmethod
     def zero(cls, dim: int) -> "ExactPolynomial":
         return cls(dim)
 
@@ -141,10 +153,10 @@ class ExactPolynomial:
         merged = dict(self.terms)
         for a, c in other.terms.items():
             merged[a] = merged.get(a, Fraction(0)) + c
-        return ExactPolynomial(self.dim, merged)
+        return ExactPolynomial._trusted(self.dim, merged)
 
     def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial(self.dim, {a: -c for a, c in self.terms.items()})
+        return ExactPolynomial._trusted(self.dim, {a: -c for a, c in self.terms.items()})
 
     def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         if not isinstance(other, ExactPolynomial):
@@ -160,9 +172,11 @@ class ExactPolynomial:
                 for b, cb in other.terms.items():
                     key = tuple(x + y for x, y in zip(a, b))
                     prod[key] = prod.get(key, Fraction(0)) + ca * cb
-            return ExactPolynomial(self.dim, prod)
+            return ExactPolynomial._trusted(self.dim, prod)
         if isinstance(other, (int, Fraction)):
-            return ExactPolynomial(self.dim, {a: c * other for a, c in self.terms.items()})
+            return ExactPolynomial._trusted(
+                self.dim, {a: c * other for a, c in self.terms.items()}
+            )
         return NotImplemented
 
     __rmul__ = __mul__
@@ -356,7 +370,7 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
                 product = _integer_product(product, falling_y[c, a])
                 denominator *= math.factorial(a)
         basis.append(
-            ExactPolynomial(
+            ExactPolynomial._trusted(
                 d,
                 {
                     beta: Fraction(v * scale[beta], denominator)

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .exactbasis import exponents_of_degree, monomial_integral, multi_indices
 
@@ -158,6 +157,8 @@ def conical_product_rule(exactness: int) -> QuadratureRule:
     with weight (1-eta) in eta.  All weights positive; exact for total degree
     <= 2m - 1.
     """
+    from scipy.special import roots_jacobi  # deferred: see the import rule in fem
+
     if exactness < 1 or exactness > MAX_EXACTNESS:
         raise ValueError(f"unsupported exactness {exactness}")
     m = (exactness + 2) // 2
