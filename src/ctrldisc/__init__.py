@@ -40,7 +40,6 @@ from .fem import (
     assemble_coupling,
     assemble_load,
     assemble_p1_stiffness_mass,
-    assemble_state_operator,
     cg_solve,
     l2_error,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "assemble_coupling",
     "assemble_load",
     "assemble_p1_stiffness_mass",
-    "assemble_state_operator",
     "basis_integrals",
     "build_certificate",
     "cell_affine_map",

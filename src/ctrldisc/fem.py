@@ -6,18 +6,14 @@ degree k (one independent basis block per cell).  Control basis values are
 floats converted once from the exact rational reference basis; the exact
 module stays the single source of basis truth.
 
-Assembled symmetric matrices are built from their upper triangle and mirrored,
-so A == A.T holds exactly, not just to roundoff.
+A cell integral of affinely pushed-forward functions is the reference
+integral times |det B|, so the coupling C, the control mass M_u and the P1
+mass M are each one reference block, applied by a :class:`CellBlockOperator`.
+Only the stiffness depends on B itself; A = K + M is assembled straight into
+upper band storage, symmetric by construction.  Results agree with per-cell
+loops to roundoff (tests/test_fem.py keeps them as oracles).
 
-Assembly is batched: :func:`~ctrldisc.mesh.cell_geometry` gives every cell's
-B and |det B| in one pass, the local blocks of all cells are stacked arrays,
-and each matrix is one COO construction.  The triplets come in the order of
-a per-cell loop (cell by cell, then the upper local pairs (a, b)), and the
-local products are per-cell BLAS products (stacked matmul, not einsum), so
-the duplicate sums in ``tocsr`` and hence the results are bitwise equal to
-those of per-cell loops, which tests/test_fem.py keeps as an oracle.
-
-The state operator A = K + M is fixed and symmetric positive definite, so
+The state operator A is fixed and symmetric positive definite, so
 :class:`StateSolver` factors it once (banded Cholesky; the vertex numbering
 gives bandwidth 1 on the interval and n + 2 on the unit square) and every
 state and adjoint solve is two triangular band solves: backward stable, with
@@ -29,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,13 +33,11 @@ from .mesh import SimplexMesh, cell_geometry
 from .quadrature import QuadratureRule, simplex_rule
 
 # Import rule: scipy is imported inside the functions that use it, never at
-# module level, so `import ctrldisc` and an exact audit load no scipy; at
-# module level scipy.sparse and scipy.special cost every CLI process about
-# 0.23 s (fresh-process `import ctrldisc`: 386 ms with them, 156 ms without).
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+# module level, so `import ctrldisc` and an exact audit load no scipy (fresh
+# process `import ctrldisc`: 386 ms with module-level scipy imports, 156 ms without).
 
 __all__ = [
+    "CellBlockOperator",
     "CgConvergenceError",
     "ControlSpace",
     "LinearSolveReport",
@@ -54,7 +47,6 @@ __all__ = [
     "assemble_coupling",
     "assemble_load",
     "assemble_p1_stiffness_mass",
-    "assemble_state_operator",
     "cg_solve",
     "l2_error",
 ]
@@ -132,7 +124,7 @@ class CgConvergenceError(RuntimeError):
 
 
 def cg_solve(
-    matrix: sp.spmatrix,
+    matrix,
     rhs: np.ndarray,
     tol: float = 1e-10,
     max_iterations: int | None = None,
@@ -140,6 +132,7 @@ def cg_solve(
 ) -> tuple[np.ndarray, LinearSolveReport]:
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
+    `matrix` is anything with ``diagonal()`` and ``@``, sparse or dense.
     Terminates when ||b - A x|| <= tol * ||b||.  Deterministic: fixed
     traversal order, no randomized components.  Raises CgConvergenceError
     (carrying the report and best iterate) if the iteration cap, default
@@ -176,100 +169,111 @@ def cg_solve(
     raise CgConvergenceError(LinearSolveReport(max_iterations, rel, False), x)
 
 
-def _mirror_upper(n: int, rows, cols, vals) -> sp.csr_matrix:
-    # rows[i] <= cols[i] required; returns the exactly symmetric full matrix
-    import scipy.sparse as sp
+@dataclass(eq=False)
+class CellBlockOperator:
+    """Linear map sum_c |det B_c| R placed at cell c's dofs, for one reference block R.
 
-    upper = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    strict = sp.triu(upper, k=1)
-    return (upper + strict.T).tocsr()
+    Applying it gathers the cells' entries, multiplies by R once for all
+    cells, scales by |det B| and adds each cell's result into its rows, cell
+    by cell.  Row r and column s of cell c's copy of R are global row
+    rows[c, r] and column cols[c, s]; None stands for the discontinuous
+    cell-major layout, in which cell c owns dofs c*w, ..., c*w + w - 1.
+    """
+
+    block: np.ndarray  # R, shape (r, s)
+    abs_det: np.ndarray  # (cells,)
+    rows: np.ndarray | None  # (cells, r)
+    cols: np.ndarray | None  # (cells, s)
+    shape: tuple[int, int]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        local = x.reshape(self.abs_det.size, -1) if self.cols is None else x[self.cols]
+        return self._add_into_rows((local @ self.block.T) * self.abs_det[:, None])
+
+    @property
+    def T(self) -> CellBlockOperator:
+        rows, cols = self.cols, self.rows
+        return CellBlockOperator(self.block.T, self.abs_det, rows, cols, self.shape[::-1])
+
+    def diagonal(self) -> np.ndarray:
+        """Diagonal of a square operator whose rows and columns are the same dofs."""
+        return self._add_into_rows(self.abs_det[:, None] * np.diag(self.block))
+
+    def _add_into_rows(self, local: np.ndarray) -> np.ndarray:
+        if self.rows is None:
+            return local.ravel()
+        return np.bincount(self.rows.ravel(), local.ravel(), minlength=self.shape[0])
+
+
+def _symmetric_gram(values: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    """G[a, b] = sum_q w_q v_a(x_q) v_b(x_q), each entry computed once, so G == G.T."""
+    gram = np.empty((len(values),) * 2)
+    for a, b in zip(*np.triu_indices(len(values))):
+        gram[a, b] = gram[b, a] = float(rule.weights @ (values[a] * values[b]))
+    return gram
 
 
 def assemble_p1_stiffness_mass(
-    space: StateSpace, rule: QuadratureRule
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """P1 stiffness K and mass M; both exactly symmetric by construction."""
+    space: StateSpace, rule: QuadratureRule, geometry=None
+) -> tuple[np.ndarray, CellBlockOperator]:
+    """State operator A = K + M in upper band storage; the P1 mass M as a cell-block operator.
+
+    band[u + i - j, j] = A[i, j] for i <= j, u the bandwidth, as
+    scipy.linalg.cholesky_banded takes it: only the upper triangle is stored,
+    so A is symmetric by construction.  `geometry` is the mesh's
+    :func:`~ctrldisc.mesh.cell_geometry`, computed here when not given.
+    """
     mesh = space.mesh
     if rule.exactness < 2:
         raise ValueError("P1 stiffness/mass assembly needs rule exactness >= 2")
-    phi = space.tabulate(rule.points)  # (d+1, nq)
-    matrices, abs_det = cell_geometry(mesh)
+    matrices, abs_det = cell_geometry(mesh) if geometry is None else geometry
+    ref_mass = _symmetric_gram(space.tabulate(rule.points), rule)
     # physical gradients: rows of the reference gradients mapped by B^{-T}
     grads = space.reference_gradients() @ np.linalg.inv(matrices)  # (cells, d+1, d)
-    w = abs_det[:, None] * rule.weights  # (cells, nq)
-    cell_volume = w.sum(axis=1)  # gradients are constant on each cell
-    a, b = np.triu_indices(mesh.dim + 1)  # local pairs a <= b
-    # the Gram products go through matmul, i.e. BLAS dot products like a
-    # per-cell loop's; an einsum rounds differently on distorted cells
     gram = grads @ np.swapaxes(grads, 1, 2)  # (cells, d+1, d+1)
-    k_vals = cell_volume[:, None] * gram[:, a, b]
-    m_vals = w @ (phi[a] * phi[b]).T
+    a, b = np.triu_indices(mesh.dim + 1)  # local pairs a <= b
+    # gradients are constant on each cell: K's entries are |T| grad_a . grad_b
+    values = (abs_det * rule.weights.sum())[:, None] * gram[:, a, b]
+    values += abs_det[:, None] * ref_mass[a, b]
     ga, gb = mesh.cells[:, a], mesh.cells[:, b]
-    rows, cols = np.minimum(ga, gb).ravel(), np.maximum(ga, gb).ravel()
-    n = space.num_dofs
-    return (
-        _mirror_upper(n, rows, cols, k_vals.ravel()),
-        _mirror_upper(n, rows, cols, m_vals.ravel()),
-    )
-
-
-def assemble_state_operator(space: StateSpace, rule: QuadratureRule) -> sp.csr_matrix:
-    """Operator of the Neumann problem: stiffness + mass; symmetric positive definite."""
-    stiffness, mass = assemble_p1_stiffness_mass(space, rule)
-    return (stiffness + mass).tocsr()
+    cols, offsets = np.maximum(ga, gb), np.abs(ga - gb)  # A[cols - offsets, cols]
+    n, bandwidth = space.num_dofs, int(offsets.max())
+    slots = (bandwidth - offsets) * n + cols
+    band = np.bincount(slots.ravel(), values.ravel(), minlength=(bandwidth + 1) * n)
+    mass = CellBlockOperator(ref_mass, abs_det, mesh.cells, mesh.cells, (n, n))
+    return band.reshape(bandwidth + 1, n), mass
 
 
 def reference_mass_matrix(space: ControlSpace, rule: QuadratureRule) -> np.ndarray:
     """Mass matrix of the reference basis on the reference simplex, exactly symmetric."""
     if rule.exactness < 2 * space.degree:
         raise ValueError("control mass assembly needs rule exactness >= 2k")
-    psi = space.tabulate(rule.points)  # (m, nq)
-    m = space.local_dim
-    ref = np.empty((m, m))
-    for a in range(m):
-        for b in range(a, m):
-            v = float(rule.weights @ (psi[a] * psi[b]))
-            ref[a, b] = v
-            ref[b, a] = v
-    return ref
+    return _symmetric_gram(space.tabulate(rule.points), rule)
 
 
-def assemble_control_mass(space: ControlSpace, rule: QuadratureRule) -> sp.bsr_matrix:
+def assemble_control_mass(
+    space: ControlSpace, rule: QuadratureRule, geometry=None
+) -> CellBlockOperator:
     """Block-diagonal control mass: one |det B| * M_ref block per cell.
 
     L2 products of affinely mapped scalars pick up only the |det B| factor, so
-    every block is a scaled copy of the reference mass matrix.  Returned in
-    BSR format, one m x m block per cell.
+    every block is a scaled copy of the reference mass matrix.
     """
-    import scipy.sparse as sp
-
     ref = reference_mass_matrix(space, rule)
-    cells = space.mesh.num_cells
-    blocks = cell_geometry(space.mesh)[1][:, None, None] * ref
-    return sp.bsr_matrix(
-        (blocks, np.arange(cells), np.arange(cells + 1)), shape=(space.num_dofs,) * 2
-    )
+    abs_det = (cell_geometry(space.mesh) if geometry is None else geometry)[1]
+    return CellBlockOperator(ref, abs_det, None, None, (space.num_dofs,) * 2)
 
 
 def assemble_coupling(
-    state: StateSpace, control: ControlSpace, rule: QuadratureRule
-) -> sp.csr_matrix:
+    state: StateSpace, control: ControlSpace, rule: QuadratureRule, geometry=None
+) -> CellBlockOperator:
     """Rectangular coupling C[a, i] = int_Omega v_a phi_i (P1 row, control column)."""
-    import scipy.sparse as sp
-
     if rule.exactness < control.degree + 1:
         raise ValueError("coupling assembly needs rule exactness >= k + 1")
-    mesh = state.mesh
-    phi = state.tabulate(rule.points)  # (d+1, nq)
-    psi = control.tabulate(rule.points)  # (m, nq)
-    m = control.local_dim
-    w = cell_geometry(mesh)[1][:, None] * rule.weights  # (cells, nq)
-    local = (phi * w[:, None, :]) @ psi.T  # (cells, d+1, m)
-    rows = np.broadcast_to(mesh.cells[:, :, None], local.shape)
-    cols = np.broadcast_to(np.arange(control.num_dofs).reshape(-1, 1, m), local.shape)
-    return sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(state.num_dofs, control.num_dofs)
-    ).tocsr()
+    phi, psi = state.tabulate(rule.points), control.tabulate(rule.points)  # (d+1, nq), (m, nq)
+    abs_det = (cell_geometry(state.mesh) if geometry is None else geometry)[1]
+    shape = (state.num_dofs, control.num_dofs)
+    return CellBlockOperator((phi * rule.weights) @ psi.T, abs_det, state.mesh.cells, None, shape)
 
 
 def _at_quadrature_points(f, mesh: SimplexMesh, rule: QuadratureRule):
@@ -310,44 +314,39 @@ def l2_error(space: StateSpace, coeffs: np.ndarray, exact, rule: QuadratureRule)
     return math.sqrt(float(np.cumsum(per_cell)[-1]))
 
 
-def _banded_cholesky_solver(matrix: sp.spmatrix):
-    """Factor a sparse SPD matrix once (banded Cholesky); return its solve routine."""
-    import scipy.sparse as sp
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+def _banded_cholesky_solver(band: np.ndarray):
+    """Factor an SPD matrix in upper band storage once; return its solve routine."""
+    from scipy.linalg import cholesky_banded, get_lapack_funcs
 
-    # upper band storage: band[u + i - j, j] = A[i, j] for i <= j
-    upper = sp.triu(matrix, format="coo")
-    bandwidth = int((upper.col - upper.row).max())
-    band = np.zeros((bandwidth + 1, matrix.shape[0]))
-    band[bandwidth + upper.row - upper.col, upper.col] = upper.data
-    factor = cholesky_banded(band, overwrite_ab=True, lower=False, check_finite=False)
-    return lambda rhs: cho_solve_banded((factor, False), rhs, check_finite=False)
+    factor = cholesky_banded(band, lower=False, check_finite=False)
+    (pbtrs,) = get_lapack_funcs(("pbtrs",), (factor,))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x, info = pbtrs(factor, rhs, lower=0)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+        return x
+
+    return solve
 
 
 class StateSolver:
     """Assembled Neumann problem: solves A y = C u for given control coefficients.
 
-    Owns the banded Cholesky factor of A, computed once, on the first solve.
+    Holds A in upper band storage (`operator`) with its banded Cholesky
+    factor, and the P1 mass and the coupling as cell-block operators.
     """
 
-    def __init__(self, state: StateSpace, control: ControlSpace):
+    def __init__(self, state: StateSpace, control: ControlSpace, geometry=None):
         self.state = state
         self.control = control
+        geometry = cell_geometry(state.mesh) if geometry is None else geometry
         state_rule = simplex_rule(state.mesh.dim, 2)
         coupling_rule = simplex_rule(state.mesh.dim, max(control.degree + 1, 2))
-        self.stiffness, self.mass = assemble_p1_stiffness_mass(state, state_rule)
-        self.operator = (self.stiffness + self.mass).tocsr()
-        self.coupling = assemble_coupling(state, control, coupling_rule)
-        # factored on first use, after all assembly: factoring here, between
-        # the assembly passes, raised the peak memory of a d=2, n=64 solve by
-        # about 5 %
-        self._solve = None
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with A x = rhs; A is symmetric, so this serves state and adjoint alike."""
-        if self._solve is None:
-            self._solve = _banded_cholesky_solver(self.operator)
-        return self._solve(rhs)
+        self.operator, self.mass = assemble_p1_stiffness_mass(state, state_rule, geometry)
+        self.coupling = assemble_coupling(state, control, coupling_rule, geometry)
+        # x with A x = rhs; A is symmetric, so this serves state and adjoint alike
+        self.solve = _banded_cholesky_solver(self.operator)
 
     def solve_state(self, u_coeffs: np.ndarray) -> np.ndarray:
         """State coefficients y with A y = C u."""

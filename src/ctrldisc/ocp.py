@@ -108,14 +108,15 @@ class Discretization:
         self.mesh = mesh
         self.state_space = StateSpace(mesh)
         self.control_space = ControlSpace(mesh, config.degree)
-        self.solver = StateSolver(self.state_space, self.control_space)
+        geometry = cell_geometry(mesh)
+        self.abs_dets = geometry[1]
+        self.solver = StateSolver(self.state_space, self.control_space, geometry)
         rule = simplex_rule(config.dim, 2 * config.degree + 2)
         self.audit_rule = rule
-        self.control_mass = assemble_control_mass(self.control_space, rule)
-        self.column_sums = np.asarray(self.solver.coupling.sum(axis=0)).ravel()
+        self.control_mass = assemble_control_mass(self.control_space, rule, geometry)
+        self.column_sums = self.solver.coupling.T @ np.ones(self.state_space.num_dofs)
         self.ref_integrals = basis_integrals(self.control_space.ref)
         self.domain_volume = 1.0
-        self.abs_dets = cell_geometry(mesh)[1]
         self._mass_ones = self.solver.mass @ np.ones(self.state_space.num_dofs)
         self._audit_tab = self.control_space.tabulate(rule.points)
 

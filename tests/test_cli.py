@@ -1,13 +1,17 @@
 """CLI: subcommands, report schemas, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ctrldisc
 from ctrldisc.cli import dumps, main
 
 
@@ -248,3 +252,22 @@ def test_report_matches_golden(capsys, name):
     code, out = run_cli(capsys, GOLDEN_ARGV[name])
     assert code == 0
     assert out == golden_path(name).read_text()
+
+
+@pytest.mark.parametrize("name", ["solve_d2_k3_n64_alpha0.0502188", "solve_d2_k4_n8_alpha0.1"])
+def test_report_does_not_depend_on_blas_threads(name):
+    # the (cells x block) matrix products of a solve are large enough for
+    # OpenBLAS to split across threads; the report must not move when it does
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(ctrldisc.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from ctrldisc.cli import main; main(sys.argv[1:])",
+         *GOLDEN_ARGV[name]],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == golden_path(name).read_text()

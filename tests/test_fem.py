@@ -1,34 +1,51 @@
 """Assembly and state-solver checks against hand computations and dense oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from ctrldisc.exactbasis import basis_integrals
 from ctrldisc.fem import (
+    CellBlockOperator,
     CgConvergenceError,
     ControlSpace,
     StateSolver,
     StateSpace,
+    _banded_cholesky_solver,
     assemble_control_mass,
     assemble_coupling,
     assemble_load,
     assemble_p1_stiffness_mass,
-    assemble_state_operator,
     cg_solve,
     l2_error,
     reference_mass_matrix,
 )
-from ctrldisc.mesh import SimplexMesh, unit_interval_mesh, unit_square_mesh
+from ctrldisc.mesh import SimplexMesh, cell_geometry, unit_interval_mesh, unit_square_mesh
 from ctrldisc.quadrature import simplex_rule
+
+
+def dense(operator: CellBlockOperator) -> np.ndarray:
+    """The operator's matrix, one column per unit vector."""
+    return np.column_stack([operator @ e for e in np.eye(operator.shape[1])])
+
+
+def dense_from_band(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose upper band storage is band[u + i - j, j] = A[i, j]."""
+    u, n = band.shape[0] - 1, band.shape[1]
+    upper = sum(np.diag(band[u - k, k:], k) for k in range(u + 1))
+    return upper + np.triu(upper, 1).T
 
 
 def test_state_operator_single_interval_cell():
     # hand assembly on [0,1]: stiffness [[1,-1],[-1,1]], mass [[1/3,1/6],[1/6,1/3]]
     mesh = unit_interval_mesh(1)
-    operator = assemble_state_operator(StateSpace(mesh), simplex_rule(1, 2)).toarray()
+    band = assemble_p1_stiffness_mass(StateSpace(mesh), simplex_rule(1, 2))[0]
+    operator = dense_from_band(band)
     expected = np.array([[1 + 1 / 3, -1 + 1 / 6], [-1 + 1 / 6, 1 + 1 / 3]])
     np.testing.assert_allclose(operator, expected, atol=1e-15)
 
@@ -37,9 +54,10 @@ def test_state_operator_single_interval_cell():
 def test_stiffness_kernel_and_mass_volume(maker, n):
     mesh = maker(n)
     space = StateSpace(mesh)
-    stiffness, mass = assemble_p1_stiffness_mass(space, simplex_rule(mesh.dim, 2))
+    band, mass = assemble_p1_stiffness_mass(space, simplex_rule(mesh.dim, 2))
     ones = np.ones(space.num_dofs)
-    assert np.abs(stiffness @ ones).max() < 1e-13
+    # K 1 = 0, so A 1 = (K + M) 1 = M 1
+    assert np.abs(dense_from_band(band) @ ones - mass @ ones).max() < 1e-13
     assert ones @ (mass @ ones) == pytest.approx(1.0, abs=1e-13)
 
 
@@ -47,19 +65,19 @@ def test_stiffness_kernel_and_mass_volume(maker, n):
 def test_assembled_matrices_exactly_symmetric_positive_diagonal(maker, n, degree):
     mesh = maker(n)
     state = StateSpace(mesh)
-    stiffness, mass = assemble_p1_stiffness_mass(state, simplex_rule(mesh.dim, 2))
-    operator = assemble_state_operator(state, simplex_rule(mesh.dim, 2))
+    band, mass = assemble_p1_stiffness_mass(state, simplex_rule(mesh.dim, 2))
     control = ControlSpace(mesh, degree)
     control_mass = assemble_control_mass(control, simplex_rule(mesh.dim, 2 * degree + 2))
-    for matrix in (stiffness, mass, operator, control_mass):
-        assert (matrix != matrix.T).nnz == 0
-    for matrix in (mass, operator, control_mass):
-        assert (matrix.diagonal() > 0).all()
+    for matrix in (dense(mass), dense_from_band(band), dense(control_mass)):
+        assert (matrix == matrix.T).all()
+        assert (np.diag(matrix) > 0).all()
+    for operator in (mass, control_mass):
+        assert (operator.diagonal() == np.diag(dense(operator))).all()
 
 
 def test_control_mass_single_cell_p1():
     mesh = unit_interval_mesh(1)
-    block = assemble_control_mass(ControlSpace(mesh, 1), simplex_rule(1, 4)).toarray()
+    block = dense(assemble_control_mass(ControlSpace(mesh, 1), simplex_rule(1, 4)))
     np.testing.assert_allclose(block, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
 
 
@@ -67,7 +85,7 @@ def test_control_mass_blocks_scale_with_det():
     mesh = unit_square_mesh(2)
     control = ControlSpace(mesh, 2)
     rule = simplex_rule(2, 6)
-    control_mass = assemble_control_mass(control, rule).toarray()
+    control_mass = dense(assemble_control_mass(control, rule))
     from ctrldisc.mesh import cell_affine_map
 
     ref = reference_mass_matrix(control, rule)
@@ -77,8 +95,7 @@ def test_control_mass_blocks_scale_with_det():
         block = control_mass[ci * m : (ci + 1) * m, ci * m : (ci + 1) * m]
         np.testing.assert_allclose(block, det * ref, rtol=1e-14)
     # off-block entries are exactly zero (block-diagonal layout)
-    full = assemble_control_mass(control, rule)
-    assert full.nnz == mesh.num_cells * m * m
+    assert np.count_nonzero(control_mass) == mesh.num_cells * m * m
 
 
 @pytest.mark.parametrize("maker,n,degree", [(unit_interval_mesh, 3, 1), (unit_square_mesh, 2, 2)])
@@ -95,7 +112,7 @@ def test_coupling_column_sums_match_reference_integrals():
     mesh = unit_square_mesh(4)
     control = ControlSpace(mesh, 4)
     coupling = assemble_coupling(StateSpace(mesh), control, simplex_rule(2, 5))
-    col_sums = np.asarray(coupling.sum(axis=0)).ravel()
+    col_sums = coupling.T @ np.ones(coupling.shape[0])
     ref = np.array([float(v) for v in basis_integrals(control.ref)])
     expected = np.tile(ref / 16.0, mesh.num_cells)  # |det B| = 1/n^2
     np.testing.assert_allclose(col_sums, expected, atol=1e-12)
@@ -108,7 +125,7 @@ def test_coupling_column_sums_nonnegative_for_clean_degrees(degree):
     coupling = assemble_coupling(
         StateSpace(mesh), ControlSpace(mesh, degree), simplex_rule(2, degree + 1)
     )
-    col_sums = np.asarray(coupling.sum(axis=0)).ravel()
+    col_sums = coupling.T @ np.ones(coupling.shape[0])
     assert col_sums.min() >= -1e-13
 
 
@@ -173,7 +190,7 @@ def test_conservation_identity(maker, n, degree):
         u = rng.standard_normal(control.num_dofs)
         y = solver.solve_state(u)
         int_y = ones @ (solver.mass @ y)
-        int_u = np.asarray(solver.coupling.sum(axis=0)).ravel() @ u
+        int_u = (solver.coupling.T @ ones) @ u
         assert abs(int_y - int_u) < 1e-10
 
 
@@ -187,7 +204,8 @@ def test_state_solve_residual_at_roundoff(maker, n, degree):
         u = rng.standard_normal(solver.control.num_dofs)
         rhs = solver.coupling @ u
         y = solver.solve_state(u)
-        assert np.linalg.norm(solver.operator @ y - rhs) <= 1e-13 * np.linalg.norm(rhs)
+        residual = dense_from_band(solver.operator) @ y - rhs
+        assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("maker,n", [(unit_interval_mesh, 256), (unit_square_mesh, 32)])
@@ -196,12 +214,13 @@ def test_state_solve_is_backward_stable_on_fine_meshes(maker, n):
     # mesh-independent contract is the normwise backward error
     mesh = maker(n)
     solver = StateSolver(StateSpace(mesh), ControlSpace(mesh, 1))
-    operator_norm = abs(solver.operator).sum(axis=0).max()
+    operator = dense_from_band(solver.operator)
+    operator_norm = np.abs(operator).sum(axis=0).max()
     rng = np.random.default_rng(19)
     for _ in range(3):
         rhs = rng.standard_normal(solver.state.num_dofs)
         y = solver.solve(rhs)
-        backward = np.linalg.norm(solver.operator @ y - rhs, 1) / (
+        backward = np.linalg.norm(operator @ y - rhs, 1) / (
             operator_norm * np.linalg.norm(y, 1) + np.linalg.norm(rhs, 1)
         )
         assert backward <= 1e-15
@@ -235,9 +254,9 @@ def test_manufactured_solution_rate_two():
     for n in (8, 16, 32, 64):
         mesh = unit_square_mesh(n)
         space = StateSpace(mesh)
-        operator = assemble_state_operator(space, simplex_rule(2, 2))
-        rhs = assemble_load(space, simplex_rule(2, 6), forcing)
-        y, _ = cg_solve(operator, rhs, tol=1e-12)
+        band = assemble_p1_stiffness_mass(space, simplex_rule(2, 2))[0]
+        solve = _banded_cholesky_solver(band)
+        y = solve(assemble_load(space, simplex_rule(2, 6), forcing))
         errors.append(l2_error(space, y, exact, simplex_rule(2, 6)))
     rates = [math.log(errors[i] / errors[i + 1]) / math.log(2.0) for i in range(3)]
     for rate in rates:
@@ -281,7 +300,10 @@ def test_solver_rejects_wrong_length():
 
 
 # ---------------------------------------------------------------------------
-# batched assembly: bitwise equal to the per-cell loops it replaced
+# cell-block assembly against per-cell loop oracles that build sparse
+# matrices cell by cell: operators agree normwise to 1e-14 relative (scaling a
+# reference block by |det B| rounds differently from integrating with |det B|
+# in the weights); load vectors and L2 errors are bitwise equal
 
 
 def _jittered_square_mesh(n, seed=20161):
@@ -377,6 +399,36 @@ def _bumpy(points):
     return np.sin(3.0 * points[:, 0]) + np.exp(points.sum(axis=1)) * points[:, -1]
 
 
+def _assert_close(new, old, scale):
+    assert np.abs(new - old).max() <= 1e-14 * np.abs(scale).max()
+
+
+def _assert_matches_loops(mesh, degree, seed=0):
+    """A, C x, C' p, M_u x and M y against the dense loop oracles."""
+    state, control = StateSpace(mesh), ControlSpace(mesh, degree)
+    d = mesh.dim
+    p1_rule = simplex_rule(d, 2)
+    coupling_rule, mass_rule = simplex_rule(d, degree + 1), simplex_rule(d, 2 * degree + 2)
+    band, mass = assemble_p1_stiffness_mass(state, p1_rule)
+    stiffness_old, mass_old = _loop_stiffness_mass(state, p1_rule)
+    operator_old = (stiffness_old + mass_old).toarray()
+    _assert_close(dense_from_band(band), operator_old, operator_old)
+    coupling = assemble_coupling(state, control, coupling_rule)
+    coupling_old = _loop_coupling(state, control, coupling_rule).toarray()
+    control_mass_old = _loop_control_mass(control, mass_rule).toarray()
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(control.num_dofs)
+    y = rng.standard_normal(state.num_dofs)
+    for new, old, v in (
+        (coupling, coupling_old, x),
+        (coupling.T, coupling_old.T, y),
+        (assemble_control_mass(control, mass_rule), control_mass_old, x),
+        (mass, mass_old.toarray(), y),
+    ):
+        assert new.shape == old.shape
+        _assert_close(new @ v, old @ v, np.abs(old) @ np.abs(v))
+
+
 @pytest.mark.parametrize("degree", [2, 4])
 @pytest.mark.parametrize(
     "make_mesh",
@@ -385,28 +437,56 @@ def _bumpy(points):
 )
 def test_batched_assembly_equals_per_cell_loops(make_mesh, degree):
     mesh = make_mesh()
-    state, control = StateSpace(mesh), ControlSpace(mesh, degree)
-    d = mesh.dim
-    batched = assemble_p1_stiffness_mass(state, simplex_rule(d, 2))
-    looped = _loop_stiffness_mass(state, simplex_rule(d, 2))
-    coupling_rule, mass_rule = simplex_rule(d, degree + 1), simplex_rule(d, 2 * degree + 2)
-    batched += (
-        assemble_coupling(state, control, coupling_rule),
-        assemble_control_mass(control, mass_rule),
-    )
-    looped += (
-        _loop_coupling(state, control, coupling_rule),
-        _loop_control_mass(control, mass_rule),
-    )
-    for new, old in zip(batched, looped):
-        assert new.shape == old.shape
-        assert (sp.csr_matrix(new) != old).nnz == 0
-
+    _assert_matches_loops(mesh, degree)
+    state = StateSpace(mesh)
+    mass_rule = simplex_rule(mesh.dim, 2 * degree + 2)
     coeffs = np.cos(np.arange(state.num_dofs))
     assert (assemble_load(state, mass_rule, _bumpy) == _loop_load(state, mass_rule, _bumpy)).all()
     assert l2_error(state, coeffs, _bumpy, mass_rule) == _loop_l2_error(
         state, coeffs, _bumpy, mass_rule
     )
+
+
+@st.composite
+def distorted_meshes(draw):
+    """Unit interval or square meshes with every interior vertex moved on an h/4 grid.
+
+    Coordinates stay dyadic, so |det B| is computed exactly and a cell that
+    the shifts flatten is exactly degenerate.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([1, 2, 4, 8] if dim == 1 else [1, 2, 4]))
+    mesh = unit_interval_mesh(n) if dim == 1 else unit_square_mesh(n)
+    interior = np.flatnonzero(((mesh.vertices > 0) & (mesh.vertices < 1)).all(axis=1))
+    size = interior.size * dim
+    steps = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    vertices = mesh.vertices.copy()
+    vertices[interior] += np.reshape(steps, (-1, dim)) / (4 * n)
+    return SimplexMesh(dim=dim, vertices=vertices, cells=mesh.cells, h=mesh.h)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mesh=distorted_meshes(), degree=st.integers(1, 3))
+def test_cell_block_assembly_matches_loops_on_distorted_meshes(mesh, degree):
+    try:
+        cell_geometry(mesh)
+    except ValueError as err:
+        assert re.fullmatch(r"degenerate cell \d+: \|det B\| = 0", str(err))
+        reject()
+    _assert_matches_loops(mesh, degree)
+
+
+def test_band_solve_raises_on_lapack_error(monkeypatch):
+    import scipy.linalg
+
+    def failing_pbtrs(factor, rhs, lower):
+        return rhs, -2
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: (failing_pbtrs,))
+    band = assemble_p1_stiffness_mass(StateSpace(unit_interval_mesh(3)), simplex_rule(1, 2))[0]
+    solve = _banded_cholesky_solver(band)
+    with pytest.raises(ValueError, match="argument 2 of LAPACK pbtrs"):
+        solve(np.ones(4))
 
 
 def test_assembly_makes_no_per_cell_affine_maps(monkeypatch):

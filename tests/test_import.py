@@ -1,10 +1,10 @@
 """Import cost: scipy is loaded only by the functions that use it.
 
-`fem` imports `scipy.sparse` (and `scipy.linalg`) inside the functions that
-build, slice or factor sparse matrices, and `quadrature` imports
-`scipy.special` inside `conical_product_rule`.  So `import ctrldisc` loads
-numpy and the package but no scipy, an `audit-basis` process never loads
-scipy, and a `solve` loads it at its first assembly.  Module-level scipy
+`fem` imports `scipy.linalg` inside the function that factors the state
+operator, and `quadrature` imports `scipy.special` inside
+`conical_product_rule`; no solve builds a `scipy.sparse` matrix.  So
+`import ctrldisc` loads numpy and the package but no scipy, an `audit-basis`
+process never loads scipy, and a `solve` loads it at its first assembly.  Module-level scipy
 imports would put about 0.23 s back on every CLI start-up.  Each check runs
 in a fresh interpreter, because this test process has long since loaded scipy.
 """
@@ -51,14 +51,17 @@ def test_audit_basis_loads_no_scipy():
 
 
 def test_solve_resolves_the_deferred_imports():
-    # a d=2, k=3 solve assembles sparse matrices and builds a conical rule
+    # a d=2, k=3 solve factors A (scipy.linalg) and builds a conical rule
+    # (scipy.special); its operators are cell blocks and a band, not
+    # scipy.sparse matrices
     out = run_fresh(
         "import io, contextlib; from ctrldisc import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['solve', '--dim', '2', '--degree', '3', '--mesh', '4'])\n"
-        "print(code, all(m in sys.modules for m in ('scipy.sparse', 'scipy.special')))"
+        f"print(code, [m for m in ('scipy.linalg', 'scipy.special', 'scipy.sparse') "
+        f"if m in {LOADED_SCIPY}])"
     )
-    assert out.strip() == "0 True"
+    assert out.strip() == "0 ['scipy.linalg', 'scipy.special']"
 
 
 def test_cli_import_loads_every_layer_module():

@@ -200,6 +200,23 @@ def test_gradient_at_zero_is_twice_column_sums(disc_d2k2):
     np.testing.assert_allclose(g0, 2.0 * disc_d2k2.column_sums, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "dim,degree,n",
+    [(1, 1, 4), (1, 2, 5), (1, 8, 6), (1, 10, 3), (2, 1, 4), (2, 2, 4), (2, 3, 6), (2, 4, 4)],
+)
+def test_origin_ties_coupling_and_masses_together(dim, degree, n):
+    # K 1 = 0 makes A 1 = M 1, so the adjoint at lam = 0 (y = 0, A p = M 1)
+    # is the constant 1 and the gradient there is 2 C' 1: an identity between
+    # C, C' and M with no oracle.  The roundoff in p grows like cond(A) ~ h^-2
+    # (about 1e-12 on a 64-cell interval), hence the coarse meshes.
+    disc = Discretization(OcpConfig(dim=dim, degree=degree, n=n))
+    ones = np.ones(disc.state_space.num_dofs)
+    p = disc.solver.solve(disc.solver.mass @ ones)
+    assert np.abs(p - 1.0).max() <= 1e-14
+    g0 = disc.gradient(np.zeros(disc.num_control_dofs))
+    assert np.abs(g0 - 2.0 * disc.column_sums).max() <= 1e-14
+
+
 def test_gradient_matches_central_differences(disc_d2k2):
     disc = disc_d2k2
     rng = np.random.default_rng(0)
