@@ -19,29 +19,18 @@ import math
 
 import numpy as np
 
-from ctrldisc import (
-    ControlSpace,
-    StateSolver,
-    StateSpace,
-    assemble_load,
-    l2_error,
-    simplex_rule,
-    unit_square_mesh,
-)
+from ctrldisc import Discretization, OcpConfig, assemble_load, l2_error, simplex_rule
 
 rng = np.random.default_rng(1)
 
 print("conservation and stability on random controls (d=2, k=3, n=4):")
-mesh = unit_square_mesh(4)
-state = StateSpace(mesh)
-solver = StateSolver(state, ControlSpace(mesh, 3))
-ones = np.ones(state.num_dofs)
-col_sums = solver.coupling.T @ ones
+disc = Discretization(OcpConfig(dim=2, degree=3, n=4))
+ones = np.ones(disc.state_space.num_dofs)
 for trial in range(3):
-    u = rng.standard_normal(solver.control.num_dofs)
-    y = solver.solve_state(u)
-    int_y = ones @ (solver.mass @ y)
-    int_u = col_sums @ u
+    u = rng.standard_normal(disc.num_control_dofs)
+    y = disc.solve_state(u)
+    int_y = ones @ (disc.mass @ y)
+    int_u = disc.column_sums @ u
     print(f"  trial {trial}: int y - int u = {int_y - int_u:+.2e}")
 
 
@@ -56,12 +45,10 @@ def forcing(pts):
 print("\nmanufactured-solution errors (y* = cos(pi x) cos(pi y)):")
 previous = None
 for n in (8, 16, 32, 64):
-    mesh = unit_square_mesh(n)
-    space = StateSpace(mesh)
-    # the state solver's banded Cholesky factor of A solves for any load
-    y = StateSolver(space, ControlSpace(mesh, 1)).solve(
-        assemble_load(space, simplex_rule(2, 6), forcing)
-    )
+    disc = Discretization(OcpConfig(dim=2, degree=1, n=n))
+    space = disc.state_space
+    # the banded Cholesky factor of A that state solves use solves for any load
+    y = disc.solve(assemble_load(space, simplex_rule(2, 6), forcing))
     error = l2_error(space, y, exact, simplex_rule(2, 6))
     rate = "" if previous is None else f"  rate {math.log(previous / error) / math.log(2):.3f}"
     print(f"  n={n:3d}: L2 error {error:.3e}{rate}")

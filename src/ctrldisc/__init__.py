@@ -21,10 +21,10 @@ cli        : `ctrldisc` command-line entry point
 from .exactbasis import (
     AuditReport,
     DegreeRecord,
-    ExactPolynomial,
     LagrangeBasisSpec,
     audit_degrees,
     basis_integrals,
+    integral_of_square,
     lagrange_basis,
     lattice_nodes,
     monomial_integral,
@@ -34,7 +34,6 @@ from .fem import (
     CgConvergenceError,
     ControlSpace,
     LinearSolveReport,
-    StateSolver,
     StateSpace,
     assemble_control_mass,
     assemble_coupling,
@@ -86,7 +85,6 @@ __all__ = [
     "CounterexampleCertificate",
     "DegreeRecord",
     "Discretization",
-    "ExactPolynomial",
     "FeasibilityAudit",
     "LagrangeBasisSpec",
     "LinearSolveReport",
@@ -96,7 +94,6 @@ __all__ = [
     "QpSolution",
     "QuadratureRule",
     "SimplexMesh",
-    "StateSolver",
     "StateSpace",
     "StudyRun",
     "audit_degrees",
@@ -115,6 +112,7 @@ __all__ = [
     "feasibility_audit",
     "gauss_legendre_interval",
     "grundmann_moeller",
+    "integral_of_square",
     "l2_error",
     "lagrange_basis",
     "lattice_nodes",

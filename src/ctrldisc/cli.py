@@ -194,6 +194,8 @@ def _cmd_convergence(args) -> tuple[int, str]:
         meshes = [int(tok) for tok in args.meshes.split(",") if tok.strip()]
     except ValueError as err:
         raise ValueError(f"--meshes must be comma-separated integers: {err}") from err
+    if not meshes:
+        raise ValueError(f"--meshes must be comma-separated integers, got {args.meshes!r}")
     config = OcpConfig(dim=args.dim, degree=args.degree, n=max(meshes), alpha=args.alpha)
     study = convergence_study(config, meshes)
     return EXIT_OK, dumps(study.to_json_dict())
@@ -223,8 +225,13 @@ def main(argv=None) -> int:
 
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as err:
+            message = f"--out {out_path}: cannot write report: {err.strerror}"
+            sys.stdout.write(dumps({"error": "usage", "message": message}) + "\n")
+            return EXIT_USAGE
     else:
         sys.stdout.write(text + "\n")
     return code

@@ -9,9 +9,14 @@ The reference simplex in dimension ``d`` is ``{x in R^d : x_i >= 0, sum x <= 1}`
 with volume ``1/d!``.  Basis functions are the nodal (Lagrange) polynomials of
 degree ``k`` on the equispaced lattice ``{alpha/k : |alpha| <= k}``, built
 from Silvester's closed product form in barycentric coordinates (see
-`lagrange_basis`).  Lagrange interpolation on the lattice is unique, so the
-closed form gives exactly the rationals of the generalized Vandermonde
-solve, which the tests keep as an oracle (`solve_rational_system`).
+`lagrange_basis`).  A basis is stored as one rational coefficient matrix: row
+i holds basis function i's coefficients over the monomials x^beta,
+beta in `multi_indices(d, k)`.  Every exact quantity is a linear or quadratic
+form of that matrix against the monomial moments (`monomial_integral`):
+the basis integrals, and the integral of the square of a sum of basis
+functions (`integral_of_square`).  Lagrange interpolation on the lattice is
+unique, so the closed form gives exactly the rationals of the generalized
+Vandermonde solve, which the tests keep as an oracle (`solve_rational_system`).
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ from functools import lru_cache
 __all__ = [
     "AuditReport",
     "DegreeRecord",
-    "ExactPolynomial",
     "LagrangeBasisSpec",
     "audit_degrees",
     "basis_integrals",
     "exponents_of_degree",
+    "integral_of_square",
     "lagrange_basis",
     "lattice_nodes",
     "monomial_integral",
@@ -37,6 +42,10 @@ __all__ = [
 ]
 
 SUPPORTED_DIMENSIONS = (1, 2, 3)
+
+# The one zero that every coefficient row shares: no Fraction is built or
+# added for an exactly zero coefficient.
+_ZERO = Fraction(0)
 
 
 def _check_dimension(d: int) -> None:
@@ -97,125 +106,6 @@ def monomial_integral(alpha, dim: int | None = None) -> Fraction:
     return Fraction(num, math.factorial(sum(alpha) + d))
 
 
-class ExactPolynomial:
-    """Multivariate polynomial with rational coefficients.
-
-    ``terms`` maps exponent tuples (length ``dim``) to nonzero Fractions; zero
-    coefficients are never stored.  Instances are treated as immutable.
-    """
-
-    __slots__ = ("dim", "terms")
-
-    def __init__(self, dim: int, terms=()):
-        self.dim = int(dim)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for alpha, coeff in items:
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.dim:
-                raise ValueError(f"exponent {alpha} does not have length {self.dim}")
-            if any(a < 0 for a in alpha):
-                raise ValueError(f"negative exponent in {alpha}")
-            coeff = Fraction(coeff)
-            if coeff:
-                acc[alpha] = acc[alpha] + coeff if alpha in acc else coeff
-        self.terms = {a: c for a, c in acc.items() if c}
-
-    @classmethod
-    def _trusted(cls, dim: int, terms: dict) -> "ExactPolynomial":
-        """Wrap terms the package built itself, without re-validating them.
-
-        `terms` must map length-`dim` tuples of non-negative ints to
-        Fractions; zero coefficients are dropped here, nothing else is checked.
-        """
-        poly = object.__new__(cls)
-        poly.dim = dim
-        poly.terms = {a: c for a, c in terms.items() if c}
-        return poly
-
-    @classmethod
-    def zero(cls, dim: int) -> "ExactPolynomial":
-        return cls(dim)
-
-    @classmethod
-    def constant(cls, dim: int, value) -> "ExactPolynomial":
-        return cls(dim, {(0,) * dim: Fraction(value)})
-
-    def degree(self) -> int:
-        """Total degree; the zero polynomial has degree 0."""
-        return max((sum(a) for a in self.terms), default=0)
-
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if not isinstance(other, ExactPolynomial):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        merged = dict(self.terms)
-        for a, c in other.terms.items():
-            merged[a] = merged.get(a, Fraction(0)) + c
-        return ExactPolynomial._trusted(self.dim, merged)
-
-    def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial._trusted(self.dim, {a: -c for a, c in self.terms.items()})
-
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if not isinstance(other, ExactPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, ExactPolynomial):
-            if other.dim != self.dim:
-                raise ValueError("dimension mismatch")
-            prod: dict[tuple[int, ...], Fraction] = {}
-            for a, ca in self.terms.items():
-                for b, cb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(a, b))
-                    prod[key] = prod.get(key, Fraction(0)) + ca * cb
-            return ExactPolynomial._trusted(self.dim, prod)
-        if isinstance(other, (int, Fraction)):
-            return ExactPolynomial._trusted(
-                self.dim, {a: c * other for a, c in self.terms.items()}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __call__(self, point) -> Fraction:
-        """Exact evaluation at a rational point (sequence of length dim)."""
-        point = tuple(Fraction(x) for x in point)
-        if len(point) != self.dim:
-            raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for alpha, coeff in self.terms.items():
-            val = coeff
-            for x, a in zip(point, alpha):
-                if a:
-                    val *= x**a
-            total += val
-        return total
-
-    def integral_over_simplex(self) -> Fraction:
-        """Exact integral over the unit simplex, term by term via the moment oracle."""
-        return sum((c * monomial_integral(a) for a, c in self.terms.items()), Fraction(0))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactPolynomial)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return f"ExactPolynomial({self.dim}, 0)"
-        parts = [f"{c}*x^{a}" for a, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))]
-        return f"ExactPolynomial({self.dim}, {' + '.join(parts)})"
-
-
 def solve_rational_system(matrix, rhs):
     """Solve A X = B exactly over the rationals.
 
@@ -267,15 +157,17 @@ def solve_rational_system(matrix, rhs):
 class LagrangeBasisSpec:
     """Degree-k Lagrange basis on the d-dimensional reference simplex.
 
-    nodes[i] and basis[i] correspond; basis[i](nodes[j]) is exactly the
-    Kronecker delta and the basis sums exactly to the constant 1.
-    integrals[i] is the exact integral of basis[i] over the reference simplex.
+    Basis function i is phi_i(x) = sum_j coefficients[i][j] x^beta_j, with
+    beta_j = multi_indices(dim, degree)[j]; exact zeros are the shared
+    `_ZERO`.  nodes[i] and coefficients[i] correspond: phi_i(nodes[j]) is
+    exactly the Kronecker delta and the basis sums exactly to the constant 1.
+    integrals[i] is the exact integral of phi_i over the reference simplex.
     """
 
     dim: int
     degree: int
     nodes: tuple[tuple[Fraction, ...], ...]
-    basis: tuple[ExactPolynomial, ...]
+    coefficients: tuple[tuple[Fraction, ...], ...]
     integrals: tuple[Fraction, ...]
 
     @property
@@ -320,8 +212,9 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
     The interpolant on the lattice is unique, so every coefficient is the
     same Fraction that solving the generalized Vandermonde system in the
     monomial basis gives (`solve_rational_system`, kept as the test oracle).
-    The partition of unity and the integral sum 1/d! are checked exactly.
-    Memoized; the result is immutable and safe to share.
+    The partition of unity (on the integer numerators) and the integral sum
+    1/d! are checked exactly.  Memoized; the result is immutable and safe to
+    share.
     """
     _check_dimension(d)
     if k < 1:
@@ -360,7 +253,13 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
         for beta in alphas
     }
 
-    basis, integrals = [], []
+    # Partition of unity, sum_i phi_i = 1, in integers: prod_i alpha_i! divides
+    # k!, so summing c_beta k^|beta| k! / prod_i alpha_i! over the basis must
+    # give k! at beta = 0 and 0 elsewhere.
+    column = {beta: j for j, beta in enumerate(alphas)}
+    k_factorial = math.factorial(k)
+    unity = [0] * len(alphas)
+    rows, integrals = [], []
     for alpha in alphas:
         alpha_0 = k - sum(alpha)
         product = falling_0[alpha_0]
@@ -369,16 +268,12 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
             if a:
                 product = _integer_product(product, falling_y[c, a])
                 denominator *= math.factorial(a)
-        basis.append(
-            ExactPolynomial._trusted(
-                d,
-                {
-                    beta: Fraction(v * scale[beta], denominator)
-                    for beta, v in product.items()
-                    if v
-                },
-            )
-        )
+        row = [_ZERO] * len(alphas)
+        for beta, v in product.items():
+            if v:
+                row[column[beta]] = Fraction(v * scale[beta], denominator)
+                unity[column[beta]] += v * scale[beta] * (k_factorial // denominator)
+        rows.append(tuple(row))
         integrals.append(
             Fraction(
                 sum(v * moment[beta] for beta, v in product.items()),
@@ -387,16 +282,12 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
         )
 
     # Exact self-checks: partition of unity and total moment.
-    total: dict[tuple[int, ...], Fraction] = {}
-    for p in basis:
-        for beta, v in p.terms.items():
-            total[beta] = total.get(beta, 0) + v
-    if {beta: v for beta, v in total.items() if v} != {zero: 1}:
+    if unity != [k_factorial] + [0] * (len(alphas) - 1):
         raise RuntimeError(f"partition of unity violated for d={d}, k={k}")
-    if sum(integrals, Fraction(0)) != Fraction(1, math.factorial(d)):
+    if sum(integrals, _ZERO) != Fraction(1, math.factorial(d)):
         raise RuntimeError(f"basis integrals do not sum to 1/d! for d={d}, k={k}")
 
-    return LagrangeBasisSpec(d, k, tuple(lattice_nodes(d, k)), tuple(basis), tuple(integrals))
+    return LagrangeBasisSpec(d, k, tuple(lattice_nodes(d, k)), tuple(rows), tuple(integrals))
 
 
 def basis_integrals(spec: LagrangeBasisSpec) -> tuple[Fraction, ...]:
@@ -405,6 +296,26 @@ def basis_integrals(spec: LagrangeBasisSpec) -> tuple[Fraction, ...]:
     Computed once, when the basis is built; this returns `spec.integrals`.
     """
     return spec.integrals
+
+
+def integral_of_square(spec: LagrangeBasisSpec, indices) -> Fraction:
+    """Exact integral of (sum_{j in indices} phi_j)^2 over the reference simplex.
+
+    With c the sum of the coefficient rows in `indices`, this is c^T G c for
+    the monomial Gram matrix G[beta, gamma] = monomial_integral(beta + gamma),
+    summed over the non-zero entries of c only.
+    """
+    rows = [spec.coefficients[j] for j in indices]
+    summed = [sum((v for v in column if v), _ZERO) for column in zip(*rows)]
+    terms = [(beta, c) for beta, c in zip(multi_indices(spec.dim, spec.degree), summed) if c]
+    return sum(
+        (
+            ca * cb * monomial_integral([x + y for x, y in zip(beta, gamma)])
+            for beta, ca in terms
+            for gamma, cb in terms
+        ),
+        _ZERO,
+    )
 
 
 @dataclass(frozen=True)

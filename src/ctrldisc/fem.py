@@ -14,11 +14,12 @@ upper band storage, symmetric by construction.  Results agree with per-cell
 loops to roundoff (tests/test_fem.py keeps them as oracles).
 
 The state operator A is fixed and symmetric positive definite, so
-:class:`StateSolver` factors it once (banded Cholesky; the vertex numbering
-gives bandwidth 1 on the interval and n + 2 on the unit square) and every
-state and adjoint solve is two triangular band solves: backward stable, with
-no iteration error.
-:func:`cg_solve` stays as a general SPD utility for load-driven problems.
+:func:`_banded_cholesky_solver` factors it once (the vertex numbering gives
+bandwidth 1 on the interval and n + 2 on the unit square; ``ocp.Discretization``
+holds the factor) and every state and adjoint solve is two triangular band
+solves: backward stable, with no iteration error.  No solve calls
+:func:`cg_solve` any more; it stays, with its report and error types, because
+the benchmark's tracer (``perfbench/tracer.py``) wraps it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .exactbasis import lagrange_basis, multi_indices
 from .mesh import SimplexMesh, cell_geometry
-from .quadrature import QuadratureRule, simplex_rule
+from .quadrature import QuadratureRule
 
 # Import rule: scipy is imported inside the functions that use it, never at
 # module level, so `import ctrldisc` and an exact audit load no scipy (fresh
@@ -41,7 +42,6 @@ __all__ = [
     "CgConvergenceError",
     "ControlSpace",
     "LinearSolveReport",
-    "StateSolver",
     "StateSpace",
     "assemble_control_mass",
     "assemble_coupling",
@@ -91,11 +91,8 @@ class ControlSpace:
         self.local_dim = self.ref.node_count
         self.num_dofs = self.local_dim * mesh.num_cells
         # One-time float conversion of the exact reference basis.
-        monos = multi_indices(mesh.dim, degree)
-        self._exponents = np.array(monos, dtype=float)
-        self._coefficients = np.array(
-            [[float(p.terms.get(a, 0)) for a in monos] for p in self.ref.basis]
-        )
+        self._exponents = np.array(multi_indices(mesh.dim, degree), dtype=float)
+        self._coefficients = np.array(self.ref.coefficients, dtype=float)
 
     def tabulate(self, points: np.ndarray) -> np.ndarray:
         """Reference basis values at reference points, shape (m, nq)."""
@@ -328,31 +325,3 @@ def _banded_cholesky_solver(band: np.ndarray):
         return x
 
     return solve
-
-
-class StateSolver:
-    """Assembled Neumann problem: solves A y = C u for given control coefficients.
-
-    Holds A in upper band storage (`operator`) with its banded Cholesky
-    factor, and the P1 mass and the coupling as cell-block operators.
-    """
-
-    def __init__(self, state: StateSpace, control: ControlSpace, geometry=None):
-        self.state = state
-        self.control = control
-        geometry = cell_geometry(state.mesh) if geometry is None else geometry
-        state_rule = simplex_rule(state.mesh.dim, 2)
-        coupling_rule = simplex_rule(state.mesh.dim, max(control.degree + 1, 2))
-        self.operator, self.mass = assemble_p1_stiffness_mass(state, state_rule, geometry)
-        self.coupling = assemble_coupling(state, control, coupling_rule, geometry)
-        # x with A x = rhs; A is symmetric, so this serves state and adjoint alike
-        self.solve = _banded_cholesky_solver(self.operator)
-
-    def solve_state(self, u_coeffs: np.ndarray) -> np.ndarray:
-        """State coefficients y with A y = C u."""
-        u_coeffs = np.asarray(u_coeffs, dtype=float)
-        if u_coeffs.shape != (self.control.num_dofs,):
-            raise ValueError(
-                f"control coefficient vector must have length {self.control.num_dofs}"
-            )
-        return self.solve(self.coupling @ u_coeffs)

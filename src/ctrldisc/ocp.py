@@ -21,11 +21,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactbasis import ExactPolynomial, basis_integrals
+from .exactbasis import basis_integrals, integral_of_square
 # cg_solve and cell_affine_map are not called here any more; they stay
 # importable from this module because perfbench's tracer test checks that
 # ocp.cg_solve is fem.cg_solve and ocp.cell_affine_map is mesh.cell_affine_map
-from .fem import ControlSpace, StateSolver, StateSpace, assemble_control_mass, cg_solve
+from .fem import (
+    ControlSpace,
+    StateSpace,
+    _banded_cholesky_solver,
+    assemble_control_mass,
+    assemble_coupling,
+    assemble_p1_stiffness_mass,
+    cg_solve,
+)
 from .mesh import cell_affine_map, cell_geometry, unit_interval_mesh, unit_square_mesh
 from .quadrature import simplex_rule
 
@@ -91,16 +99,22 @@ class OcpConfig:
             raise ValueError(f"control degree must be >= 1, got {self.degree}")
         if self.n < 1:
             raise ValueError(f"mesh parameter must be >= 1, got {self.n}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.qp_tol > 0:
-            raise ValueError("qp_tol must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.qp_tol < math.inf:
+            raise ValueError(f"qp_tol must be finite and > 0, got {self.qp_tol}")
         if self.max_qp_iterations < 1:
             raise ValueError("max_qp_iterations must be >= 1")
 
 
 class Discretization:
-    """Everything assembled once for a config: mesh, spaces, operators, integrals."""
+    """Everything assembled once for a config: mesh, spaces, operators, integrals.
+
+    Holds A = K + M in upper band storage (`operator`) and `solve`, which
+    applies its banded Cholesky factor (A is symmetric, so it serves state
+    and adjoint alike), and the P1 mass (`mass`), the coupling (`coupling`)
+    and the control mass (`control_mass`) as cell-block operators.
+    """
 
     def __init__(self, config: OcpConfig):
         self.config = config
@@ -110,14 +124,22 @@ class Discretization:
         self.control_space = ControlSpace(mesh, config.degree)
         geometry = cell_geometry(mesh)
         self.abs_dets = geometry[1]
-        self.solver = StateSolver(self.state_space, self.control_space, geometry)
+        state_rule = simplex_rule(config.dim, 2)
+        coupling_rule = simplex_rule(config.dim, max(config.degree + 1, 2))
+        self.operator, self.mass = assemble_p1_stiffness_mass(
+            self.state_space, state_rule, geometry
+        )
+        self.coupling = assemble_coupling(
+            self.state_space, self.control_space, coupling_rule, geometry
+        )
+        self.solve = _banded_cholesky_solver(self.operator)
         rule = simplex_rule(config.dim, 2 * config.degree + 2)
         self.audit_rule = rule
         self.control_mass = assemble_control_mass(self.control_space, rule, geometry)
-        self.column_sums = self.solver.coupling.T @ np.ones(self.state_space.num_dofs)
+        self.column_sums = self.coupling.T @ np.ones(self.state_space.num_dofs)
         self.ref_integrals = basis_integrals(self.control_space.ref)
         self.domain_volume = 1.0
-        self._mass_ones = self.solver.mass @ np.ones(self.state_space.num_dofs)
+        self._mass_ones = self.mass @ np.ones(self.state_space.num_dofs)
         self._audit_tab = self.control_space.tabulate(rule.points)
 
     @property
@@ -125,8 +147,13 @@ class Discretization:
         return self.control_space.num_dofs
 
     def solve_state(self, lam: np.ndarray) -> np.ndarray:
-        """State coefficients for control coefficients lam."""
-        return self.solver.solve_state(lam)
+        """State coefficients y with A y = C lam for control coefficients lam."""
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != (self.num_control_dofs,):
+            raise ValueError(
+                f"control coefficient vector must have length {self.num_control_dofs}"
+            )
+        return self.solve(self.coupling @ lam)
 
     def objective(self, lam: np.ndarray) -> float:
         """Reduced objective J(lam), from the one formula in gradient_objective_state."""
@@ -142,10 +169,10 @@ class Discretization:
         """(gradient, objective, state) at lam from one state and one adjoint solve."""
         lam = np.asarray(lam, dtype=float)
         y = self.solve_state(lam)
-        my = self.solver.mass @ y
-        p = self.solver.solve(my - DESIRED_STATE * self._mass_ones)
+        my = self.mass @ y
+        p = self.solve(my - DESIRED_STATE * self._mass_ones)
         mu_lam = self.control_mass @ lam
-        g = 2.0 * (self.solver.coupling.T @ p) + 2.0 * self.config.alpha * mu_lam
+        g = 2.0 * (self.coupling.T @ p) + 2.0 * self.config.alpha * mu_lam
         # ||y - y_d||^2 expanded exactly: y'My - 2 y_d 1'My + y_d^2 |Omega|,
         # which keeps J(0) = |Omega| free of cancellation noise
         j = (
@@ -300,11 +327,7 @@ def _as_discretization(problem) -> Discretization:
     return problem if isinstance(problem, Discretization) else Discretization(problem)
 
 
-def solve_qp(
-    problem,
-    tol: float | None = None,
-    max_iterations: int | None = None,
-) -> QpSolution:
+def solve_qp(problem) -> QpSolution:
     """Solve the QP ``min J(lam) s.t. lam >= 0`` by accelerated projected gradients.
 
     `problem` is an OcpConfig or a prebuilt Discretization.  The iteration
@@ -316,15 +339,14 @@ def solve_qp(
     kkt_residual, ||min(z, grad_z J)||_2 = ||min(D^-1 lam, D grad J)||_2, is a
     mesh-independent L2-type KKT measure, exactly 0 at lam = 0 when the
     gradient there is non-negative; lam = 0 is then returned after one
-    gradient evaluation, without estimating L or iterating.  Raises
-    QpConvergenceError with the best iterate attached when the iteration cap
-    is exceeded, the iteration stagnates above `tol` or the objective becomes
-    non-finite.
+    gradient evaluation, without estimating L or iterating.  The config's
+    qp_tol and max_qp_iterations set the tolerance and the iteration cap.
+    Raises QpConvergenceError with the best iterate attached when the cap
+    is exceeded, the iteration stagnates above qp_tol or the objective
+    becomes non-finite.
     """
     disc = _as_discretization(problem)
-    cfg = disc.config
-    tol = cfg.qp_tol if tol is None else tol
-    max_iterations = cfg.max_qp_iterations if max_iterations is None else max_iterations
+    tol, max_iterations = disc.config.qp_tol, disc.config.max_qp_iterations
 
     n = disc.num_control_dofs
     scale = 1.0 / np.sqrt(disc.control_mass.diagonal())
@@ -429,11 +451,8 @@ def build_certificate(problem) -> CounterexampleCertificate:
 
     # Exact reference quantities; volume * |That|^{-1} = d! for the unit domains.
     fact = Fraction(math.factorial(cfg.dim))
-    w_hat = ExactPolynomial.zero(cfg.dim)
-    for j in neg_local:
-        w_hat = w_hat + disc.control_space.ref.basis[j]
-    beta_exact = -fact * w_hat.integral_over_simplex()
-    m2_exact = fact * (w_hat * w_hat).integral_over_simplex()
+    beta_exact = -fact * sum((ref_ints[j] for j in neg_local), Fraction(0))
+    m2_exact = fact * integral_of_square(disc.control_space.ref, neg_local)
     if beta_exact <= 0 or m2_exact <= 0:
         raise RuntimeError("certificate construction produced non-positive invariants")
 
@@ -444,7 +463,7 @@ def build_certificate(problem) -> CounterexampleCertificate:
     bound = disc.domain_volume - margin
 
     z = disc.solve_state(w_coeffs)
-    state_norm = math.sqrt(float(z @ (disc.solver.mass @ z)))
+    state_norm = math.sqrt(float(z @ (disc.mass @ z)))
     if state_norm > math.sqrt(m_squared) * (1.0 + 1e-9) + 1e-12:
         raise RuntimeError(
             f"state norm {state_norm} exceeds the direction norm {math.sqrt(m_squared)}"

@@ -19,14 +19,7 @@ from ctrldisc.exactbasis import (
     monomial_integral,
     multi_indices,
 )
-from ctrldisc.fem import (
-    ControlSpace,
-    StateSolver,
-    StateSpace,
-    assemble_load,
-    l2_error,
-)
-from ctrldisc.mesh import unit_interval_mesh, unit_square_mesh
+from ctrldisc.fem import assemble_load, l2_error
 from ctrldisc.ocp import (
     Discretization,
     OcpConfig,
@@ -173,9 +166,9 @@ def test_criterion_7b_manufactured_solution_rate():
 
     errors = []
     for n in (8, 16, 32, 64):
-        space = StateSpace(unit_square_mesh(n))
-        solver = StateSolver(space, ControlSpace(space.mesh, 1))
-        y = solver.solve(assemble_load(space, simplex_rule(2, 6), forcing))
+        disc = Discretization(OcpConfig(dim=2, degree=1, n=n))
+        space = disc.state_space
+        y = disc.solve(assemble_load(space, simplex_rule(2, 6), forcing))
         errors.append(l2_error(space, y, exact, simplex_rule(2, 6)))
     rates = [math.log(errors[i] / errors[i + 1]) / math.log(2.0) for i in range(3)]
     ok = all(abs(rate - 2.0) <= 0.2 for rate in rates)
@@ -186,16 +179,13 @@ def test_criterion_7b_manufactured_solution_rate():
 def test_criterion_7c_conservation():
     worst = 0.0
     rng = np.random.default_rng(23)
-    for maker, n, degree in ((unit_interval_mesh, 8, 3), (unit_square_mesh, 4, 2)):
-        mesh = maker(n)
-        state = StateSpace(mesh)
-        solver = StateSolver(state, ControlSpace(mesh, degree))
-        ones = np.ones(state.num_dofs)
-        col_sums = solver.coupling.T @ ones
+    for dim, n, degree in ((1, 8, 3), (2, 4, 2)):
+        disc = Discretization(OcpConfig(dim=dim, degree=degree, n=n))
+        ones = np.ones(disc.state_space.num_dofs)
         for _ in range(5):
-            u = rng.standard_normal(solver.control.num_dofs)
-            y = solver.solve_state(u)
-            worst = max(worst, abs(ones @ (solver.mass @ y) - col_sums @ u))
+            u = rng.standard_normal(disc.num_control_dofs)
+            y = disc.solve_state(u)
+            worst = max(worst, abs(ones @ (disc.mass @ y) - disc.column_sums @ u))
     report("criterion 7c: conservation |int y - int u| <= 1e-10", worst <= 1e-10, f"max {worst:.2e}")
 
 

@@ -125,6 +125,48 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+SOLVE = ["solve", "--dim", "2", "--degree", "1", "--mesh", "2"]
+CONVERGENCE = ["convergence", "--dim", "1", "--degree", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        pytest.param(SOLVE + ["--alpha", "inf"], "alpha", id="solve-alpha-inf"),
+        pytest.param(SOLVE + ["--alpha", "nan"], "alpha", id="solve-alpha-nan"),
+        pytest.param(
+            ["certificate", "--dim", "2", "--degree", "4", "--alpha", "inf"],
+            "alpha",
+            id="certificate-alpha-inf",
+        ),
+        pytest.param(SOLVE + ["--tol", "inf"], "qp_tol", id="solve-tol-inf"),
+        pytest.param(SOLVE + ["--tol", "nan"], "qp_tol", id="solve-tol-nan"),
+        pytest.param(CONVERGENCE + ["--meshes", ","], "--meshes", id="meshes-comma"),
+        pytest.param(CONVERGENCE + ["--meshes", ""], "--meshes", id="meshes-empty"),
+    ],
+)
+def test_invalid_values_are_usage_errors_that_name_the_option(capsys, argv, named):
+    # non-finite alpha or tol are rejected before any assembly, not after a
+    # diverged QP (exit 3) or an unserializable report
+    code, out = run_cli(capsys, argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "usage"
+    assert named in payload["message"]
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out = run_cli(
+        capsys, ["audit-basis", "--dim", "1", "--max-degree", "2", "--out", str(target)]
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "usage"
+    assert "--out" in payload["message"]
+    assert not target.parent.exists()
+
+
 def test_numerical_failure_exit_3(capsys, monkeypatch):
     import ctrldisc.cli as cli_module
     from ctrldisc.ocp import OcpConfig as RealConfig

@@ -2,26 +2,33 @@
 
 Oracles used here are deliberately separate from the library code paths:
 iterated symbolic integration (sympy) for simplex moments, a local
-fraction-arithmetic elimination for moment-matched quadrature weights, and
-the closed factorial formula for barycentric monomial integrals.
+fraction-arithmetic elimination for moment-matched quadrature weights, the
+closed factorial formula for barycentric monomial integrals, and the float
+reference mass matrix (built by certified quadrature) for exact squares.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctrldisc.exactbasis import (
-    ExactPolynomial,
     audit_degrees,
     basis_integrals,
+    integral_of_square,
     lagrange_basis,
     lattice_nodes,
     monomial_integral,
     multi_indices,
     solve_rational_system,
 )
+from ctrldisc.fem import ControlSpace, reference_mass_matrix
+from ctrldisc.mesh import SimplexMesh
+from ctrldisc.quadrature import grundmann_moeller, simplex_rule
 
 SUPPORTED = (
     [(1, k) for k in range(1, 12)]
@@ -133,27 +140,33 @@ def test_lattice_nodes_rejects_bad_input():
 
 
 def test_lagrange_basis_d1k1():
+    # monomials 1, x
     spec = lagrange_basis(1, 1)
-    assert spec.basis[0] == ExactPolynomial(1, {(0,): 1, (1,): -1})
-    assert spec.basis[1] == ExactPolynomial(1, {(1,): 1})
+    assert spec.coefficients == ((1, -1), (0, 1))
 
 
 def test_lagrange_basis_d1k2_frozen():
+    # monomials 1, x, x^2
     spec = lagrange_basis(1, 2)
-    expected = [
-        {(0,): Fraction(1), (1,): Fraction(-3), (2,): Fraction(2)},
-        {(1,): Fraction(4), (2,): Fraction(-4)},
-        {(1,): Fraction(-1), (2,): Fraction(2)},
-    ]
-    assert [p.terms for p in spec.basis] == expected
+    assert spec.coefficients == ((1, -3, 2), (0, 4, -4), (0, -1, 2))
+    assert all(type(c) is Fraction for row in spec.coefficients for c in row)
 
 
 def test_lagrange_basis_d2k1_barycentric():
+    # monomials 1, y, x (graded-lex: (0, 0), (0, 1), (1, 0))
     spec = lagrange_basis(2, 1)
-    by_node = dict(zip(spec.nodes, spec.basis))
-    assert by_node[(0, 0)] == ExactPolynomial(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1})
-    assert by_node[(1, 0)] == ExactPolynomial(2, {(1, 0): 1})
-    assert by_node[(0, 1)] == ExactPolynomial(2, {(0, 1): 1})
+    by_node = dict(zip(spec.nodes, spec.coefficients))
+    assert by_node[(0, 0)] == (1, -1, -1)
+    assert by_node[(1, 0)] == (0, 0, 1)
+    assert by_node[(0, 1)] == (0, 1, 0)
+
+
+@pytest.mark.parametrize("d,k", SUPPORTED)
+def test_coefficient_rows_share_one_zero(d, k):
+    spec = lagrange_basis(d, k)
+    zeros = {id(c) for row in spec.coefficients for c in row if not c}
+    assert len(zeros) == 1
+    assert all(len(row) == spec.node_count for row in spec.coefficients)
 
 
 @pytest.mark.parametrize("d,k", SUPPORTED)
@@ -168,18 +181,17 @@ def test_delta_property_exact(d, k):
                 if a:
                     v *= x**a
             mono_vals[alpha] = v
-        for i, p in enumerate(spec.basis):
-            value = sum((c * mono_vals[a] for a, c in p.terms.items()), Fraction(0))
+        for i, row in enumerate(spec.coefficients):
+            value = sum((c * mono_vals[a] for a, c in zip(monos, row)), Fraction(0))
             assert value == (1 if i == j else 0)
 
 
 @pytest.mark.parametrize("d,k", SUPPORTED)
 def test_partition_of_unity_exact(d, k):
     spec = lagrange_basis(d, k)
-    total = ExactPolynomial.zero(d)
-    for p in spec.basis:
-        total = total + p
-    assert total == ExactPolynomial.constant(d, 1)
+    total = [sum(column, Fraction(0)) for column in zip(*spec.coefficients)]
+    assert multi_indices(d, k)[0] == (0,) * d
+    assert total == [1] + [0] * (spec.node_count - 1)
 
 
 @pytest.mark.parametrize("d,k", SUPPORTED)
@@ -206,14 +218,19 @@ def vandermonde_basis(d, k):
     [(1, k) for k in range(1, 11)] + [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 7)],
 )
 def test_closed_form_equals_vandermonde_oracle(d, k):
-    spec = lagrange_basis(d, k)
-    assert [p.terms for p in spec.basis] == vandermonde_basis(d, k)
+    monos = multi_indices(d, k)
+    terms = [{b: c for b, c in zip(monos, row) if c} for row in lagrange_basis(d, k).coefficients]
+    assert terms == vandermonde_basis(d, k)
 
 
 @pytest.mark.parametrize("d,k", SUPPORTED)
 def test_stored_integrals_equal_term_by_term_integrals(d, k):
     spec = lagrange_basis(d, k)
-    assert spec.integrals == tuple(p.integral_over_simplex() for p in spec.basis)
+    monos = multi_indices(d, k)
+    assert spec.integrals == tuple(
+        sum((c * monomial_integral(beta) for beta, c in zip(monos, row)), Fraction(0))
+        for row in spec.coefficients
+    )
     assert basis_integrals(spec) is spec.integrals
 
 
@@ -287,6 +304,49 @@ def test_newton_cotes_first_negative_weight_at_k8():
 
 
 # ---------------------------------------------------------------------------
+# integrals of squares
+
+
+@pytest.mark.parametrize("d,k", SUPPORTED)
+def test_square_of_the_whole_basis_is_the_volume(d, k):
+    # the basis sums to the constant 1, so the square integrates to 1/d!
+    spec = lagrange_basis(d, k)
+    assert integral_of_square(spec, range(spec.node_count)) == Fraction(1, math.factorial(d))
+
+
+def test_square_of_the_quadratic_triangle_counterexample():
+    # the certificate's d! M^2 for the degree-4 triangle's negative set
+    spec = lagrange_basis(2, 4)
+    negative = [j for j, v in enumerate(spec.integrals) if v < 0]
+    assert 2 * integral_of_square(spec, negative) == Fraction(272, 1575)
+
+
+# Above k = 6 in 1D the float monomial tabulation behind the mass matrix
+# loses digits, so the float oracle stops there.
+SQUARE_ORACLE_CASES = [(d, k) for d in (1, 2) for k in range(1, 7)] + [(3, 1), (3, 2)]
+
+
+@st.composite
+def index_sets(draw):
+    d, k = draw(st.sampled_from(SQUARE_ORACLE_CASES))
+    indices = draw(st.sets(st.integers(0, math.comb(d + k, d) - 1), min_size=1))
+    return d, k, sorted(indices)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=index_sets())
+def test_integral_of_square_matches_float_mass_matrix(case):
+    d, k, indices = case
+    cell = SimplexMesh(d, np.vstack([np.zeros(d), np.eye(d)]), np.arange(d + 1)[None, :], 1.0)
+    rule = simplex_rule(d, 2 * k) if d < 3 else grundmann_moeller(3, k)
+    mass = reference_mass_matrix(ControlSpace(cell, k), rule)
+    mask = np.zeros(len(mass))
+    mask[indices] = 1.0
+    exact = integral_of_square(lagrange_basis(d, k), indices)
+    assert float(exact) == pytest.approx(mask @ mass @ mask, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
 # audits
 
 
@@ -336,33 +396,7 @@ def test_audit_json_schema():
 
 
 # ---------------------------------------------------------------------------
-# polynomial plumbing
-
-
-def test_exact_polynomial_arithmetic():
-    p = ExactPolynomial(1, {(1,): 1})  # x
-    q = ExactPolynomial(1, {(0,): 1, (1,): -1})  # 1 - x
-    assert (p * q).terms == {(1,): Fraction(1), (2,): Fraction(-1)}
-    assert (p + q) == ExactPolynomial.constant(1, 1)
-    assert (p - p).terms == {}
-    assert (3 * p)((Fraction(1, 3),)) == 1
-    assert p.degree() == 1
-    assert ExactPolynomial.zero(2).degree() == 0
-
-
-def test_exact_polynomial_prunes_zeros():
-    p = ExactPolynomial(2, {(1, 0): Fraction(1, 2), (0, 1): 0})
-    assert (0, 1) not in p.terms
-    q = ExactPolynomial(2, [((1, 0), 1), ((1, 0), -1)])
-    assert q.terms == {}
-
-
-def test_exact_polynomial_dimension_guard():
-    with pytest.raises(ValueError):
-        ExactPolynomial(2, {(1,): 1})
-    p = ExactPolynomial(2, {(1, 1): 1})
-    with pytest.raises(ValueError):
-        p((1,))
+# rational solver
 
 
 def test_solve_rational_system_singular():

@@ -14,7 +14,6 @@ from ctrldisc.fem import (
     CellBlockOperator,
     CgConvergenceError,
     ControlSpace,
-    StateSolver,
     StateSpace,
     _banded_cholesky_solver,
     assemble_control_mass,
@@ -26,6 +25,7 @@ from ctrldisc.fem import (
     reference_mass_matrix,
 )
 from ctrldisc.mesh import SimplexMesh, cell_geometry, unit_interval_mesh, unit_square_mesh
+from ctrldisc.ocp import Discretization, OcpConfig
 from ctrldisc.quadrature import simplex_rule
 
 
@@ -166,45 +166,45 @@ def test_cg_iteration_cap_raises_with_report():
     assert err.best.shape == (12,)
 
 
+def discretization(maker, n, degree):
+    """The assembled model problem on maker(n), which is the mesh Discretization builds."""
+    return Discretization(OcpConfig(maker(n).dim, degree, n))
+
+
 @pytest.mark.parametrize("maker,n,degree", [(unit_interval_mesh, 4, 1), (unit_square_mesh, 3, 2)])
 def test_state_of_zero_and_constant_control(maker, n, degree):
-    mesh = maker(n)
-    solver = StateSolver(StateSpace(mesh), ControlSpace(mesh, degree))
-    zero = solver.solve_state(np.zeros(solver.control.num_dofs))
+    disc = discretization(maker, n, degree)
+    zero = disc.solve_state(np.zeros(disc.num_control_dofs))
     assert np.abs(zero).max() == 0.0
     # u = 1 -> y = 1 is the exact discrete solution of the Neumann problem
-    one = solver.solve_state(np.ones(solver.control.num_dofs))
+    one = disc.solve_state(np.ones(disc.num_control_dofs))
     np.testing.assert_allclose(one, 1.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("maker,n,degree", [(unit_interval_mesh, 6, 2), (unit_square_mesh, 4, 3)])
 def test_conservation_identity(maker, n, degree):
     # testing the discrete equation with v = 1 forces int y = int u
-    mesh = maker(n)
-    state = StateSpace(mesh)
-    control = ControlSpace(mesh, degree)
-    solver = StateSolver(state, control)
+    disc = discretization(maker, n, degree)
     rng = np.random.default_rng(11)
-    ones = np.ones(state.num_dofs)
+    ones = np.ones(disc.state_space.num_dofs)
     for _ in range(5):
-        u = rng.standard_normal(control.num_dofs)
-        y = solver.solve_state(u)
-        int_y = ones @ (solver.mass @ y)
-        int_u = (solver.coupling.T @ ones) @ u
+        u = rng.standard_normal(disc.num_control_dofs)
+        y = disc.solve_state(u)
+        int_y = ones @ (disc.mass @ y)
+        int_u = (disc.coupling.T @ ones) @ u
         assert abs(int_y - int_u) < 1e-10
 
 
 @pytest.mark.parametrize("maker,n,degree", [(unit_interval_mesh, 6, 2), (unit_square_mesh, 4, 3)])
 def test_state_solve_residual_at_roundoff(maker, n, degree):
     # the factored solve leaves no iteration error: ||A y - C u|| <= 1e-13 ||C u||
-    mesh = maker(n)
-    solver = StateSolver(StateSpace(mesh), ControlSpace(mesh, degree))
+    disc = discretization(maker, n, degree)
     rng = np.random.default_rng(13)
     for _ in range(5):
-        u = rng.standard_normal(solver.control.num_dofs)
-        rhs = solver.coupling @ u
-        y = solver.solve_state(u)
-        residual = dense_from_band(solver.operator) @ y - rhs
+        u = rng.standard_normal(disc.num_control_dofs)
+        rhs = disc.coupling @ u
+        y = disc.solve_state(u)
+        residual = dense_from_band(disc.operator) @ y - rhs
         assert np.linalg.norm(residual) <= 1e-13 * np.linalg.norm(rhs)
 
 
@@ -212,14 +212,13 @@ def test_state_solve_residual_at_roundoff(maker, n, degree):
 def test_state_solve_is_backward_stable_on_fine_meshes(maker, n):
     # ||A y - b|| / ||b|| grows with the condition number of A, so the
     # mesh-independent contract is the normwise backward error
-    mesh = maker(n)
-    solver = StateSolver(StateSpace(mesh), ControlSpace(mesh, 1))
-    operator = dense_from_band(solver.operator)
+    disc = discretization(maker, n, 1)
+    operator = dense_from_band(disc.operator)
     operator_norm = np.abs(operator).sum(axis=0).max()
     rng = np.random.default_rng(19)
     for _ in range(3):
-        rhs = rng.standard_normal(solver.state.num_dofs)
-        y = solver.solve(rhs)
+        rhs = rng.standard_normal(disc.state_space.num_dofs)
+        y = disc.solve(rhs)
         backward = np.linalg.norm(operator @ y - rhs, 1) / (
             operator_norm * np.linalg.norm(y, 1) + np.linalg.norm(rhs, 1)
         )
@@ -228,16 +227,13 @@ def test_state_solve_is_backward_stable_on_fine_meshes(maker, n):
 
 def test_stability_bound():
     # ||y(u)|| <= ||u|| from testing the equation with y
-    mesh = unit_square_mesh(4)
-    control = ControlSpace(mesh, 2)
-    solver = StateSolver(StateSpace(mesh), control)
-    control_mass = assemble_control_mass(control, simplex_rule(2, 6))
+    disc = Discretization(OcpConfig(2, 2, 4))
     rng = np.random.default_rng(5)
     for _ in range(3):
-        u = rng.standard_normal(control.num_dofs)
-        y = solver.solve_state(u)
-        norm_y = math.sqrt(y @ (solver.mass @ y))
-        norm_u = math.sqrt(u @ (control_mass @ u))
+        u = rng.standard_normal(disc.num_control_dofs)
+        y = disc.solve_state(u)
+        norm_y = math.sqrt(y @ (disc.mass @ y))
+        norm_u = math.sqrt(u @ (disc.control_mass @ u))
         assert norm_y <= norm_u * (1 + 1e-10) + 1e-12
 
 
@@ -293,10 +289,9 @@ def test_state_space_contains_constant_one():
 
 
 def test_solver_rejects_wrong_length():
-    mesh = unit_interval_mesh(2)
-    solver = StateSolver(StateSpace(mesh), ControlSpace(mesh, 1))
+    disc = Discretization(OcpConfig(1, 1, 2))
     with pytest.raises(ValueError):
-        solver.solve_state(np.zeros(3))
+        disc.solve_state(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ imports would put about 0.23 s back on every CLI start-up.  Each check runs
 in a fresh interpreter, because this test process has long since loaded scipy.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import sys
 import ctrldisc
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(ctrldisc.__file__)))
+TRACER = os.path.join(os.path.dirname(PACKAGE_ROOT), "perfbench", "tracer.py")
 
 LOADED_SCIPY = (
     "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
@@ -73,3 +75,25 @@ def test_cli_import_loads_every_layer_module():
         "if 'ctrldisc.' + m in sys.modules))"
     )
     assert out.strip() == str(sorted(["exactbasis", "mesh", "quadrature", "fem", "ocp"]))
+
+
+def test_benchmark_tracer_lookups_resolve(monkeypatch):
+    # perfbench/tracer.py wraps package functions and methods by name; its
+    # own tests are slow, so a rename or deletion is caught here.  The file is
+    # only read: no bytecode cache is written next to it.
+    import ctrldisc.cli  # noqa: F401  (loads every layer module, as the worker does)
+    from ctrldisc import exactbasis, fem, mesh, ocp
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _ in tracer.FUNCTIONS:
+        assert callable(getattr(sys.modules[f"ctrldisc.{module_name}"], attr)), attr
+    for module_name, cls_name, attr, _ in tracer.METHODS:
+        cls = getattr(sys.modules[f"ctrldisc.{module_name}"], cls_name)
+        assert callable(cls.__dict__[attr]), (cls_name, attr)
+    assert fem.cg_solve is ocp.cg_solve and mesh.cell_affine_map is ocp.cell_affine_map
+    # the worker clears the basis memo per op and the tracer counts basis functions
+    assert callable(exactbasis.lagrange_basis.cache_clear)
+    assert exactbasis.lagrange_basis(2, 1).node_count == 3

@@ -211,7 +211,7 @@ def test_origin_ties_coupling_and_masses_together(dim, degree, n):
     # (about 1e-12 on a 64-cell interval), hence the coarse meshes.
     disc = Discretization(OcpConfig(dim=dim, degree=degree, n=n))
     ones = np.ones(disc.state_space.num_dofs)
-    p = disc.solver.solve(disc.solver.mass @ ones)
+    p = disc.solve(disc.mass @ ones)
     assert np.abs(p - 1.0).max() <= 1e-14
     g0 = disc.gradient(np.zeros(disc.num_control_dofs))
     assert np.abs(g0 - 2.0 * disc.column_sums).max() <= 1e-14
@@ -498,6 +498,11 @@ def test_config_validation():
         OcpConfig(dim=2, degree=1, n=2, alpha=0.0)
     with pytest.raises(ValueError):
         OcpConfig(dim=2, degree=1, n=2, qp_tol=0.0)
+    for value in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            OcpConfig(dim=2, degree=1, n=2, alpha=value)
+        with pytest.raises(ValueError, match="qp_tol"):
+            OcpConfig(dim=2, degree=1, n=2, qp_tol=value)
 
 
 def test_monotonicity_objective_never_above_volume():
