@@ -16,10 +16,11 @@ loops to roundoff (tests/test_fem.py keeps them as oracles).
 The state operator A is fixed and symmetric positive definite, so
 :func:`_banded_cholesky_solver` factors it once (the vertex numbering gives
 bandwidth 1 on the interval and n + 2 on the unit square; ``ocp.Discretization``
-holds the factor) and every state and adjoint solve is two triangular band
-solves: backward stable, with no iteration error.  No solve calls
-:func:`cg_solve` any more; it stays, with its report and error types, because
-the benchmark's tracer (``perfbench/tracer.py``) wraps it.
+factors it on its first solve and keeps the factor) and every state and
+adjoint solve is two triangular band solves: backward stable, with no
+iteration error.  No solve calls :func:`cg_solve` any more; it stays, with
+its report and error types, because the benchmark's tracer
+(``perfbench/tracer.py``) wraps it.
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ def assemble_p1_stiffness_mass(
     matrices, abs_det = cell_geometry(mesh) if geometry is None else geometry
     ref_mass = _symmetric_gram(space.tabulate(rule.points), rule)
     # physical gradients: rows of the reference gradients mapped by B^{-T}
-    grads = space.reference_gradients() @ np.linalg.inv(matrices)  # (cells, d+1, d)
+    grads = space.reference_gradients() @ _inverse(matrices)  # (cells, d+1, d)
     gram = grads @ np.swapaxes(grads, 1, 2)  # (cells, d+1, d+1)
     a, b = np.triu_indices(mesh.dim + 1)  # local pairs a <= b
     # gradients are constant on each cell: K's entries are |T| grad_a . grad_b
@@ -239,6 +240,18 @@ def assemble_p1_stiffness_mass(
     band = np.bincount(slots.ravel(), values.ravel(), minlength=(bandwidth + 1) * n)
     mass = CellBlockOperator(ref_mass, abs_det, mesh.cells, mesh.cells, (n, n))
     return band.reshape(bandwidth + 1, n), mass
+
+
+def _inverse(matrices: np.ndarray) -> np.ndarray:
+    """B^{-1} for a stack of cell matrices: closed form (adjugate / det) for d <= 2."""
+    dim = matrices.shape[-1]
+    if dim == 1:
+        return 1.0 / matrices
+    if dim == 2:
+        (a, b), (c, d) = np.moveaxis(matrices, 0, -1)
+        adjugate = np.stack([d, -b, -c, a], axis=-1).reshape(-1, 2, 2)
+        return adjugate / (a * d - b * c)[:, None, None]
+    return np.linalg.inv(matrices)
 
 
 def reference_mass_matrix(space: ControlSpace, rule: QuadratureRule) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .fem import (
     cg_solve,
 )
 from .mesh import cell_affine_map, cell_geometry, unit_interval_mesh, unit_square_mesh
-from .quadrature import simplex_rule
+from .quadrature import MAX_EXACTNESS, simplex_rule
 
 __all__ = [
     "ConvergenceStudy",
@@ -54,6 +55,9 @@ __all__ = [
     "minimize_nonneg_quadratic",
     "solve_qp",
 ]
+
+# Largest control degree k whose audit rule (exactness 2k + 2) exists.
+MAX_CONTROL_DEGREE = (MAX_EXACTNESS - 2) // 2
 
 # The target state of the model problem. Fixed: the whole point of the model
 # is that (y, u) = (0, 0) is optimal yet the objective is pushed below volume
@@ -95,8 +99,10 @@ class OcpConfig:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"solves are supported for dim in {{1, 2}}, got {self.dim}")
-        if self.degree < 1:
-            raise ValueError(f"control degree must be >= 1, got {self.degree}")
+        if not 1 <= self.degree <= MAX_CONTROL_DEGREE:
+            raise ValueError(
+                f"control degree must be in 1..{MAX_CONTROL_DEGREE}, got {self.degree}"
+            )
         if self.n < 1:
             raise ValueError(f"mesh parameter must be >= 1, got {self.n}")
         if not 0 < self.alpha < math.inf:
@@ -113,7 +119,10 @@ class Discretization:
     Holds A = K + M in upper band storage (`operator`) and `solve`, which
     applies its banded Cholesky factor (A is symmetric, so it serves state
     and adjoint alike), and the P1 mass (`mass`), the coupling (`coupling`)
-    and the control mass (`control_mass`) as cell-block operators.
+    and the control mass (`control_mass`) as cell-block operators.  A is
+    factored on the first use of `solve`, once: a clean-regime solve never
+    needs it.  `negative_reference_indices` lists the reference basis
+    functions with negative exact integral; every regime decision reads it.
     """
 
     def __init__(self, config: OcpConfig):
@@ -132,15 +141,22 @@ class Discretization:
         self.coupling = assemble_coupling(
             self.state_space, self.control_space, coupling_rule, geometry
         )
-        self.solve = _banded_cholesky_solver(self.operator)
         rule = simplex_rule(config.dim, 2 * config.degree + 2)
         self.audit_rule = rule
         self.control_mass = assemble_control_mass(self.control_space, rule, geometry)
         self.column_sums = self.coupling.T @ np.ones(self.state_space.num_dofs)
         self.ref_integrals = basis_integrals(self.control_space.ref)
+        self.negative_reference_indices = tuple(
+            j for j, v in enumerate(self.ref_integrals) if v < 0
+        )
         self.domain_volume = 1.0
         self._mass_ones = self.mass @ np.ones(self.state_space.num_dofs)
         self._audit_tab = self.control_space.tabulate(rule.points)
+
+    @cached_property
+    def solve(self):
+        """Solve routine rhs -> A^-1 rhs; A's banded Cholesky factor is computed on first use."""
+        return _banded_cholesky_solver(self.operator)
 
     @property
     def num_control_dofs(self) -> int:
@@ -337,18 +353,27 @@ def solve_qp(problem) -> QpSolution:
     1/L with L a power-iteration estimate of the scaled Hessian norm (5%
     safety; the solver doubles it if it proves too low).  The reported
     kkt_residual, ||min(z, grad_z J)||_2 = ||min(D^-1 lam, D grad J)||_2, is a
-    mesh-independent L2-type KKT measure, exactly 0 at lam = 0 when the
-    gradient there is non-negative; lam = 0 is then returned after one
-    gradient evaluation, without estimating L or iterating.  The config's
-    qp_tol and max_qp_iterations set the tolerance and the iteration cap.
+    mesh-independent L2-type KKT measure.  The config's qp_tol and
+    max_qp_iterations set the tolerance and the iteration cap.
+
+    The clean regime is decided exactly, before any floating-point work.
+    K 1 = 0 makes the adjoint at lam = 0 the constant 1, so grad J(0) = 2 C'1
+    = 2 |det B| (integral of each reference basis function).  When no exact
+    reference integral is negative, lam = 0 is therefore the optimum: it is
+    returned with state 0, objective |Omega|, kkt_residual 0 and 0
+    iterations, without a gradient evaluation or a factorization of A.
+
     Raises QpConvergenceError with the best iterate attached when the cap
     is exceeded, the iteration stagnates above qp_tol or the objective
     becomes non-finite.
     """
     disc = _as_discretization(problem)
-    tol, max_iterations = disc.config.qp_tol, disc.config.max_qp_iterations
-
     n = disc.num_control_dofs
+    if not disc.negative_reference_indices:
+        state = np.zeros(disc.state_space.num_dofs)
+        return QpSolution(np.zeros(n), state, disc.domain_volume, 0.0, 0)
+
+    tol, max_iterations = disc.config.qp_tol, disc.config.max_qp_iterations
     scale = 1.0 / np.sqrt(disc.control_mass.diagonal())
     g0, j0, _ = disc.gradient_objective_state(np.zeros(n))
     g0 = scale * g0
@@ -356,11 +381,6 @@ def solve_qp(problem) -> QpSolution:
     def solution(z, objective, residual, iterations):
         lam = scale * z
         return QpSolution(lam, disc.solve_state(lam), objective, residual, iterations)
-
-    # lam = 0 is already a KKT point (the clean regime): skip the L estimate
-    res0 = _kkt_residual(np.zeros(n), g0)
-    if res0 <= tol and math.isfinite(j0):
-        return solution(np.zeros(n), j0, res0, 0)
 
     def grad(z):
         return scale * disc.gradient_objective_state(scale * z)[0]
@@ -438,7 +458,7 @@ def build_certificate(problem) -> CounterexampleCertificate:
     disc = _as_discretization(problem)
     cfg = disc.config
     ref_ints = disc.ref_integrals
-    neg_local = tuple(j for j, v in enumerate(ref_ints) if v < 0)
+    neg_local = disc.negative_reference_indices
     if not neg_local:
         raise NoNegativeBasisError(cfg.dim, cfg.degree)
 
@@ -506,7 +526,8 @@ def feasibility_audit(problem, lam: np.ndarray) -> FeasibilityAudit:
 
     Cell averages use the exact reference integrals (scaled by d!), so their
     signs are trustworthy; the negative-part norm uses quadrature of exactness
-    2k+2 on min(u, 0)^2 and is reported as approximate.
+    2k+2 on min(u, 0)^2 and is reported as approximate; it is exactly 0,
+    without quadrature, for a control with no nonzero coefficient.
     """
     disc = _as_discretization(problem)
     lam = np.asarray(lam, dtype=float)
@@ -515,9 +536,11 @@ def feasibility_audit(problem, lam: np.ndarray) -> FeasibilityAudit:
     ref = np.array([float(v) for v in disc.ref_integrals])
     averages = math.factorial(disc.config.dim) * (lam_cells @ ref)
 
-    values = lam_cells @ disc._audit_tab  # (cells, nq)
-    negative = np.minimum(values, 0.0)
-    norm_sq = float(disc.abs_dets @ (negative**2 @ disc.audit_rule.weights))
+    norm_sq = 0.0
+    if lam.any():
+        values = lam_cells @ disc._audit_tab  # (cells, nq)
+        negative = np.minimum(values, 0.0)
+        norm_sq = float(disc.abs_dets @ (negative**2 @ disc.audit_rule.weights))
 
     return FeasibilityAudit(
         cell_averages=averages,
@@ -586,11 +609,8 @@ def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
     runs = []
     for idx, n in enumerate(ns):
         disc = Discretization(replace(config, n=n))
-        if idx == 0:
-            try:
-                certificate = build_certificate(disc)
-            except NoNegativeBasisError:
-                certificate = None
+        if idx == 0 and disc.negative_reference_indices:
+            certificate = build_certificate(disc)
         solution = solve_qp(disc)
         audit = feasibility_audit(disc, solution.control)
         runs.append(
@@ -602,7 +622,8 @@ def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
                 iterations=solution.iterations,
             )
         )
-    regime = "FEASIBLE_LIMIT" if certificate is None else "INFEASIBLE_LIMIT"
+    # the same exact test that decides solve_qp's origin branch
+    regime = "INFEASIBLE_LIMIT" if disc.negative_reference_indices else "FEASIBLE_LIMIT"
     return ConvergenceStudy(
         config=config, regime=regime, certificate=certificate, runs=tuple(runs)
     )

@@ -143,6 +143,21 @@ CONVERGENCE = ["convergence", "--dim", "1", "--degree", "2"]
         pytest.param(SOLVE + ["--tol", "nan"], "qp_tol", id="solve-tol-nan"),
         pytest.param(CONVERGENCE + ["--meshes", ","], "--meshes", id="meshes-comma"),
         pytest.param(CONVERGENCE + ["--meshes", ""], "--meshes", id="meshes-empty"),
+        pytest.param(
+            ["certificate", "--dim", "1", "--degree", "25"],
+            "control degree must be in 1..14, got 25",
+            id="certificate-degree-25",
+        ),
+        pytest.param(
+            ["solve", "--dim", "2", "--degree", "20", "--mesh", "2"],
+            "control degree must be in 1..14, got 20",
+            id="solve-degree-20",
+        ),
+        pytest.param(
+            ["convergence", "--dim", "1", "--degree", "15"],
+            "control degree must be in 1..14, got 15",
+            id="convergence-degree-15",
+        ),
     ],
 )
 def test_invalid_values_are_usage_errors_that_name_the_option(capsys, argv, named):
@@ -153,6 +168,21 @@ def test_invalid_values_are_usage_errors_that_name_the_option(capsys, argv, name
     payload = json.loads(out)
     assert payload["error"] == "usage"
     assert named in payload["message"]
+
+
+@pytest.mark.parametrize("tol", ["1e-16", "1e-18"])
+def test_clean_regime_ignores_tight_tolerances(capsys, tol):
+    # d=2, k=2 has exactly-zero vertex integrals whose float gradient entries
+    # round below zero; the origin is decided from the exact integrals instead
+    argv = ["solve", "--dim", "2", "--degree", "2", "--mesh", "8", "--tol", tol]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    assert report["J"] == 1
+    assert report["iterations"] == 0
+    assert report["kkt_residual"] == 0
+    assert report["control_norm"] == 0
+    assert report["neg_part_norm"] == 0
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ctrldisc.fem import (
     ControlSpace,
     StateSpace,
     _banded_cholesky_solver,
+    _inverse,
     assemble_control_mass,
     assemble_coupling,
     assemble_load,
@@ -469,6 +471,42 @@ def test_cell_block_assembly_matches_loops_on_distorted_meshes(mesh, degree):
         assert re.fullmatch(r"degenerate cell \d+: \|det B\| = 0", str(err))
         reject()
     _assert_matches_loops(mesh, degree)
+
+
+def exact_inverse(matrix: np.ndarray) -> np.ndarray:
+    """Inverse of a 1x1 or 2x2 float matrix in exact rationals, rounded once per entry."""
+    (a, *rest), *lower = [[Fraction(x) for x in row] for row in matrix]
+    if not rest:
+        return np.array([[float(1 / a)]])
+    (b,), ((c, d),) = rest, lower
+    det = a * d - b * c
+    return np.array([[float(d / det), float(-b / det)], [float(-c / det), float(a / det)]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 64])
+def test_closed_form_inverse_equals_lapack_on_dyadic_meshes(n):
+    # every benchmark mesh and golden is dyadic: K must not move by a bit
+    for mesh in (unit_interval_mesh(n), unit_square_mesh(n)):
+        matrices = cell_geometry(mesh)[0]
+        assert np.array_equal(_inverse(matrices), np.linalg.inv(matrices))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(mesh=distorted_meshes())
+def test_closed_form_inverse_is_the_rounded_exact_inverse(mesh):
+    # dyadic vertices make the adjugate and the determinant exact, so each
+    # entry is one correctly rounded division; LAPACK's inverse may differ
+    # within its own error bound, a small multiple of cond(B) eps
+    try:
+        matrices = cell_geometry(mesh)[0]
+    except ValueError:
+        reject()
+    inverse = _inverse(matrices)
+    for matrix, entries in zip(matrices, inverse):
+        assert np.array_equal(entries, exact_inverse(matrix))
+    lapack = np.linalg.inv(matrices)
+    error = np.abs(inverse - lapack).max(axis=(1, 2)) / np.abs(lapack).max(axis=(1, 2))
+    assert (error <= 4 * np.finfo(float).eps * np.linalg.cond(matrices)).all()
 
 
 def test_band_solve_raises_on_lapack_error(monkeypatch):

@@ -53,9 +53,10 @@ def test_audit_basis_loads_no_scipy():
 
 
 def test_solve_resolves_the_deferred_imports():
-    # a d=2, k=3 solve factors A (scipy.linalg) and builds a conical rule
-    # (scipy.special); its operators are cell blocks and a band, not
-    # scipy.sparse matrices
+    # a d=2, k=3 solve builds a conical rule (scipy.special, whose Gauss-Jacobi
+    # roots load scipy.linalg; the solve itself never factors A, see
+    # test_ocp.py::test_kkt_point_at_zero_needs_no_gradient_evaluation); its
+    # operators are cell blocks and a band, not scipy.sparse matrices
     out = run_fresh(
         "import io, contextlib; from ctrldisc import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"

@@ -6,7 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ctrldisc import ocp
+from ctrldisc.exactbasis import basis_integrals, lagrange_basis
 from ctrldisc.ocp import (
     Discretization,
     NoNegativeBasisError,
@@ -263,23 +267,91 @@ def test_zero_is_kkt_point_for_clean_degrees():
         assert solution.kkt_residual <= disc.config.qp_tol
 
 
-def test_kkt_point_at_zero_needs_one_gradient_evaluation(monkeypatch):
-    # lam = 0 is a KKT point in the clean regime: no Lipschitz estimate, no
-    # second evaluation at 0
-    disc = Discretization(OcpConfig(2, 3, 8))
-    original = Discretization.gradient_objective_state
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; return the record."""
+    original = getattr(owner, name)
     calls = []
 
-    def counted(self, lam):
-        calls.append(lam)
-        return original(self, lam)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(Discretization, "gradient_objective_state", counted)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_kkt_point_at_zero_needs_no_gradient_evaluation(monkeypatch):
+    # the clean regime is decided from the exact integrals: no gradient, no
+    # factorization of A, no Lipschitz estimate, no audit quadrature
+    disc = Discretization(OcpConfig(2, 3, 8))
+    gradients = count_calls(monkeypatch, Discretization, "gradient_objective_state")
+    factors = count_calls(monkeypatch, ocp, "_banded_cholesky_solver")
     solution = solve_qp(disc)
-    assert len(calls) == 1
+    audit = feasibility_audit(disc, solution.control)
+    assert (len(gradients), len(factors)) == (0, 0)
     assert solution.iterations == 0
     assert solution.objective == 1.0
+    assert solution.kkt_residual == 0.0
+    assert not solution.control.any() and not solution.state.any()
+    assert audit.negative_part_norm == 0.0
+
+
+def test_negative_regime_factors_once_per_discretization(monkeypatch):
+    factors = count_calls(monkeypatch, ocp, "_banded_cholesky_solver")
+    disc = Discretization(OcpConfig(2, 4, 4))
+    assert len(factors) == 0
+    solution = solve_qp(disc)
+    build_certificate(disc)
+    feasibility_audit(disc, solution.control)
+    assert len(factors) == 1
+    assert solution.iterations > 0
+
+
+CLEAN_DEGREES = [
+    (dim, degree)
+    for dim in (1, 2)
+    for degree in range(1, 8)
+    if min(basis_integrals(lagrange_basis(dim, degree))) >= 0
+]
+
+
+def test_clean_degrees_are_the_known_ones():
+    # Newton-Cotes weights turn negative at k = 8 on the interval; on the
+    # triangle the quadratic's vertex integrals are exactly 0, and k = 4, 6, 7
+    # have negative ones
+    assert CLEAN_DEGREES == [(1, k) for k in range(1, 8)] + [(2, 1), (2, 2), (2, 3), (2, 5)]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(CLEAN_DEGREES),
+    n=st.integers(1, 6),
+    alpha=st.floats(1e-3, 10.0),
+    tol=st.sampled_from([1e-8, 1e-16, 1e-18, 1e-300]),
+)
+def test_clean_regime_solution_is_exactly_zero(case, n, alpha, tol):
+    dim, degree = case
+    solution = solve_qp(OcpConfig(dim, degree, n, alpha=alpha, qp_tol=tol))
     assert not solution.control.any()
+    assert solution.objective == 1.0
+    assert (solution.kkt_residual, solution.iterations) == (0.0, 0)
+
+
+def test_regime_label_certificate_and_origin_share_one_test():
+    for dim, degree in [(1, 7), (1, 8), (2, 2), (2, 3), (2, 4)]:
+        disc = Discretization(OcpConfig(dim, degree, 2))
+        negative = disc.negative_reference_indices
+        assert negative == tuple(
+            j for j, v in enumerate(basis_integrals(disc.control_space.ref)) if v < 0
+        )
+        study = convergence_study(disc.config, [1, 2])
+        assert (study.regime == "INFEASIBLE_LIMIT") == bool(negative)
+        assert (study.runs[0].iterations > 0) == bool(negative)
+        if negative:
+            assert build_certificate(disc).ref_negative_indices == negative
+        else:
+            with pytest.raises(NoNegativeBasisError):
+                build_certificate(disc)
 
 
 def test_counterexample_solution_beats_certificate_bound():
@@ -429,6 +501,27 @@ def test_audit_of_zero_control(disc_d2k2):
     assert audit.negative_cell_fraction == 0.0
 
 
+class NoQuadrature:
+    """Stands in for the audit tabulation; any product with it fails."""
+
+    __array_ufunc__ = None  # numpy defers `array @ self` to __rmatmul__
+
+    def __rmatmul__(self, other):
+        raise AssertionError("audit quadrature used")
+
+
+def test_audit_of_zero_control_needs_no_quadrature(monkeypatch):
+    disc = Discretization(OcpConfig(dim=2, degree=4, n=2))
+    monkeypatch.setattr(disc, "_audit_tab", NoQuadrature())
+    audit = feasibility_audit(disc, np.zeros(disc.num_control_dofs))
+    assert audit.negative_part_norm == 0.0
+    assert np.array_equal(audit.cell_averages, np.zeros(disc.mesh.num_cells))
+    lam = np.zeros(disc.num_control_dofs)
+    lam[0] = 1.0  # any nonzero coefficient needs the quadrature
+    with pytest.raises(AssertionError, match="audit quadrature used"):
+        feasibility_audit(disc, lam)
+
+
 def test_audit_nonneg_coeffs_clean_for_clean_basis(disc_d2k2):
     rng = np.random.default_rng(2)
     lam = np.abs(rng.standard_normal(disc_d2k2.num_control_dofs))
@@ -492,6 +585,10 @@ def test_config_validation():
         OcpConfig(dim=3, degree=1, n=2)
     with pytest.raises(ValueError):
         OcpConfig(dim=2, degree=0, n=2)
+    # the audit rule of exactness 2k + 2 exists up to quadrature.MAX_EXACTNESS
+    assert OcpConfig(dim=1, degree=14, n=2).degree == 14
+    with pytest.raises(ValueError, match=r"control degree must be in 1\.\.14, got 15"):
+        OcpConfig(dim=1, degree=15, n=2)
     with pytest.raises(ValueError):
         OcpConfig(dim=2, degree=1, n=0)
     with pytest.raises(ValueError):

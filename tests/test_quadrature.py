@@ -9,6 +9,7 @@ import pytest
 from ctrldisc.exactbasis import monomial_integral, multi_indices
 from ctrldisc.quadrature import (
     QuadratureRule,
+    _certify,
     conical_product_rule,
     gauss_legendre_interval,
     grundmann_moeller,
@@ -51,6 +52,22 @@ def test_shipped_rules_certify(d, exactness):
     assert np.abs(rule.weights).sum() <= 10.0 * volume
     assert np.isfinite(rule.weights).all()
     assert certificate_error(rule) <= 1e-13
+
+
+def test_certificate_names_the_first_failing_monomial():
+    # shifting x breaks every monomial with an x factor; graded-lex order
+    # puts (0, 1) before (1, 0)
+    rule = simplex_rule(2, 4)
+    shifted = rule.points + [1e-9, 0.0]
+    with pytest.raises(RuntimeError, match=r"failed for x\^\(1, 0\): relative error"):
+        _certify(QuadratureRule(2, shifted, rule.weights, rule.exactness))
+
+
+def test_certificate_checks_the_highest_degree_monomial():
+    # 3-point Gauss-Legendre is exact to degree 5 only: claiming 6 fails on x^6
+    rule = simplex_rule(1, 5)
+    with pytest.raises(RuntimeError, match=r"failed for x\^\(6,\).*exactness=6"):
+        _certify(QuadratureRule(1, rule.points, rule.weights, 6))
 
 
 def test_grundmann_moeller_s1_frozen():
