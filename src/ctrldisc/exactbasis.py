@@ -11,10 +11,10 @@ degree ``k`` on the equispaced lattice ``{alpha/k : |alpha| <= k}``, built
 from Silvester's closed product form in barycentric coordinates (see
 `lagrange_basis`).  A basis is stored as one rational coefficient matrix: row
 i holds basis function i's coefficients over the monomials x^beta,
-beta in `multi_indices(d, k)`.  Every exact quantity is a linear or quadratic
-form of that matrix against the monomial moments (`monomial_integral`):
-the basis integrals, and the integral of the square of a sum of basis
-functions (`integral_of_square`).  Lagrange interpolation on the lattice is
+beta in `multi_indices(d, k)`.  Every exact quantity is a linear or bilinear
+form of such matrices against the monomial moments: the basis integrals, and
+the Gram matrix of two bases (`gram`), which gives every reference block of
+the assembly and `integral_of_square`.  Lagrange interpolation on the lattice is
 unique, so the closed form gives exactly the rationals of the generalized
 Vandermonde solve, which the tests keep as an oracle (`solve_rational_system`).
 """
@@ -22,6 +22,7 @@ Vandermonde solve, which the tests keep as an oracle (`solve_rational_system`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,7 @@ __all__ = [
     "audit_degrees",
     "basis_integrals",
     "exponents_of_degree",
+    "gram",
     "integral_of_square",
     "lagrange_basis",
     "lattice_nodes",
@@ -298,24 +300,46 @@ def basis_integrals(spec: LagrangeBasisSpec) -> tuple[Fraction, ...]:
     return spec.integrals
 
 
-def integral_of_square(spec: LagrangeBasisSpec, indices) -> Fraction:
-    """Exact integral of (sum_{j in indices} phi_j)^2 over the reference simplex.
+def _integer_rows(spec: LagrangeBasisSpec) -> list[list[int]]:
+    """degree! times the coefficient matrix, an integer matrix (see lagrange_basis)."""
+    scale = math.factorial(spec.degree)
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in spec.coefficients]
 
-    With c the sum of the coefficient rows in `indices`, this is c^T G c for
-    the monomial Gram matrix G[beta, gamma] = monomial_integral(beta + gamma),
-    summed over the non-zero entries of c only.
+
+def gram(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[list[list[int]], int]:
+    """Exact Gram matrix G[i][j] = integral of a_i b_j over the reference simplex.
+
+    Returned as integer numerators over one common denominator, G[i][j] =
+    numerators[i][j] / denominator.  G = A P B^T for the coefficient matrices
+    A, B and the monomial moments P[beta][gamma] = int x^(beta + gamma), all
+    in integers: A times a.degree!, B times b.degree! and P times
+    (a.degree + b.degree + d)!.
     """
-    rows = [spec.coefficients[j] for j in indices]
-    summed = [sum((v for v in column if v), _ZERO) for column in zip(*rows)]
-    terms = [(beta, c) for beta, c in zip(multi_indices(spec.dim, spec.degree), summed) if c]
-    return sum(
-        (
-            ca * cb * monomial_integral([x + y for x, y in zip(beta, gamma)])
-            for beta, ca in terms
-            for gamma, cb in terms
-        ),
-        _ZERO,
-    )
+    if a.dim != b.dim:
+        raise ValueError(f"bases of dimensions {a.dim} and {b.dim} share no simplex")
+    d = a.dim
+    top = math.factorial(a.degree + b.degree + d)
+    # top * int x^sigma = prod(sigma!) * top / (|sigma| + d)!
+    moment = {
+        sigma: math.prod(map(math.factorial, sigma)) * (top // math.factorial(sum(sigma) + d))
+        for sigma in multi_indices(d, a.degree + b.degree)
+    }
+    betas = multi_indices(d, a.degree)
+    columns = [  # column gamma of P
+        [moment[tuple(map(operator.add, beta, gamma))] for beta in betas]
+        for gamma in multi_indices(d, b.degree)
+    ]
+    rows_a, rows_b = _integer_rows(a), _integer_rows(b)
+    left = [[sum(map(operator.mul, row, column)) for column in columns] for row in rows_a]
+    numerators = [[sum(map(operator.mul, row, other)) for other in rows_b] for row in left]
+    return numerators, math.factorial(a.degree) * math.factorial(b.degree) * top
+
+
+def integral_of_square(spec: LagrangeBasisSpec, indices) -> Fraction:
+    """Exact integral of (sum_{j in indices} phi_j)^2: the sum of G[i][j] over `indices`."""
+    indices = list(indices)
+    numerators, denominator = gram(spec, spec)
+    return Fraction(sum(numerators[i][j] for i in indices for j in indices), denominator)
 
 
 @dataclass(frozen=True)

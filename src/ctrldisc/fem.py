@@ -2,16 +2,17 @@
 
 Discretizes ``int (grad y . grad v + y v) = int u v`` for all P1 test
 functions v, with states continuous P1 and controls discontinuous Lagrange of
-degree k (one independent basis block per cell).  Control basis values are
-floats converted once from the exact rational reference basis; the exact
-module stays the single source of basis truth.
+degree k (one independent basis block per cell).
 
 A cell integral of affinely pushed-forward functions is the reference
 integral times |det B|, so the coupling C, the control mass M_u and the P1
-mass M are each one reference block, applied by a :class:`CellBlockOperator`.
-Only the stiffness depends on B itself; A = K + M is assembled straight into
-upper band storage, symmetric by construction.  Results agree with per-cell
-loops to roundoff (tests/test_fem.py keeps them as oracles).
+mass M are each one reference block, applied by a :class:`CellBlockOperator`:
+the exact Gram matrix of two reference bases (:func:`~ctrldisc.exactbasis.gram`),
+rounded to float once per entry.  Assembly takes no quadrature rule; only
+integrands that are not polynomials (loads, :func:`l2_error`) use one.  Only
+the stiffness depends on B itself; A = K + M is assembled straight into upper
+band storage, symmetric by construction.  Results agree with per-cell loops
+to roundoff (tests/test_fem.py keeps them as oracles).
 
 The state operator A is fixed and symmetric positive definite, so
 :func:`_banded_cholesky_solver` factors it once (the vertex numbering gives
@@ -27,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .exactbasis import lagrange_basis, multi_indices
+from .exactbasis import LagrangeBasisSpec, gram, lagrange_basis, multi_indices
 from .mesh import SimplexMesh, cell_geometry
 from .quadrature import QuadratureRule
 
@@ -57,11 +59,17 @@ class StateSpace:
     """Continuous P1 space on a simplex mesh; one dof per vertex.
 
     Contains the constant function 1 exactly (all-ones coefficient vector).
+    `ref` is the exact reference basis in the cells' vertex order 0, e_1, ..., e_d.
     """
 
     def __init__(self, mesh: SimplexMesh):
         self.mesh = mesh
         self.num_dofs = mesh.num_vertices
+        spec = lagrange_basis(mesh.dim, 1)
+        # graded-lex order lists the P1 nodes 0, e_d, ..., e_1
+        order = [0, *range(mesh.dim, 0, -1)]
+        fields = (spec.nodes, spec.coefficients, spec.integrals)
+        self.ref = LagrangeBasisSpec(mesh.dim, 1, *(tuple(f[i] for i in order) for f in fields))
 
     def tabulate(self, points: np.ndarray) -> np.ndarray:
         """Reference barycentric basis values, shape (d+1, nq)."""
@@ -91,15 +99,27 @@ class ControlSpace:
         self.ref = lagrange_basis(mesh.dim, degree)
         self.local_dim = self.ref.node_count
         self.num_dofs = self.local_dim * mesh.num_cells
-        # One-time float conversion of the exact reference basis.
-        self._exponents = np.array(multi_indices(mesh.dim, degree), dtype=float)
-        self._coefficients = np.array(self.ref.coefficients, dtype=float)
 
     def tabulate(self, points: np.ndarray) -> np.ndarray:
-        """Reference basis values at reference points, shape (m, nq)."""
-        points = np.asarray(points, dtype=float)
-        mono_vals = np.prod(points[:, None, :] ** self._exponents[None, :, :], axis=2)
-        return self._coefficients @ mono_vals.T
+        """Reference basis values at reference points, shape (m, nq).
+
+        Silvester's product form in floats, phi_alpha = prod_i prod_{j<alpha_i}
+        (k lambda_i - j) / alpha_i! over the barycentric coordinates (lambda_0 =
+        1 - sum(x), alpha_0 = k - |alpha|).  With x = high + low, high on a
+        2^-40 grid, k lambda(high) - j is exact, so each factor is rounded once.
+        """
+        k, d = self.degree, self.mesh.dim
+        x = np.asarray(points, dtype=float).T  # (d, nq)
+        high = np.round(x * 2.0**40) / 2.0**40
+        lam_high = np.vstack([1.0 - high.sum(axis=0), high])
+        lam_low = np.vstack([(high - x).sum(axis=0), x - high])
+        factors = (k * lam_high - np.arange(k)[:, None, None]) + k * lam_low  # (k, d+1, nq)
+        # products[m, i] = prod_{j<m} (k lambda_i - j), m = 0..k
+        products = np.cumprod(np.concatenate([np.ones_like(factors[:1]), factors]), axis=0)
+        alphas = np.array([(k - sum(alpha), *alpha) for alpha in multi_indices(d, k)])
+        factorials = np.cumprod([1.0, *range(1, k + 1)])  # m!, m = 0..k; exact for k <= 18
+        values = products[alphas, np.arange(d + 1)].prod(axis=1)
+        return values / factorials[alphas].prod(axis=1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -184,18 +204,23 @@ class CellBlockOperator:
     cols: np.ndarray | None  # (cells, s)
     shape: tuple[int, int]
 
+    def __post_init__(self):
+        # built once, like the transpose: the QP applies each operator hundreds of times
+        self._scale = self.abs_det[:, None]
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         local = x.reshape(self.abs_det.size, -1) if self.cols is None else x[self.cols]
-        return self._add_into_rows((local @ self.block.T) * self.abs_det[:, None])
+        return self._add_into_rows((local @ self.block.T) * self._scale)
 
-    @property
+    @cached_property
     def T(self) -> CellBlockOperator:
+        """The transposed operator, built on first use and kept."""
         rows, cols = self.cols, self.rows
         return CellBlockOperator(self.block.T, self.abs_det, rows, cols, self.shape[::-1])
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of a square operator whose rows and columns are the same dofs."""
-        return self._add_into_rows(self.abs_det[:, None] * np.diag(self.block))
+        return self._add_into_rows(self._scale * np.diag(self.block))
 
     def _add_into_rows(self, local: np.ndarray) -> np.ndarray:
         if self.rows is None:
@@ -203,16 +228,14 @@ class CellBlockOperator:
         return np.bincount(self.rows.ravel(), local.ravel(), minlength=self.shape[0])
 
 
-def _symmetric_gram(values: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """G[a, b] = sum_q w_q v_a(x_q) v_b(x_q), each entry computed once, so G == G.T."""
-    gram = np.empty((len(values),) * 2)
-    for a, b in zip(*np.triu_indices(len(values))):
-        gram[a, b] = gram[b, a] = float(rule.weights @ (values[a] * values[b]))
-    return gram
+def _reference_block(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> np.ndarray:
+    """The exact Gram matrix of two reference bases, each entry rounded to float once."""
+    numerators, denominator = gram(a, b)  # int / int is correctly rounded
+    return np.array([[n / denominator for n in row] for row in numerators])
 
 
 def assemble_p1_stiffness_mass(
-    space: StateSpace, rule: QuadratureRule, geometry=None
+    space: StateSpace, geometry=None
 ) -> tuple[np.ndarray, CellBlockOperator]:
     """State operator A = K + M in upper band storage; the P1 mass M as a cell-block operator.
 
@@ -222,16 +245,15 @@ def assemble_p1_stiffness_mass(
     :func:`~ctrldisc.mesh.cell_geometry`, computed here when not given.
     """
     mesh = space.mesh
-    if rule.exactness < 2:
-        raise ValueError("P1 stiffness/mass assembly needs rule exactness >= 2")
     matrices, abs_det = cell_geometry(mesh) if geometry is None else geometry
-    ref_mass = _symmetric_gram(space.tabulate(rule.points), rule)
+    ref_mass = _reference_block(space.ref, space.ref)
     # physical gradients: rows of the reference gradients mapped by B^{-T}
     grads = space.reference_gradients() @ _inverse(matrices)  # (cells, d+1, d)
-    gram = grads @ np.swapaxes(grads, 1, 2)  # (cells, d+1, d+1)
+    dots = grads @ np.swapaxes(grads, 1, 2)  # (cells, d+1, d+1)
     a, b = np.triu_indices(mesh.dim + 1)  # local pairs a <= b
-    # gradients are constant on each cell: K's entries are |T| grad_a . grad_b
-    values = (abs_det * rule.weights.sum())[:, None] * gram[:, a, b]
+    # gradients are constant on each cell: K's entries are |T| grad_a . grad_b,
+    # with |T| = |det B| / d!
+    values = (abs_det / math.factorial(mesh.dim))[:, None] * dots[:, a, b]
     values += abs_det[:, None] * ref_mass[a, b]
     ga, gb = mesh.cells[:, a], mesh.cells[:, b]
     cols, offsets = np.maximum(ga, gb), np.abs(ga - gb)  # A[cols - offsets, cols]
@@ -254,36 +276,30 @@ def _inverse(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.inv(matrices)
 
 
-def reference_mass_matrix(space: ControlSpace, rule: QuadratureRule) -> np.ndarray:
+def reference_mass_matrix(space: ControlSpace) -> np.ndarray:
     """Mass matrix of the reference basis on the reference simplex, exactly symmetric."""
-    if rule.exactness < 2 * space.degree:
-        raise ValueError("control mass assembly needs rule exactness >= 2k")
-    return _symmetric_gram(space.tabulate(rule.points), rule)
+    return _reference_block(space.ref, space.ref)
 
 
-def assemble_control_mass(
-    space: ControlSpace, rule: QuadratureRule, geometry=None
-) -> CellBlockOperator:
+def assemble_control_mass(space: ControlSpace, geometry=None) -> CellBlockOperator:
     """Block-diagonal control mass: one |det B| * M_ref block per cell.
 
     L2 products of affinely mapped scalars pick up only the |det B| factor, so
     every block is a scaled copy of the reference mass matrix.
     """
-    ref = reference_mass_matrix(space, rule)
+    ref = reference_mass_matrix(space)
     abs_det = (cell_geometry(space.mesh) if geometry is None else geometry)[1]
     return CellBlockOperator(ref, abs_det, None, None, (space.num_dofs,) * 2)
 
 
 def assemble_coupling(
-    state: StateSpace, control: ControlSpace, rule: QuadratureRule, geometry=None
+    state: StateSpace, control: ControlSpace, geometry=None
 ) -> CellBlockOperator:
     """Rectangular coupling C[a, i] = int_Omega v_a phi_i (P1 row, control column)."""
-    if rule.exactness < control.degree + 1:
-        raise ValueError("coupling assembly needs rule exactness >= k + 1")
-    phi, psi = state.tabulate(rule.points), control.tabulate(rule.points)  # (d+1, nq), (m, nq)
     abs_det = (cell_geometry(state.mesh) if geometry is None else geometry)[1]
     shape = (state.num_dofs, control.num_dofs)
-    return CellBlockOperator((phi * rule.weights) @ psi.T, abs_det, state.mesh.cells, None, shape)
+    block = _reference_block(state.ref, control.ref)
+    return CellBlockOperator(block, abs_det, state.mesh.cells, None, shape)
 
 
 def _at_quadrature_points(f, mesh: SimplexMesh, rule: QuadratureRule):

@@ -120,9 +120,10 @@ class Discretization:
     applies its banded Cholesky factor (A is symmetric, so it serves state
     and adjoint alike), and the P1 mass (`mass`), the coupling (`coupling`)
     and the control mass (`control_mass`) as cell-block operators.  A is
-    factored on the first use of `solve`, once: a clean-regime solve never
-    needs it.  `negative_reference_indices` lists the reference basis
-    functions with negative exact integral; every regime decision reads it.
+    factored on the first use of `solve` and the audit rule is built on the
+    first use of `audit_rule`: a clean-regime solve needs neither.
+    `negative_reference_indices` lists the reference basis functions with
+    negative exact integral; every regime decision reads it.
     """
 
     def __init__(self, config: OcpConfig):
@@ -133,30 +134,31 @@ class Discretization:
         self.control_space = ControlSpace(mesh, config.degree)
         geometry = cell_geometry(mesh)
         self.abs_dets = geometry[1]
-        state_rule = simplex_rule(config.dim, 2)
-        coupling_rule = simplex_rule(config.dim, max(config.degree + 1, 2))
-        self.operator, self.mass = assemble_p1_stiffness_mass(
-            self.state_space, state_rule, geometry
-        )
-        self.coupling = assemble_coupling(
-            self.state_space, self.control_space, coupling_rule, geometry
-        )
-        rule = simplex_rule(config.dim, 2 * config.degree + 2)
-        self.audit_rule = rule
-        self.control_mass = assemble_control_mass(self.control_space, rule, geometry)
+        self.operator, self.mass = assemble_p1_stiffness_mass(self.state_space, geometry)
+        self.coupling = assemble_coupling(self.state_space, self.control_space, geometry)
+        self.control_mass = assemble_control_mass(self.control_space, geometry)
         self.column_sums = self.coupling.T @ np.ones(self.state_space.num_dofs)
         self.ref_integrals = basis_integrals(self.control_space.ref)
         self.negative_reference_indices = tuple(
             j for j, v in enumerate(self.ref_integrals) if v < 0
         )
         self.domain_volume = 1.0
-        self._mass_ones = self.mass @ np.ones(self.state_space.num_dofs)
-        self._audit_tab = self.control_space.tabulate(rule.points)
+        self._mass_target = DESIRED_STATE * (self.mass @ np.ones(self.state_space.num_dofs))
 
     @cached_property
     def solve(self):
         """Solve routine rhs -> A^-1 rhs; A's banded Cholesky factor is computed on first use."""
         return _banded_cholesky_solver(self.operator)
+
+    @cached_property
+    def audit_rule(self):
+        """The negative-part norm's quadrature rule, exactness 2k + 2, built on first use."""
+        return simplex_rule(self.config.dim, 2 * self.config.degree + 2)
+
+    @cached_property
+    def _audit_tab(self) -> np.ndarray:
+        """Reference control basis values at the audit rule's points, shape (m, nq)."""
+        return self.control_space.tabulate(self.audit_rule.points)
 
     @property
     def num_control_dofs(self) -> int:
@@ -186,7 +188,7 @@ class Discretization:
         lam = np.asarray(lam, dtype=float)
         y = self.solve_state(lam)
         my = self.mass @ y
-        p = self.solve(my - DESIRED_STATE * self._mass_ones)
+        p = self.solve(my - self._mass_target)
         mu_lam = self.control_mass @ lam
         g = 2.0 * (self.coupling.T @ p) + 2.0 * self.config.alpha * mu_lam
         # ||y - y_d||^2 expanded exactly: y'My - 2 y_d 1'My + y_d^2 |Omega|,

@@ -2,7 +2,10 @@
 
 Every rule built here is checked, monomial by monomial, against the exact
 moment oracle before it is returned; a misprinted or mis-derived rule fails
-loudly instead of silently polluting an assembly.
+loudly instead of silently polluting a result.  Assembly uses no rule (its
+blocks are exact Gram matrices, see :func:`ctrldisc.exactbasis.gram`); rules
+serve the integrands that are not polynomials: the negative part in
+``ocp.feasibility_audit``, ``fem.assemble_load`` and ``fem.l2_error``.
 
 Families:
 

@@ -3,8 +3,9 @@
 Oracles used here are deliberately separate from the library code paths:
 iterated symbolic integration (sympy) for simplex moments, a local
 fraction-arithmetic elimination for moment-matched quadrature weights, the
-closed factorial formula for barycentric monomial integrals, and the float
-reference mass matrix (built by certified quadrature) for exact squares.
+closed factorial formula for barycentric monomial integrals, a
+Fraction-per-product double sum for the exact Gram matrix, and a float Gram
+matrix built here by certified quadrature for exact squares.
 """
 
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from ctrldisc.exactbasis import (
     audit_degrees,
     basis_integrals,
+    gram,
     integral_of_square,
     lagrange_basis,
     lattice_nodes,
@@ -26,7 +28,7 @@ from ctrldisc.exactbasis import (
     multi_indices,
     solve_rational_system,
 )
-from ctrldisc.fem import ControlSpace, reference_mass_matrix
+from ctrldisc.fem import ControlSpace
 from ctrldisc.mesh import SimplexMesh
 from ctrldisc.quadrature import grundmann_moeller, simplex_rule
 
@@ -321,9 +323,75 @@ def test_square_of_the_quadratic_triangle_counterexample():
     assert 2 * integral_of_square(spec, negative) == Fraction(272, 1575)
 
 
-# Above k = 6 in 1D the float monomial tabulation behind the mass matrix
-# loses digits, so the float oracle stops there.
-SQUARE_ORACLE_CASES = [(d, k) for d in (1, 2) for k in range(1, 7)] + [(3, 1), (3, 2)]
+def gram_oracle(a, b):
+    """int a_i b_j as a double sum over monomial pairs, one Fraction per product."""
+    monomials_a = multi_indices(a.dim, a.degree)
+    monomials_b = multi_indices(b.dim, b.degree)
+    return [
+        [
+            sum(
+                (
+                    ca * cb * monomial_integral([x + y for x, y in zip(beta, gamma)])
+                    for beta, ca in zip(monomials_a, row_a)
+                    if ca
+                    for gamma, cb in zip(monomials_b, row_b)
+                    if cb
+                ),
+                Fraction(0),
+            )
+            for row_b in b.coefficients
+        ]
+        for row_a in a.coefficients
+    ]
+
+
+GRAM_ORACLE_CASES = [
+    (1, 1, 12), (1, 12, 12), (2, 1, 4), (2, 4, 4), (2, 3, 5), (3, 1, 2), (3, 2, 2)
+]
+
+
+def gram_fractions(a, b):
+    """gram(a, b) as a matrix of Fractions."""
+    numerators, denominator = gram(a, b)
+    return [[Fraction(n, denominator) for n in row] for row in numerators]
+
+
+@pytest.mark.parametrize("d,ka,kb", GRAM_ORACLE_CASES)
+def test_gram_equals_the_fraction_double_sum(d, ka, kb):
+    a, b = lagrange_basis(d, ka), lagrange_basis(d, kb)
+    assert gram_fractions(a, b) == gram_oracle(a, b)
+
+
+@pytest.mark.parametrize("d,k", SUPPORTED)
+def test_gram_rows_sum_to_the_basis_integrals(d, k):
+    # the basis sums to 1, so row i of G(a, b) sums to int a_i (and column j
+    # to int b_j); G(a, a) is exactly symmetric
+    spec = lagrange_basis(d, k)
+    matrix = gram_fractions(spec, spec)
+    assert tuple(sum(row, Fraction(0)) for row in matrix) == spec.integrals
+    assert all(matrix[i][j] == matrix[j][i] for i in range(len(matrix)) for j in range(i))
+    p1 = lagrange_basis(d, 1)
+    coupling = gram_fractions(p1, spec)
+    assert tuple(sum(column, Fraction(0)) for column in zip(*coupling)) == spec.integrals
+    assert tuple(sum(row, Fraction(0)) for row in coupling) == p1.integrals
+
+
+def test_gram_rejects_bases_of_different_dimensions():
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        gram(lagrange_basis(1, 2), lagrange_basis(2, 2))
+
+
+def quadrature_gram(d, k, rule):
+    """Float Gram matrix of the degree-k basis, sum_q w_q phi_i(x_q) phi_j(x_q)."""
+    cell = SimplexMesh(d, np.vstack([np.zeros(d), np.eye(d)]), np.arange(d + 1)[None, :], 1.0)
+    values = ControlSpace(cell, k).tabulate(rule.points)
+    return (values * rule.weights) @ values.T
+
+
+# the product-form tabulation keeps the float oracle accurate up to d=1, k=12
+SQUARE_ORACLE_CASES = (
+    [(1, k) for k in range(1, 13)] + [(2, k) for k in range(1, 9)] + [(3, 1), (3, 2)]
+)
 
 
 @st.composite
@@ -337,9 +405,8 @@ def index_sets(draw):
 @given(case=index_sets())
 def test_integral_of_square_matches_float_mass_matrix(case):
     d, k, indices = case
-    cell = SimplexMesh(d, np.vstack([np.zeros(d), np.eye(d)]), np.arange(d + 1)[None, :], 1.0)
     rule = simplex_rule(d, 2 * k) if d < 3 else grundmann_moeller(3, k)
-    mass = reference_mass_matrix(ControlSpace(cell, k), rule)
+    mass = quadrature_gram(d, k, rule)
     mask = np.zeros(len(mass))
     mask[indices] = 1.0
     exact = integral_of_square(lagrange_basis(d, k), indices)

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from ctrldisc.exactbasis import basis_integrals
+from ctrldisc.exactbasis import basis_integrals, gram, multi_indices
 from ctrldisc.fem import (
     CellBlockOperator,
     CgConvergenceError,
@@ -46,7 +46,7 @@ def dense_from_band(band: np.ndarray) -> np.ndarray:
 def test_state_operator_single_interval_cell():
     # hand assembly on [0,1]: stiffness [[1,-1],[-1,1]], mass [[1/3,1/6],[1/6,1/3]]
     mesh = unit_interval_mesh(1)
-    band = assemble_p1_stiffness_mass(StateSpace(mesh), simplex_rule(1, 2))[0]
+    band = assemble_p1_stiffness_mass(StateSpace(mesh))[0]
     operator = dense_from_band(band)
     expected = np.array([[1 + 1 / 3, -1 + 1 / 6], [-1 + 1 / 6, 1 + 1 / 3]])
     np.testing.assert_allclose(operator, expected, atol=1e-15)
@@ -56,7 +56,7 @@ def test_state_operator_single_interval_cell():
 def test_stiffness_kernel_and_mass_volume(maker, n):
     mesh = maker(n)
     space = StateSpace(mesh)
-    band, mass = assemble_p1_stiffness_mass(space, simplex_rule(mesh.dim, 2))
+    band, mass = assemble_p1_stiffness_mass(space)
     ones = np.ones(space.num_dofs)
     # K 1 = 0, so A 1 = (K + M) 1 = M 1
     assert np.abs(dense_from_band(band) @ ones - mass @ ones).max() < 1e-13
@@ -67,9 +67,9 @@ def test_stiffness_kernel_and_mass_volume(maker, n):
 def test_assembled_matrices_exactly_symmetric_positive_diagonal(maker, n, degree):
     mesh = maker(n)
     state = StateSpace(mesh)
-    band, mass = assemble_p1_stiffness_mass(state, simplex_rule(mesh.dim, 2))
+    band, mass = assemble_p1_stiffness_mass(state)
     control = ControlSpace(mesh, degree)
-    control_mass = assemble_control_mass(control, simplex_rule(mesh.dim, 2 * degree + 2))
+    control_mass = assemble_control_mass(control)
     for matrix in (dense(mass), dense_from_band(band), dense(control_mass)):
         assert (matrix == matrix.T).all()
         assert (np.diag(matrix) > 0).all()
@@ -79,32 +79,35 @@ def test_assembled_matrices_exactly_symmetric_positive_diagonal(maker, n, degree
 
 def test_control_mass_single_cell_p1():
     mesh = unit_interval_mesh(1)
-    block = dense(assemble_control_mass(ControlSpace(mesh, 1), simplex_rule(1, 4)))
+    block = dense(assemble_control_mass(ControlSpace(mesh, 1)))
     np.testing.assert_allclose(block, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
 
 
 def test_control_mass_blocks_scale_with_det():
     mesh = unit_square_mesh(2)
     control = ControlSpace(mesh, 2)
-    rule = simplex_rule(2, 6)
-    control_mass = dense(assemble_control_mass(control, rule))
+    control_mass = dense(assemble_control_mass(control))
     from ctrldisc.mesh import cell_affine_map
 
-    ref = reference_mass_matrix(control, rule)
+    ref = reference_mass_matrix(control)
     m = control.local_dim
+    off_block = np.ones_like(control_mass, dtype=bool)
     for ci in range(mesh.num_cells):
         det = cell_affine_map(mesh, ci).abs_det
         block = control_mass[ci * m : (ci + 1) * m, ci * m : (ci + 1) * m]
         np.testing.assert_allclose(block, det * ref, rtol=1e-14)
-    # off-block entries are exactly zero (block-diagonal layout)
-    assert np.count_nonzero(control_mass) == mesh.num_cells * m * m
+        off_block[ci * m : (ci + 1) * m, ci * m : (ci + 1) * m] = False
+    # off-block entries are exactly zero (block-diagonal layout); the blocks
+    # themselves hold exact zeros too (P2 vertex/edge pairs), so counting
+    # nonzeros would not test the layout
+    assert not control_mass[off_block].any()
 
 
 @pytest.mark.parametrize("maker,n,degree", [(unit_interval_mesh, 3, 1), (unit_square_mesh, 2, 2)])
 def test_partition_of_unity_has_unit_norm(maker, n, degree):
     mesh = maker(n)
     control = ControlSpace(mesh, degree)
-    control_mass = assemble_control_mass(control, simplex_rule(mesh.dim, 2 * degree + 2))
+    control_mass = assemble_control_mass(control)
     ones = np.ones(control.num_dofs)
     assert ones @ (control_mass @ ones) == pytest.approx(1.0, abs=1e-12)
 
@@ -113,7 +116,7 @@ def test_coupling_column_sums_match_reference_integrals():
     # column sums equal |det B| * reference integrals (P1 partition of unity)
     mesh = unit_square_mesh(4)
     control = ControlSpace(mesh, 4)
-    coupling = assemble_coupling(StateSpace(mesh), control, simplex_rule(2, 5))
+    coupling = assemble_coupling(StateSpace(mesh), control)
     col_sums = coupling.T @ np.ones(coupling.shape[0])
     ref = np.array([float(v) for v in basis_integrals(control.ref)])
     expected = np.tile(ref / 16.0, mesh.num_cells)  # |det B| = 1/n^2
@@ -124,9 +127,7 @@ def test_coupling_column_sums_match_reference_integrals():
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_coupling_column_sums_nonnegative_for_clean_degrees(degree):
     mesh = unit_square_mesh(3)
-    coupling = assemble_coupling(
-        StateSpace(mesh), ControlSpace(mesh, degree), simplex_rule(2, degree + 1)
-    )
+    coupling = assemble_coupling(StateSpace(mesh), ControlSpace(mesh, degree))
     col_sums = coupling.T @ np.ones(coupling.shape[0])
     assert col_sums.min() >= -1e-13
 
@@ -252,25 +253,13 @@ def test_manufactured_solution_rate_two():
     for n in (8, 16, 32, 64):
         mesh = unit_square_mesh(n)
         space = StateSpace(mesh)
-        band = assemble_p1_stiffness_mass(space, simplex_rule(2, 2))[0]
+        band = assemble_p1_stiffness_mass(space)[0]
         solve = _banded_cholesky_solver(band)
         y = solve(assemble_load(space, simplex_rule(2, 6), forcing))
         errors.append(l2_error(space, y, exact, simplex_rule(2, 6)))
     rates = [math.log(errors[i] / errors[i + 1]) / math.log(2.0) for i in range(3)]
     for rate in rates:
         assert abs(rate - 2.0) <= 0.2
-
-
-def test_rule_exactness_preconditions_enforced():
-    mesh = unit_square_mesh(2)
-    state = StateSpace(mesh)
-    control = ControlSpace(mesh, 3)
-    with pytest.raises(ValueError):
-        assemble_p1_stiffness_mass(state, simplex_rule(2, 1))
-    with pytest.raises(ValueError):
-        assemble_control_mass(control, simplex_rule(2, 2))
-    with pytest.raises(ValueError):
-        assemble_coupling(state, control, simplex_rule(2, 2))
 
 
 def test_control_space_layout():
@@ -281,6 +270,62 @@ def test_control_space_layout():
     # reference tabulation reproduces the delta property at the nodes
     nodes = np.array([[float(x) for x in node] for node in control.ref.nodes])
     np.testing.assert_allclose(control.tabulate(nodes), np.eye(6), atol=1e-13)
+
+
+EXACT_BLOCK_CASES = [(1, k) for k in range(1, 13)] + [(2, k) for k in range(1, 9)]
+
+
+def reference_cell(d):
+    """The reference simplex as a one-cell mesh."""
+    return SimplexMesh(d, np.vstack([np.zeros(d), np.eye(d)]), np.arange(d + 1)[None, :], 1.0)
+
+
+@pytest.mark.parametrize("d,k", EXACT_BLOCK_CASES)
+def test_reference_blocks_are_the_exact_gram_rounded_once(d, k):
+    state, control = StateSpace(reference_cell(d)), ControlSpace(reference_cell(d), k)
+    blocks = {
+        "control mass": (reference_mass_matrix(control), control.ref, control.ref),
+        "coupling": (assemble_coupling(state, control).block, state.ref, control.ref),
+        "P1 mass": (assemble_p1_stiffness_mass(state)[1].block, state.ref, state.ref),
+    }
+    for name, (block, a, b) in blocks.items():
+        assert np.array_equal(block, exact_block(a, b)), name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_p1_reference_basis_follows_the_vertex_order(d):
+    # state.ref lists the vertices 0, e_1, ..., e_d, as tabulate and the cells do
+    state = StateSpace(reference_cell(d))
+    nodes = np.array([[float(x) for x in node] for node in state.ref.nodes])
+    assert np.array_equal(nodes, reference_cell(d).vertices)
+    assert np.array_equal(state.tabulate(nodes), np.eye(d + 1))
+    # int lambda_a lambda_b over the reference simplex is (1 + delta_ab) / (d + 2)!
+    expected = [
+        [Fraction(1 + (a == b), math.factorial(d + 2)) for b in range(d + 1)] for a in range(d + 1)
+    ]
+    numerators, denominator = gram(state.ref, state.ref)
+    assert [[Fraction(n, denominator) for n in row] for row in numerators] == expected
+
+
+def exact_values(spec, points):
+    """Every basis function of `spec` at float points, evaluated exactly and rounded once."""
+    indices = multi_indices(spec.dim, spec.degree)
+    out = np.empty((spec.node_count, len(points)))
+    for q, point in enumerate(points):
+        exact = [Fraction(x) for x in point]
+        monomials = [math.prod(x**e for x, e in zip(exact, beta)) for beta in indices]
+        for i, row in enumerate(spec.coefficients):
+            out[i, q] = float(sum(c * v for c, v in zip(row, monomials) if c))
+    return out
+
+
+@pytest.mark.parametrize("d,k", EXACT_BLOCK_CASES)
+def test_tabulation_matches_exact_evaluation_at_audit_points(d, k):
+    # Silvester's product form in floats stays within a few ulps of the exact
+    # values where the monomial expansion lost up to 1e-7 (d=1, k=12)
+    control = ControlSpace(reference_cell(d), k)
+    points = simplex_rule(d, 2 * k + 2).points
+    assert np.abs(control.tabulate(points) - exact_values(control.ref, points)).max() <= 4e-15
 
 
 def test_state_space_contains_constant_one():
@@ -298,9 +343,9 @@ def test_solver_rejects_wrong_length():
 
 # ---------------------------------------------------------------------------
 # cell-block assembly against per-cell loop oracles that build sparse
-# matrices cell by cell: operators agree normwise to 1e-14 relative (scaling a
-# reference block by |det B| rounds differently from integrating with |det B|
-# in the weights); load vectors and L2 errors are bitwise equal
+# matrices cell by cell from the exact reference Gram blocks: operators agree
+# normwise to 1e-14 relative (the loops sum in another order); load vectors
+# and L2 errors are bitwise equal
 
 
 def _jittered_square_mesh(n, seed=20161):
@@ -326,35 +371,39 @@ def _loop_mirror(n, rows, cols, vals):
     return (upper + sp.triu(upper, k=1).T).tocsr()
 
 
-def _loop_stiffness_mass(space, rule):
+def exact_block(a, b) -> np.ndarray:
+    """float() of every exact entry of the Gram matrix of two reference bases."""
+    numerators, denominator = gram(a, b)
+    return np.array([[float(Fraction(n, denominator)) for n in row] for row in numerators])
+
+
+def _loop_stiffness_mass(space):
     mesh = space.mesh
-    phi = space.tabulate(rule.points)
+    ref_mass = exact_block(space.ref, space.ref)
     ref_grads = space.reference_gradients()
     rows, cols, k_vals, m_vals = [], [], [], []
     for ci in range(mesh.num_cells):
         matrix, _, abs_det = _loop_affine_map(mesh, ci)
         grads = ref_grads @ np.linalg.inv(matrix)
-        w = abs_det * rule.weights
+        volume = abs_det / math.factorial(mesh.dim)
         dofs = mesh.cells[ci]
         for a in range(mesh.dim + 1):
             for b in range(a, mesh.dim + 1):
                 rows.append(min(dofs[a], dofs[b]))
                 cols.append(max(dofs[a], dofs[b]))
-                k_vals.append(float(w.sum()) * float(grads[a] @ grads[b]))
-                m_vals.append(float(w @ (phi[a] * phi[b])))
+                k_vals.append(volume * float(grads[a] @ grads[b]))
+                m_vals.append(abs_det * ref_mass[a, b])
     n = space.num_dofs
     return _loop_mirror(n, rows, cols, k_vals), _loop_mirror(n, rows, cols, m_vals)
 
 
-def _loop_coupling(state, control, rule):
+def _loop_coupling(state, control):
     mesh = state.mesh
-    phi = state.tabulate(rule.points)
-    psi = control.tabulate(rule.points)
+    ref_coupling = exact_block(state.ref, control.ref)
     m = control.local_dim
     rows, cols, vals = [], [], []
     for ci in range(mesh.num_cells):
-        w = _loop_affine_map(mesh, ci)[2] * rule.weights
-        local = (phi * w) @ psi.T
+        local = _loop_affine_map(mesh, ci)[2] * ref_coupling
         for a in range(mesh.dim + 1):
             for j in range(m):
                 rows.append(mesh.cells[ci][a])
@@ -364,10 +413,10 @@ def _loop_coupling(state, control, rule):
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
-def _loop_control_mass(control, rule):
+def _loop_control_mass(control):
     mesh = control.mesh
     dets = [_loop_affine_map(mesh, ci)[2] for ci in range(mesh.num_cells)]
-    return sp.kron(sp.diags(dets), reference_mass_matrix(control, rule), format="csr")
+    return sp.kron(sp.diags(dets), exact_block(control.ref, control.ref), format="csr")
 
 
 def _loop_load(space, rule, f):
@@ -403,23 +452,20 @@ def _assert_close(new, old, scale):
 def _assert_matches_loops(mesh, degree, seed=0):
     """A, C x, C' p, M_u x and M y against the dense loop oracles."""
     state, control = StateSpace(mesh), ControlSpace(mesh, degree)
-    d = mesh.dim
-    p1_rule = simplex_rule(d, 2)
-    coupling_rule, mass_rule = simplex_rule(d, degree + 1), simplex_rule(d, 2 * degree + 2)
-    band, mass = assemble_p1_stiffness_mass(state, p1_rule)
-    stiffness_old, mass_old = _loop_stiffness_mass(state, p1_rule)
+    band, mass = assemble_p1_stiffness_mass(state)
+    stiffness_old, mass_old = _loop_stiffness_mass(state)
     operator_old = (stiffness_old + mass_old).toarray()
     _assert_close(dense_from_band(band), operator_old, operator_old)
-    coupling = assemble_coupling(state, control, coupling_rule)
-    coupling_old = _loop_coupling(state, control, coupling_rule).toarray()
-    control_mass_old = _loop_control_mass(control, mass_rule).toarray()
+    coupling = assemble_coupling(state, control)
+    coupling_old = _loop_coupling(state, control).toarray()
+    control_mass_old = _loop_control_mass(control).toarray()
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(control.num_dofs)
     y = rng.standard_normal(state.num_dofs)
     for new, old, v in (
         (coupling, coupling_old, x),
         (coupling.T, coupling_old.T, y),
-        (assemble_control_mass(control, mass_rule), control_mass_old, x),
+        (assemble_control_mass(control), control_mass_old, x),
         (mass, mass_old.toarray(), y),
     ):
         assert new.shape == old.shape
@@ -516,7 +562,7 @@ def test_band_solve_raises_on_lapack_error(monkeypatch):
         return rhs, -2
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: (failing_pbtrs,))
-    band = assemble_p1_stiffness_mass(StateSpace(unit_interval_mesh(3)), simplex_rule(1, 2))[0]
+    band = assemble_p1_stiffness_mass(StateSpace(unit_interval_mesh(3)))[0]
     solve = _banded_cholesky_solver(band)
     with pytest.raises(ValueError, match="argument 2 of LAPACK pbtrs"):
         solve(np.ones(4))
@@ -549,4 +595,4 @@ def test_assembly_names_the_first_degenerate_cell():
         h=2.0,
     )
     with pytest.raises(ValueError, match=r"degenerate cell 1\b"):
-        assemble_p1_stiffness_mass(StateSpace(mesh), simplex_rule(2, 2))
+        assemble_p1_stiffness_mass(StateSpace(mesh))

@@ -4,7 +4,9 @@
 operator, and `quadrature` imports `scipy.special` inside
 `conical_product_rule`; no solve builds a `scipy.sparse` matrix.  So
 `import ctrldisc` loads numpy and the package but no scipy, an `audit-basis`
-process never loads scipy, and a `solve` loads it at its first assembly.  Module-level scipy
+process never loads scipy, a clean-regime solve (which neither factors A nor
+builds a quadrature rule) loads none either, and a negative-regime solve
+loads scipy when it factors A and builds the audit rule.  Module-level scipy
 imports would put about 0.23 s back on every CLI start-up.  Each check runs
 in a fresh interpreter, because this test process has long since loaded scipy.
 """
@@ -52,19 +54,25 @@ def test_audit_basis_loads_no_scipy():
     assert out.strip() == "0 []"
 
 
-def test_solve_resolves_the_deferred_imports():
-    # a d=2, k=3 solve builds a conical rule (scipy.special, whose Gauss-Jacobi
-    # roots load scipy.linalg; the solve itself never factors A, see
-    # test_ocp.py::test_kkt_point_at_zero_needs_no_gradient_evaluation); its
-    # operators are cell blocks and a band, not scipy.sparse matrices
-    out = run_fresh(
+def loaded_by_solve(degree: int) -> str:
+    """Exit code and the scipy modules loaded by a fresh d=2 solve of the given degree."""
+    return run_fresh(
         "import io, contextlib; from ctrldisc import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['solve', '--dim', '2', '--degree', '3', '--mesh', '4'])\n"
+        f"    code = cli.main(['solve', '--dim', '2', '--degree', '{degree}', '--mesh', '4'])\n"
         f"print(code, [m for m in ('scipy.linalg', 'scipy.special', 'scipy.sparse') "
         f"if m in {LOADED_SCIPY}])"
-    )
-    assert out.strip() == "0 ['scipy.linalg', 'scipy.special']"
+    ).strip()
+
+
+def test_solve_resolves_the_deferred_imports():
+    # clean regime (k=3): lambda = 0 from the exact integrals and operators
+    # from exact Gram blocks, with no factorization and no audit rule
+    assert loaded_by_solve(3) == "0 []"
+    # negative regime (k=4): the banded factor (scipy.linalg) and the conical
+    # audit rule of exactness 10 (scipy.special); the operators are cell
+    # blocks and a band, never scipy.sparse matrices
+    assert loaded_by_solve(4) == "0 ['scipy.linalg', 'scipy.special']"
 
 
 def test_cli_import_loads_every_layer_module():

@@ -1,8 +1,9 @@
-"""QP solver, certificate, and audit checks against enumeration/FD oracles."""
+"""QP solver, certificate, and audit checks against enumeration, FD and exact-rational oracles."""
 
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctrldisc import ocp
-from ctrldisc.exactbasis import basis_integrals, lagrange_basis
+from ctrldisc.exactbasis import basis_integrals, gram, lagrange_basis, solve_rational_system
 from ctrldisc.ocp import (
     Discretization,
     NoNegativeBasisError,
@@ -250,6 +251,105 @@ def test_objective_is_quadratic_secant_identity(disc_d2k2):
 def test_wrong_length_rejected(disc_d2k2):
     with pytest.raises(ValueError):
         disc_d2k2.objective(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# exact-rational oracle: the whole discrete problem in Fractions
+
+
+def exact_cell_geometry(mesh, cell):
+    """|det B| and B^-1 of one cell in rationals (d = 1, 2); the vertices are floats."""
+    vertices = [[Fraction(x) for x in mesh.vertices[v]] for v in cell]
+    # B[i][j]: coordinate i of vertex j + 1 minus vertex 0
+    edges = [[v[i] - vertices[0][i] for v in vertices[1:]] for i in range(mesh.dim)]
+    if mesh.dim == 1:
+        return abs(edges[0][0]), [[1 / edges[0][0]]]
+    (a, b), (c, d) = edges
+    det = a * d - b * c
+    return abs(det), [[d / det, -b / det], [-c / det, a / det]]
+
+
+def dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def exact_objective_and_gradient(disc, lam):
+    """J(lam) and grad J(lam) with exact K, C, M_u and M and exact solves."""
+    mesh, state, control = disc.mesh, disc.state_space, disc.control_space
+    d, nv, m = mesh.dim, state.num_dofs, control.local_dim
+    mass_ref, coupling_ref, control_ref = (
+        [[Fraction(n, denominator) for n in row] for row in numerators]
+        for numerators, denominator in (
+            gram(state.ref, state.ref),
+            gram(state.ref, control.ref),
+            gram(control.ref, control.ref),
+        )
+    )
+    ref_grads = [[Fraction(-1)] * d] + [[Fraction(i == c) for c in range(d)] for i in range(d)]
+    state_operator = [[Fraction(0)] * nv for _ in range(nv)]
+    mass = [[Fraction(0)] * nv for _ in range(nv)]
+    coupling_lam = [Fraction(0)] * nv
+    control_mass_lam, cells = [], []
+    for ci, cell in enumerate(mesh.cells.tolist()):
+        abs_det, inverse = exact_cell_geometry(mesh, cell)
+        # physical gradients: rows of the reference gradients times B^-1
+        grads = [[dot(g, column) for column in zip(*inverse)] for g in ref_grads]
+        local = lam[ci * m : (ci + 1) * m]
+        for a, va in enumerate(cell):
+            for b, vb in enumerate(cell):
+                stiffness = abs_det / math.factorial(d) * dot(grads[a], grads[b])
+                state_operator[va][vb] += stiffness + abs_det * mass_ref[a][b]
+                mass[va][vb] += abs_det * mass_ref[a][b]
+            coupling_lam[va] += abs_det * dot(coupling_ref[a], local)
+        control_mass_lam += [abs_det * dot(row, local) for row in control_ref]
+        cells.append((cell, abs_det))
+
+    def solve(rhs):
+        return [row[0] for row in solve_rational_system(state_operator, [[v] for v in rhs])]
+
+    alpha = Fraction(disc.config.alpha)
+    residual = [v - Fraction(ocp.DESIRED_STATE) for v in solve(coupling_lam)]
+    weighted = [dot(row, residual) for row in mass]
+    objective = dot(residual, weighted) + alpha * dot(lam, control_mass_lam)
+    adjoint = solve(weighted)
+    gradient = []
+    for ci, (cell, abs_det) in enumerate(cells):
+        cell_adjoint = [adjoint[v] for v in cell]
+        for j, column in enumerate(zip(*coupling_ref)):
+            coupling_adjoint = abs_det * dot(column, cell_adjoint)
+            gradient.append(2 * coupling_adjoint + 2 * alpha * control_mass_lam[ci * m + j])
+    return objective, gradient
+
+
+EXACT_ORACLE_CASES = [(1, 8), (1, 10), (1, 12), (2, 4), (2, 6)]
+
+
+@pytest.mark.parametrize("dim,degree", EXACT_ORACLE_CASES)
+def test_objective_and_gradient_match_exact_rationals(dim, degree):
+    # dyadic meshes and a dyadic lam: every input is exact, so the floats are
+    # checked against the exact discrete J and grad J, not against old floats
+    disc = Discretization(OcpConfig(dim=dim, degree=degree, n=4))
+    lam = [Fraction(1 + (7 * i) % 5, 4) for i in range(disc.num_control_dofs)]
+    g, j, _ = disc.gradient_objective_state(np.array([float(v) for v in lam]))
+    exact_j, exact_g = exact_objective_and_gradient(disc, lam)
+    assert abs(j - float(exact_j)) <= 1e-13 * float(exact_j)
+    exact_g = np.array([float(v) for v in exact_g])
+    assert np.abs(g - exact_g).max() <= 1e-13 * np.abs(exact_g).max()
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("dim,degree", EXACT_ORACLE_CASES)
+def test_certificate_direction_has_a_constant_state(dim, degree, n):
+    # the negative set is invariant under vertex permutations, so int w v_a
+    # is the same for every vertex a of a cell: C w = d! (int w) M 1 =
+    # -beta M 1, and A 1 = M 1 makes y(w) exactly the constant -beta, with
+    # L_n = ||y(w)|| = beta on the unit domain
+    disc = Discretization(OcpConfig(dim=dim, degree=degree, n=n))
+    cert = build_certificate(disc)
+    y = disc.solve_state(cert.w_coefficients)
+    assert np.ptp(y) <= 1e-14
+    assert abs(y.mean() + cert.beta) <= 1e-12 * cert.beta
+    assert abs(cert.state_norm - cert.beta) <= 1e-12 * cert.beta
 
 
 # ---------------------------------------------------------------------------
