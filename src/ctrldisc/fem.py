@@ -16,11 +16,12 @@ to roundoff (tests/test_fem.py keeps them as oracles).
 
 The state operator A is fixed and symmetric positive definite, so
 :func:`_banded_cholesky_solver` factors it once (the vertex numbering gives
-bandwidth 1 on the interval and n + 2 on the unit square; ``ocp.Discretization``
-factors it on its first solve and keeps the factor) and every state and
+bandwidth 1 on the interval and n + 2 on the unit square) and every state and
 adjoint solve is two triangular band solves: backward stable, with no
-iteration error.  No solve calls :func:`cg_solve` any more; it stays, with
-its report and error types, because the benchmark's tracer
+iteration error.  ``ocp.Discretization`` assembles A and the other operators
+on their first use and factors A on its first solve, keeping each; a
+clean-regime solve does neither.  No solve calls :func:`cg_solve` any more;
+it stays, with its report and error types, because the benchmark's tracer
 (``perfbench/tracer.py``) wraps it.
 """
 

@@ -114,16 +114,18 @@ class OcpConfig:
 
 
 class Discretization:
-    """Everything assembled once for a config: mesh, spaces, operators, integrals.
+    """Everything built for a config: mesh, spaces, exact integrals, operators.
 
-    Holds A = K + M in upper band storage (`operator`) and `solve`, which
-    applies its banded Cholesky factor (A is symmetric, so it serves state
-    and adjoint alike), and the P1 mass (`mass`), the coupling (`coupling`)
-    and the control mass (`control_mass`) as cell-block operators.  A is
-    factored on the first use of `solve` and the audit rule is built on the
-    first use of `audit_rule`: a clean-regime solve needs neither.
-    `negative_reference_indices` lists the reference basis functions with
-    negative exact integral; every regime decision reads it.
+    `__init__` holds the config, the mesh, the state and control spaces, the
+    exact reference basis integrals (`ref_integrals`), the indices of the
+    negative ones (`negative_reference_indices`, which every regime decision
+    reads) and `domain_volume`.  Every floating-point layer is built on first
+    use and kept: the cell geometry (`abs_dets`); A = K + M in upper band
+    storage (`operator`) and the P1 mass (`mass`), from one assembly; the
+    coupling (`coupling`) and the control mass (`control_mass`) as cell-block
+    operators; `column_sums` = C'1; `solve`, which applies A's banded
+    Cholesky factor (A is symmetric, so it serves state and adjoint alike);
+    and the audit rule.  A clean-regime solve needs none of them.
     """
 
     def __init__(self, config: OcpConfig):
@@ -132,18 +134,53 @@ class Discretization:
         self.mesh = mesh
         self.state_space = StateSpace(mesh)
         self.control_space = ControlSpace(mesh, config.degree)
-        geometry = cell_geometry(mesh)
-        self.abs_dets = geometry[1]
-        self.operator, self.mass = assemble_p1_stiffness_mass(self.state_space, geometry)
-        self.coupling = assemble_coupling(self.state_space, self.control_space, geometry)
-        self.control_mass = assemble_control_mass(self.control_space, geometry)
-        self.column_sums = self.coupling.T @ np.ones(self.state_space.num_dofs)
         self.ref_integrals = basis_integrals(self.control_space.ref)
         self.negative_reference_indices = tuple(
             j for j, v in enumerate(self.ref_integrals) if v < 0
         )
         self.domain_volume = 1.0
-        self._mass_target = DESIRED_STATE * (self.mass @ np.ones(self.state_space.num_dofs))
+
+    # The bodies below look the assemblers up in this module's namespace at
+    # call time, where perfbench's tracer wraps them.
+
+    @cached_property
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mesh's cell_geometry: affine matrices B and |det B| per cell."""
+        return cell_geometry(self.mesh)
+
+    @cached_property
+    def abs_dets(self) -> np.ndarray:
+        return self._geometry[1]
+
+    @cached_property
+    def _stiffness_mass(self):
+        """(A = K + M in upper band storage, M) from one assembly call."""
+        return assemble_p1_stiffness_mass(self.state_space, self._geometry)
+
+    @cached_property
+    def operator(self) -> np.ndarray:
+        return self._stiffness_mass[0]
+
+    @cached_property
+    def mass(self):
+        return self._stiffness_mass[1]
+
+    @cached_property
+    def coupling(self):
+        return assemble_coupling(self.state_space, self.control_space, self._geometry)
+
+    @cached_property
+    def control_mass(self):
+        return assemble_control_mass(self.control_space, self._geometry)
+
+    @cached_property
+    def column_sums(self) -> np.ndarray:
+        """C'1: the integral of each global control basis function."""
+        return self.coupling.T @ np.ones(self.state_space.num_dofs)
+
+    @cached_property
+    def _mass_target(self) -> np.ndarray:
+        return DESIRED_STATE * (self.mass @ np.ones(self.state_space.num_dofs))
 
     @cached_property
     def solve(self):
@@ -363,7 +400,8 @@ def solve_qp(problem) -> QpSolution:
     = 2 |det B| (integral of each reference basis function).  When no exact
     reference integral is negative, lam = 0 is therefore the optimum: it is
     returned with state 0, objective |Omega|, kkt_residual 0 and 0
-    iterations, without a gradient evaluation or a factorization of A.
+    iterations, without a gradient evaluation, a factorization of A, the
+    cell geometry or any assembly.
 
     Raises QpConvergenceError with the best iterate attached when the cap
     is exceeded, the iteration stagnates above qp_tol or the objective

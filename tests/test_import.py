@@ -86,17 +86,23 @@ def test_cli_import_loads_every_layer_module():
     assert out.strip() == str(sorted(["exactbasis", "mesh", "quadrature", "fem", "ocp"]))
 
 
-def test_benchmark_tracer_lookups_resolve(monkeypatch):
-    # perfbench/tracer.py wraps package functions and methods by name; its
-    # own tests are slow, so a rename or deletion is caught here.  The file is
-    # only read: no bytecode cache is written next to it.
+def load_tracer(monkeypatch):
+    """perfbench/tracer.py as a module; the file is only read, no bytecode cache is written."""
     import ctrldisc.cli  # noqa: F401  (loads every layer module, as the worker does)
-    from ctrldisc import exactbasis, fem, mesh, ocp
 
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_lookups_resolve(monkeypatch):
+    # perfbench/tracer.py wraps package functions and methods by name; its
+    # own tests are slow, so a rename or deletion is caught here
+    from ctrldisc import exactbasis, fem, mesh, ocp
+
+    tracer = load_tracer(monkeypatch)
     for module_name, attr, _ in tracer.FUNCTIONS:
         assert callable(getattr(sys.modules[f"ctrldisc.{module_name}"], attr)), attr
     for module_name, cls_name, attr, _ in tracer.METHODS:
@@ -106,3 +112,17 @@ def test_benchmark_tracer_lookups_resolve(monkeypatch):
     # the worker clears the basis memo per op and the tracer counts basis functions
     assert callable(exactbasis.lagrange_basis.cache_clear)
     assert exactbasis.lagrange_basis(2, 1).node_count == 3
+
+
+def test_benchmark_tracer_sees_the_assembly_on_first_use(monkeypatch):
+    # a Discretization assembles its operators on first use, looking the
+    # assemblers up in ocp's namespace at call time; the wrappers the tracer
+    # sets there must be the ones called, or its fem.* layers would read 0
+    from ctrldisc import ocp
+
+    tracer = load_tracer(monkeypatch)
+    disc = ocp.Discretization(ocp.OcpConfig(2, 4, 2))
+    with tracer.traced(tracer.Tracer()) as trace:
+        disc.operator, disc.mass, disc.coupling, disc.control_mass  # first uses
+    layers = ("fem.stiffness_mass", "fem.coupling", "fem.control_mass")
+    assert {key: trace.calls[key] for key in layers} == dict.fromkeys(layers, 1)

@@ -1,6 +1,7 @@
 """QP solver, certificate, and audit checks against enumeration, FD and exact-rational oracles."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from operator import mul
@@ -10,8 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctrldisc import ocp
+from ctrldisc import cli, ocp
 from ctrldisc.exactbasis import basis_integrals, gram, lagrange_basis, solve_rational_system
+from ctrldisc.fem import (
+    ControlSpace,
+    StateSpace,
+    assemble_control_mass,
+    assemble_coupling,
+    assemble_p1_stiffness_mass,
+)
+from ctrldisc.mesh import cell_geometry
 from ctrldisc.ocp import (
     Discretization,
     NoNegativeBasisError,
@@ -405,6 +414,71 @@ def test_negative_regime_factors_once_per_discretization(monkeypatch):
     feasibility_audit(disc, solution.control)
     assert len(factors) == 1
     assert solution.iterations > 0
+
+
+# Every floating-point layer of a Discretization, built on first use.
+FLOAT_LAYERS = (
+    "cell_geometry",
+    "assemble_p1_stiffness_mass",
+    "assemble_coupling",
+    "assemble_control_mass",
+)
+
+
+@pytest.mark.parametrize("dim,degree", [(2, 3), (1, 2)])
+def test_clean_regime_builds_no_float_layer(monkeypatch, capsys, dim, degree):
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"{name} called in the clean regime")
+
+        return call
+
+    for name in FLOAT_LAYERS:
+        monkeypatch.setattr(ocp, name, refuse(name))
+    config = OcpConfig(dim, degree, 8)
+    disc = Discretization(config)
+    solution = solve_qp(disc)
+    audit = feasibility_audit(disc, solution.control)
+    study = convergence_study(config, [4, 8])
+    assert not solution.control.any() and solution.objective == 1.0
+    assert (audit.min_cell_average, audit.negative_part_norm) == (0.0, 0.0)
+    assert study.regime == "FEASIBLE_LIMIT"
+    assert all((run.objective, run.iterations) == (1.0, 0) for run in study.runs)
+    capsys.readouterr()
+    shape = ["--dim", str(dim), "--degree", str(degree)]
+    assert cli.main(["solve", *shape, "--mesh", "8"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["J"], report["iterations"], report["control_norm"]) == (1.0, 0, 0.0)
+    assert cli.main(["convergence", *shape, "--meshes", "4,8"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["regime"] == "FEASIBLE_LIMIT"
+    assert [(run["J"], run["iters"]) for run in report["runs"]] == [(1.0, 0), (1.0, 0)]
+
+
+def test_lazy_operators_equal_eager_assembly_and_are_built_once(monkeypatch):
+    calls = {name: count_calls(monkeypatch, ocp, name) for name in FLOAT_LAYERS}
+    disc = Discretization(OcpConfig(2, 4, 4))
+    assert not any(calls.values())
+    solution = solve_qp(disc)
+    build_certificate(disc)
+    feasibility_audit(disc, solution.control)
+
+    mesh = disc.mesh
+    geometry = cell_geometry(mesh)
+    state, control = StateSpace(mesh), ControlSpace(mesh, 4)
+    band, mass = assemble_p1_stiffness_mass(state, geometry)
+    coupling = assemble_coupling(state, control, geometry)
+    control_mass = assemble_control_mass(control, geometry)
+    rng = np.random.default_rng(7)
+    y, lam = rng.standard_normal(state.num_dofs), rng.standard_normal(control.num_dofs)
+    assert np.array_equal(disc.abs_dets, geometry[1])
+    assert np.array_equal(disc.operator, band)
+    assert np.array_equal(disc.mass @ y, mass @ y)
+    assert np.array_equal(disc.coupling @ lam, coupling @ lam)
+    assert np.array_equal(disc.coupling.T @ y, coupling.T @ y)
+    assert np.array_equal(disc.control_mass @ lam, control_mass @ lam)
+    # operator and mass share the one stiffness/mass assembly
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(FLOAT_LAYERS, 1)
 
 
 CLEAN_DEGREES = [
