@@ -269,15 +269,20 @@ def minimize_nonneg_quadratic(
     `gradient` must be the (affine) gradient map of the quadratic; `g0` its
     value at 0 and `j0` the objective at 0, which recover objective values via
     J(x) = j0 + x . (g(x) + g0) / 2.  Accelerated projected gradient (FISTA,
-    Beck & Teboulle 2009) with step 1/L and function-value restarts
-    (O'Donoghue & Candes 2015); the momentum-point gradient is formed as an
+    Beck & Teboulle 2009) with step 1/L and gradient restarts (O'Donoghue &
+    Candes 2015, section 3.2).  The momentum-point gradient gz is formed as an
     exact affine combination of stored gradients, so each step costs one
     gradient evaluation.
 
-    A restart takes the plain projected step from x, which decreases J by at
-    least L/2 ||step||^2 whenever L bounds the Hessian.  If it does not (up
-    to roundoff in J), `lipschitz` was an underestimate: L is doubled and the
-    step retried.
+    The momentum step x_new = max(z - gz/L, 0) is rejected before any
+    evaluation when (z - x_new) . (x_new - x) > 0: the iteration restarts
+    and takes the plain projected step from x instead.  Every accepted step
+    from z (z = x for a plain step) must pass the quadratic's curvature test
+    (x_new - z) . (g_new - gz) <= L ||x_new - z||^2, that is d'Hd <= L d'd,
+    taken from gradient differences.  It fails only when `lipschitz`
+    underestimates the Hessian norm: L is then doubled and the plain step
+    retaken.  No comparison of J values decides a step, so near the optimum,
+    where J values agree to roundoff, the iterates do not follow its noise.
 
     Terminates when the KKT residual ||min(x, g)||_2 drops to `tol`.  It
     vanishes exactly at the KKT points (x >= 0, g >= 0, x_i g_i = 0) and,
@@ -288,10 +293,11 @@ def minimize_nonneg_quadratic(
     Returns (x, g, objective, residual, iterations); a negative iteration
     count signals that `tol` was not reached: either the cap was hit (the
     last iterate is returned) or the iteration stagnated (the iterate with
-    the smallest residual is returned, with minus the iterations run).  Raises
-    QpConvergenceError, carrying the last iterate with a finite objective (its
-    `state` is None), if the objective becomes non-finite: the quadratic is
-    not convex or `gradient` returned non-finite values.
+    the smallest residual is returned, with minus the iterations run).  A
+    non-finite objective at a momentum point falls back to the plain step;
+    at a plain step it raises QpConvergenceError, carrying the last iterate
+    with a finite objective (its `state` is None): the quadratic is not
+    convex or `gradient` returned non-finite values.
     """
     L = float(lipschitz)
     if L <= 0:
@@ -302,6 +308,9 @@ def minimize_nonneg_quadratic(
     def evaluate(x):
         g = gradient(x)
         return g, j0 + 0.5 * float(x @ (g + g0))
+
+    def curvature_ok(step, g_step):
+        return float(step @ g_step) <= L * float(step @ step)
 
     def diverged(x, g, j, iterations):
         return QpConvergenceError(
@@ -326,20 +335,21 @@ def minimize_nonneg_quadratic(
         z = x + gamma * (x - x_prev)
         gz = g + gamma * (g - g_prev)
         x_new = np.maximum(z - gz / L, 0.0)
-        g_new, j_new = evaluate(x_new)
-        if not (j_new <= j and math.isfinite(j_new)):
-            # momentum overshoot (or a non-finite value): restart with a
-            # plain projected step from x, doubling L until it descends
+        restart = float((z - x_new) @ (x_new - x)) > 0.0
+        if not restart:
+            g_new, j_new = evaluate(x_new)
+            restart = not math.isfinite(j_new)
+            if not (restart or curvature_ok(x_new - z, g_new - gz)):
+                restart, L = True, 2.0 * L
+        if restart:
+            # plain projected step from x, doubling L until it passes the test
             t_next = 1.0
             while True:
                 x_new = np.maximum(x - g / L, 0.0)
                 g_new, j_new = evaluate(x_new)
                 if not math.isfinite(j_new):
                     raise diverged(x, g, j, it - 1)
-                step = x_new - x
-                magnitude = abs(j0) + float(np.abs(x) @ (np.abs(g) + np.abs(g0)))
-                roundoff = _J_ROUNDOFF * magnitude
-                if j_new <= j - 0.5 * L * float(step @ step) + roundoff:
+                if curvature_ok(x_new - x, g_new - g):
                     break
                 L *= 2.0
         res = _kkt_residual(x_new, g_new)
@@ -353,10 +363,6 @@ def minimize_nonneg_quadratic(
             return (*best, -it)
     return x, g, j, res, -max_iterations  # negative iteration count flags the cap
 
-
-# Relative roundoff allowed in the descent test of a restart step, measured
-# against the magnitudes of the terms of J = j0 + x . (g + g0) / 2.
-_J_ROUNDOFF = 1e-13
 
 # Iterations without a new smallest KKT residual after which the iteration
 # counts as stagnated.
@@ -390,7 +396,11 @@ def solve_qp(problem) -> QpSolution:
     has a mesh-independent spectrum, and a positive diagonal scaling leaves
     the constraint (z >= 0) and its projection unchanged.  The step size is
     1/L with L a power-iteration estimate of the scaled Hessian norm (5%
-    safety; the solver doubles it if it proves too low).  The reported
+    safety).  minimize_nonneg_quadratic restarts the momentum on a gradient
+    test, which costs no gradient evaluation, and doubles L when a step's
+    curvature test, taken from gradient differences, shows it too low; no
+    comparison of J values decides a step, so the iteration count does not
+    follow roundoff in J.  The reported
     kkt_residual, ||min(z, grad_z J)||_2 = ||min(D^-1 lam, D grad J)||_2, is a
     mesh-independent L2-type KKT measure.  The config's qp_tol and
     max_qp_iterations set the tolerance and the iteration cap.
@@ -566,18 +576,19 @@ def feasibility_audit(problem, lam: np.ndarray) -> FeasibilityAudit:
 
     Cell averages use the exact reference integrals (scaled by d!), so their
     signs are trustworthy; the negative-part norm uses quadrature of exactness
-    2k+2 on min(u, 0)^2 and is reported as approximate; it is exactly 0,
-    without quadrature, for a control with no nonzero coefficient.
+    2k+2 on min(u, 0)^2 and is reported as approximate.  For a control with
+    no nonzero coefficient both are exactly 0, with no quadrature and no
+    product with the reference integrals.
     """
     disc = _as_discretization(problem)
     lam = np.asarray(lam, dtype=float)
-    m = disc.control_space.local_dim
-    lam_cells = lam.reshape(disc.mesh.num_cells, m)
-    ref = np.array([float(v) for v in disc.ref_integrals])
-    averages = math.factorial(disc.config.dim) * (lam_cells @ ref)
+    lam_cells = lam.reshape(disc.mesh.num_cells, disc.control_space.local_dim)
 
-    norm_sq = 0.0
-    if lam.any():
+    if not lam.any():
+        averages, norm_sq = np.zeros(disc.mesh.num_cells), 0.0
+    else:
+        ref = np.array([float(v) for v in disc.ref_integrals])
+        averages = math.factorial(disc.config.dim) * (lam_cells @ ref)
         values = lam_cells @ disc._audit_tab  # (cells, nq)
         negative = np.minimum(values, 0.0)
         norm_sq = float(disc.abs_dets @ (negative**2 @ disc.audit_rule.weights))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ctrldisc import cli, ocp
 from ctrldisc.exactbasis import basis_integrals, gram, lagrange_basis, solve_rational_system
@@ -40,7 +41,9 @@ def enumerate_nonneg_qp(matrix, linear):
 
     Tries every subset of active (pinned-to-zero) coordinates; a candidate is
     KKT-valid when the free block solves to non-negative values and the
-    gradient is non-negative on the active set.  Returns (x, objective).
+    gradient is non-negative on the active set.  Singular free blocks are
+    skipped: for a PSD matrix some optimal point has a regular one.  Returns
+    (x, objective).
     """
     n = matrix.shape[0]
     best_x, best_val = None, np.inf
@@ -49,6 +52,8 @@ def enumerate_nonneg_qp(matrix, linear):
         x = np.zeros(n)
         if free:
             sub = matrix[np.ix_(free, free)]
+            if np.linalg.matrix_rank(sub) < len(free):
+                continue
             x[free] = np.linalg.solve(sub, -linear[free])
             if (x[free] < -1e-11).any():
                 continue
@@ -88,6 +93,73 @@ def test_core_solver_matches_enumeration_oracle():
         assert val == pytest.approx(val_ref, abs=1e-8)
         np.testing.assert_allclose(x, x_ref, atol=1e-6)
         assert (x >= 0).all()
+
+
+@st.composite
+def psd_problems(draw):
+    """(H, c) for min 0.5 x'Hx + c'x over x >= 0, with H PSD and often singular.
+
+    H = Q diag(eigenvalues) Q' with some eigenvalues 0, and c = H v + s with
+    s >= 0, so c'd = s'd >= 0 along every null direction d >= 0 of H: the
+    objective is bounded below on the orthant.
+    """
+    n = draw(st.integers(1, 6))
+    eigenvalues = draw(
+        st.lists(st.sampled_from([0.0, 0.1, 1.0, 3.0, 10.0]), min_size=n, max_size=n).filter(any)
+    )
+    entries = st.floats(-2.0, 2.0)
+    q, _ = np.linalg.qr(draw(hnp.arrays(np.float64, (n, n), elements=entries)))
+    matrix = (q * eigenvalues) @ q.T
+    matrix = 0.5 * (matrix + matrix.T)
+    v = draw(hnp.arrays(np.float64, n, elements=entries))
+    s = np.maximum(draw(hnp.arrays(np.float64, n, elements=entries)), 0.0)
+    return matrix, matrix @ v + s
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(problem=psd_problems())
+def test_core_solver_matches_enumeration_on_singular_hessians(problem):
+    # on a null direction d of H the curvature test sees d'Hd = 0, which
+    # passes; the minimizer need not be unique, so only J and the KKT
+    # residual are compared
+    matrix, linear = problem
+    n = linear.size
+    _, val_ref = enumerate_nonneg_qp(matrix, linear)
+    lipschitz = 1.05 * np.linalg.eigvalsh(matrix).max()
+    x, g, val, res, iters = minimize_nonneg_quadratic(
+        lambda x: matrix @ x + linear, linear, 0.0, np.zeros(n), lipschitz, 1e-10, 100_000
+    )
+    assert iters >= 0
+    assert (x >= 0).all() and res <= 1e-10
+    assert val == pytest.approx(val_ref, rel=1e-9, abs=1e-9)
+
+
+def test_a_restart_costs_no_gradient_evaluation():
+    # with a valid L the curvature test always passes, and a gradient
+    # restart is decided before evaluating the momentum point: one gradient
+    # at x0, then one per iteration
+    restarted = 0
+    for matrix, linear in _seeded_problems():
+        n = linear.size
+        points = []
+
+        def gradient(x):
+            points.append(x)
+            return matrix @ x + linear
+
+        lipschitz = 1.05 * np.linalg.eigvalsh(matrix).max()
+        *_, iters = minimize_nonneg_quadratic(
+            gradient, linear, 0.0, np.zeros(n), lipschitz, 1e-12, 50_000
+        )
+        assert iters >= 0
+        assert len(points) == 1 + iters
+        # a plain projected step is the first iteration, a restart, or the step after one
+        plain = sum(
+            np.array_equal(b, np.maximum(a - (matrix @ a + linear) / lipschitz, 0.0))
+            for a, b in zip(points, points[1:])
+        )
+        restarted += plain > 1
+    assert restarted > 0
 
 
 @pytest.mark.parametrize("fraction", [0.6, 0.4, 0.25])
@@ -570,6 +642,15 @@ def test_qp_iteration_budget_d2k4(n, alpha):
     assert solution.objective <= build_certificate(disc).objective_bound
 
 
+@pytest.mark.parametrize("dim,degree,n,iterations", [(2, 4, 8, 123), (2, 4, 16, 123), (1, 8, 256, 59)])
+def test_qp_iteration_count_ignores_one_ulp_changes_of_alpha(dim, degree, n, iterations):
+    # the primary metric: no J comparison decides a step, so changes at the
+    # roundoff level leave the count alone, and so does refining the mesh
+    for i in range(4):
+        config = OcpConfig(dim, degree, n, alpha=0.1 * (1 + i * 2**-52))
+        assert solve_qp(config).iterations == iterations
+
+
 def test_solve_qp_accepts_config():
     solution = solve_qp(OcpConfig(dim=1, degree=2, n=4))
     assert solution.objective == pytest.approx(1.0, abs=1e-8)
@@ -694,6 +775,26 @@ def test_audit_of_zero_control_needs_no_quadrature(monkeypatch):
     lam[0] = 1.0  # any nonzero coefficient needs the quadrature
     with pytest.raises(AssertionError, match="audit quadrature used"):
         feasibility_audit(disc, lam)
+
+
+class NoReferenceIntegrals:
+    """Stands in for the exact reference integrals; reading them fails."""
+
+    def __iter__(self):
+        raise AssertionError("reference integrals read")
+
+
+def test_zero_audit_is_exactly_zero_without_the_reference_integrals(monkeypatch):
+    disc = Discretization(OcpConfig(dim=2, degree=4, n=3))
+    monkeypatch.setattr(disc, "ref_integrals", NoReferenceIntegrals())
+    audit = feasibility_audit(disc, np.zeros(disc.num_control_dofs))
+    assert audit.cell_averages.shape == (disc.mesh.num_cells,)
+    assert not audit.cell_averages.any() and not np.signbit(audit.cell_averages).any()
+    assert audit.min_cell_average == 0.0 and not np.signbit(audit.min_cell_average)
+    assert audit.negative_part_norm == 0.0
+    assert audit.negative_cell_fraction == 0.0
+    with pytest.raises(ValueError):
+        feasibility_audit(disc, np.zeros(disc.num_control_dofs + 1))
 
 
 def test_audit_nonneg_coeffs_clean_for_clean_basis(disc_d2k2):
