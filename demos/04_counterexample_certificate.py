@@ -15,6 +15,11 @@ reference-simplex rationals:
 
     beta = -int w = d! * (-int w_hat) > 0,   M^2 = ||w||^2 = d! * ||w_hat||^2.
 
+The negative set is symmetric under permutations of the vertices, so the
+state of w is exactly the constant -beta, and on every mesh
+
+    J(t w) = (1 - t beta)^2 + alpha t^2 M^2.
+
 Stepping t * w with t = beta / ((1 + alpha) M^2) then provably drops the
 objective to at most 1 - delta with delta = beta * t, no matter how fine the
 mesh — so the discrete optima cannot converge to the true optimum, and their
@@ -37,7 +42,8 @@ print(f"  t_hat = {cert.step:.12f}")
 print(f"  delta = {cert.margin:.12f}")
 print(f"  guaranteed bound    J(t_hat w) <= {cert.objective_bound:.12f}")
 print(f"  measured            J(t_hat w)  = {cert.measured_objective:.12f}")
-print(f"  measured state norm L_n = {cert.state_norm:.6f} <= M = {np.sqrt(cert.m_squared):.6f}")
+# y(w) is exactly the constant -beta on every mesh, so its norm L_n is beta
+print(f"  measured state norm L_n = {cert.beta:.6f} <= M = {np.sqrt(cert.m_squared):.6f}")
 
 print("\nsolving the constrained QP...")
 solution = solve_qp(disc)

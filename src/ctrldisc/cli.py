@@ -122,11 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Mesh used by `certificate` for the measured quantities (the certified
-# numbers beta, M2, t_hat, delta are mesh-independent).
-CERTIFICATE_MESH = 4
-
-
 def _cmd_audit(args) -> tuple[int, str]:
     if args.max_degree < 1:
         raise ValueError("--max-degree must be >= 1")
@@ -136,7 +131,8 @@ def _cmd_audit(args) -> tuple[int, str]:
 
 
 def _cmd_certificate(args) -> tuple[int, str]:
-    config = OcpConfig(dim=args.dim, degree=args.degree, n=CERTIFICATE_MESH, alpha=args.alpha)
+    # the certificate reads no mesh; OcpConfig validates dim, degree and alpha
+    config = OcpConfig(dim=args.dim, degree=args.degree, n=1, alpha=args.alpha)
     try:
         cert = build_certificate(config)
     except NoNegativeBasisError as err:
@@ -151,13 +147,9 @@ def _cmd_certificate(args) -> tuple[int, str]:
         "dim": cert.config.dim,
         "degree": cert.config.degree,
         "alpha": cert.config.alpha,
-        "n": cert.config.n,
         "negative_local_indices": list(cert.ref_negative_indices),
-        "beta": cert.beta,
-        "M2": cert.m_squared,
-        "t_hat": cert.step,
-        "delta": cert.margin,
-        "L_n": cert.state_norm,
+        **cert.to_json_dict(),
+        "L_n": cert.beta,  # ||y(w)||: y(w) is the constant -beta on every mesh
         "objective_bound": cert.objective_bound,
         "measured_objective": cert.measured_objective,
     }

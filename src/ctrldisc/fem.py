@@ -277,18 +277,13 @@ def _inverse(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.inv(matrices)
 
 
-def reference_mass_matrix(space: ControlSpace) -> np.ndarray:
-    """Mass matrix of the reference basis on the reference simplex, exactly symmetric."""
-    return _reference_block(space.ref, space.ref)
-
-
 def assemble_control_mass(space: ControlSpace, geometry=None) -> CellBlockOperator:
     """Block-diagonal control mass: one |det B| * M_ref block per cell.
 
     L2 products of affinely mapped scalars pick up only the |det B| factor, so
     every block is a scaled copy of the reference mass matrix.
     """
-    ref = reference_mass_matrix(space)
+    ref = _reference_block(space.ref, space.ref)
     abs_det = (cell_geometry(space.mesh) if geometry is None else geometry)[1]
     return CellBlockOperator(ref, abs_det, None, None, (space.num_dofs,) * 2)
 

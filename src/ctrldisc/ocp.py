@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exactbasis import basis_integrals, integral_of_square
+from .exactbasis import basis_integrals, integral_of_square, lagrange_basis
 # cg_solve and cell_affine_map are not called here any more; they stay
 # importable from this module because perfbench's tracer test checks that
 # ocp.cg_solve is fem.cg_solve and ocp.cell_affine_map is mesh.cell_affine_map
@@ -467,22 +467,23 @@ class CounterexampleCertificate:
     """Mesh-independent witness that discrete optima stay below volume - margin.
 
     The direction w sums the control basis functions with negative integral.
-    beta = -integral of w and m_squared = ||w||^2 are computed exactly from
-    reference-simplex rationals (beta_exact, m2_exact) and do not depend on
-    the mesh; state_norm (= ||y(w)||) and measured_objective are measured on
-    the configured mesh.  step = beta / ((1 + alpha) m_squared) and
-    margin = beta * step, so J(step * w) <= volume - margin.
+    beta = -integral of w and m_squared = ||w||^2 are exact reference-simplex
+    rationals (beta_exact, m2_exact) times d!, the same on every mesh.  The
+    negative set is invariant under permutations of the barycentric
+    coordinates, so C w = -beta M 1, and A 1 = M 1 makes the state y(w)
+    exactly the constant -beta: ||y(w)|| = beta on the unit domains.  Hence
+    J(t w) = (1 - t beta)^2 + alpha t^2 m_squared on every mesh, and at
+    step = beta / ((1 + alpha) m_squared) it is at most volume - margin with
+    margin = beta * step.  measured_objective is J(step * w) computed in
+    rationals at the exact step (alpha's double taken exactly) and rounded once.
     """
 
     config: OcpConfig
     ref_negative_indices: tuple[int, ...]
-    negative_indices: np.ndarray  # global control dof indices with negative integral
-    w_coefficients: np.ndarray  # 0/1 coefficient vector of the direction w
     beta_exact: Fraction
     m2_exact: Fraction
     beta: float
     m_squared: float
-    state_norm: float
     step: float
     margin: float
     objective_bound: float
@@ -500,64 +501,49 @@ class CounterexampleCertificate:
 def build_certificate(problem) -> CounterexampleCertificate:
     """Build the negative-direction certificate for a config or discretization.
 
-    Raises NoNegativeBasisError when every reference basis integral is >= 0
-    (the regime in which coefficient-wise non-negativity is preserved in the
-    limit).  Cell-local signs equal reference signs because the push-forward
-    only scales integrals by |det B| > 0.
+    Reads only the exact reference basis of the config's dimension and
+    degree: no mesh, no assembly and no solve.  Raises NoNegativeBasisError
+    when every reference basis integral is >= 0 (the regime in which
+    coefficient-wise non-negativity is preserved in the limit).  Cell-local
+    signs equal reference signs because the push-forward only scales
+    integrals by |det B| > 0.
     """
-    disc = _as_discretization(problem)
-    cfg = disc.config
-    ref_ints = disc.ref_integrals
-    neg_local = disc.negative_reference_indices
+    cfg = problem.config if isinstance(problem, Discretization) else problem
+    ref = lagrange_basis(cfg.dim, cfg.degree)
+    ref_ints = basis_integrals(ref)
+    neg_local = tuple(j for j, v in enumerate(ref_ints) if v < 0)  # as in Discretization
     if not neg_local:
         raise NoNegativeBasisError(cfg.dim, cfg.degree)
-
-    m = disc.control_space.local_dim
-    cells = disc.mesh.num_cells
-    mask = np.zeros(m)
-    mask[list(neg_local)] = 1.0
-    w_coeffs = np.tile(mask, cells)
-    negative_indices = np.flatnonzero(w_coeffs > 0)
 
     # Exact reference quantities; volume * |That|^{-1} = d! for the unit domains.
     fact = Fraction(math.factorial(cfg.dim))
     beta_exact = -fact * sum((ref_ints[j] for j in neg_local), Fraction(0))
-    m2_exact = fact * integral_of_square(disc.control_space.ref, neg_local)
+    m2_exact = fact * integral_of_square(ref, neg_local)
     if beta_exact <= 0 or m2_exact <= 0:
         raise RuntimeError("certificate construction produced non-positive invariants")
+
+    # y(t w) is the constant -t beta, so J(t w) = (1 - t beta)^2 + alpha t^2 M^2
+    alpha = Fraction(cfg.alpha)
+    t_exact = beta_exact / ((1 + alpha) * m2_exact)
+    objective = (1 - t_exact * beta_exact) ** 2 + alpha * t_exact**2 * m2_exact
+    if objective > 1 - t_exact * beta_exact:
+        raise RuntimeError(f"J(t_hat w) = {float(objective)} exceeds the certificate bound")
 
     beta = float(beta_exact)
     m_squared = float(m2_exact)
     step = beta / ((1.0 + cfg.alpha) * m_squared)
     margin = beta * step
-    bound = disc.domain_volume - margin
-
-    z = disc.solve_state(w_coeffs)
-    state_norm = math.sqrt(float(z @ (disc.mass @ z)))
-    if state_norm > math.sqrt(m_squared) * (1.0 + 1e-9) + 1e-12:
-        raise RuntimeError(
-            f"state norm {state_norm} exceeds the direction norm {math.sqrt(m_squared)}"
-        )
-    measured = disc.objective(step * w_coeffs)
-    if measured > bound + 1e-8:
-        raise RuntimeError(
-            f"measured objective {measured} exceeds certificate bound {bound}"
-        )
-
     return CounterexampleCertificate(
         config=cfg,
         ref_negative_indices=neg_local,
-        negative_indices=negative_indices,
-        w_coefficients=w_coeffs,
         beta_exact=beta_exact,
         m2_exact=m2_exact,
         beta=beta,
         m_squared=m_squared,
-        state_norm=state_norm,
         step=step,
         margin=margin,
-        objective_bound=bound,
-        measured_objective=measured,
+        objective_bound=1.0 - margin,
+        measured_objective=float(objective),
     )
 
 
@@ -656,12 +642,13 @@ def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
     if any(n < 1 for n in ns):
         raise ValueError("mesh parameters must be >= 1")
 
-    certificate = None
+    try:
+        certificate = build_certificate(config)
+    except NoNegativeBasisError:
+        certificate = None
     runs = []
-    for idx, n in enumerate(ns):
+    for n in ns:
         disc = Discretization(replace(config, n=n))
-        if idx == 0 and disc.negative_reference_indices:
-            certificate = build_certificate(disc)
         solution = solve_qp(disc)
         audit = feasibility_audit(disc, solution.control)
         runs.append(
@@ -673,8 +660,8 @@ def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
                 iterations=solution.iterations,
             )
         )
-    # the same exact test that decides solve_qp's origin branch
-    regime = "INFEASIBLE_LIMIT" if disc.negative_reference_indices else "FEASIBLE_LIMIT"
+    # a certificate exists exactly when solve_qp's exact origin test finds a negative integral
+    regime = "FEASIBLE_LIMIT" if certificate is None else "INFEASIBLE_LIMIT"
     return ConvergenceStudy(
         config=config, regime=regime, certificate=certificate, runs=tuple(runs)
     )

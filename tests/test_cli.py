@@ -84,6 +84,7 @@ def test_certificate_counterexample(capsys):
     assert payload["delta"] > 0
     assert payload["measured_objective"] <= payload["objective_bound"] + 1e-8
     assert payload["negative_local_indices"] == [3, 5, 12]
+    assert payload["L_n"] == payload["beta"]  # y(w) is the constant -beta
 
 
 def test_convergence_study_d1(capsys):
@@ -299,6 +300,7 @@ GOLDEN_ARGV = {
     ],
     "solve_d1_k10_n256": ["solve", "--dim", "1", "--degree", "10", "--mesh", "256"],
     "certificate_d2_k4": ["certificate", "--dim", "2", "--degree", "4"],
+    "certificate_d1_k10": ["certificate", "--dim", "1", "--degree", "10"],
     "convergence_d2_k4_m4_8_16": [
         "convergence", "--dim", "2", "--degree", "4", "--meshes", "4,8,16"
     ],

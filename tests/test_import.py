@@ -4,11 +4,12 @@
 operator, and `quadrature` imports `scipy.special` inside
 `conical_product_rule`; no solve builds a `scipy.sparse` matrix.  So
 `import ctrldisc` loads numpy and the package but no scipy, an `audit-basis`
-process never loads scipy, a clean-regime solve (which neither factors A nor
-builds a quadrature rule) loads none either, and a negative-regime solve
-loads scipy when it factors A and builds the audit rule.  Module-level scipy
-imports would put about 0.23 s back on every CLI start-up.  Each check runs
-in a fresh interpreter, because this test process has long since loaded scipy.
+or `certificate` process never loads scipy, a clean-regime solve (which
+neither factors A nor builds a quadrature rule) loads none either, and a
+negative-regime solve loads scipy when it factors A and builds the audit
+rule.  Module-level scipy imports would put about 0.23 s back on every CLI
+start-up.  Each check runs in a fresh interpreter, because this test process
+has long since loaded scipy.
 """
 
 import importlib.util
@@ -44,14 +45,24 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
-def test_audit_basis_loads_no_scipy():
-    out = run_fresh(
+def loaded_by_cli(*argv: str) -> str:
+    """Exit code and the scipy modules loaded by a fresh `main(argv)`."""
+    return run_fresh(
         "import io, contextlib; from ctrldisc import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = cli.main(['audit-basis', '--dim', '3', '--max-degree', '6'])\n"
+        f"    code = cli.main({list(argv)!r})\n"
         f"print(code, {LOADED_SCIPY})"
-    )
-    assert out.strip() == "0 []"
+    ).strip()
+
+
+def test_audit_basis_loads_no_scipy():
+    assert loaded_by_cli("audit-basis", "--dim", "3", "--max-degree", "6") == "0 []"
+
+
+def test_certificate_loads_no_scipy():
+    # the certificate is exact rational arithmetic on the reference basis:
+    # no mesh, no factorization, no quadrature rule
+    assert loaded_by_cli("certificate", "--dim", "2", "--degree", "4") == "0 []"
 
 
 def loaded_by_solve(degree: int) -> str:
