@@ -47,7 +47,6 @@ from .mesh import (
     SimplexMesh,
     cell_affine_map,
     cell_geometry,
-    cell_volumes,
     unit_interval_mesh,
     unit_square_mesh,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "build_certificate",
     "cell_affine_map",
     "cell_geometry",
-    "cell_volumes",
     "cg_solve",
     "conical_product_rule",
     "convergence_study",

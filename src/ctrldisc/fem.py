@@ -236,17 +236,17 @@ def _reference_block(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> np.ndarray:
 
 
 def assemble_p1_stiffness_mass(
-    space: StateSpace, geometry=None
+    space: StateSpace, geometry: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, CellBlockOperator]:
     """State operator A = K + M in upper band storage; the P1 mass M as a cell-block operator.
 
     band[u + i - j, j] = A[i, j] for i <= j, u the bandwidth, as
     scipy.linalg.cholesky_banded takes it: only the upper triangle is stored,
     so A is symmetric by construction.  `geometry` is the mesh's
-    :func:`~ctrldisc.mesh.cell_geometry`, computed here when not given.
+    :func:`~ctrldisc.mesh.cell_geometry`: (B, |det B|) per cell.
     """
     mesh = space.mesh
-    matrices, abs_det = cell_geometry(mesh) if geometry is None else geometry
+    matrices, abs_det = geometry
     ref_mass = _reference_block(space.ref, space.ref)
     # physical gradients: rows of the reference gradients mapped by B^{-T}
     grads = space.reference_gradients() @ _inverse(matrices)  # (cells, d+1, d)
@@ -277,25 +277,30 @@ def _inverse(matrices: np.ndarray) -> np.ndarray:
     return np.linalg.inv(matrices)
 
 
-def assemble_control_mass(space: ControlSpace, geometry=None) -> CellBlockOperator:
+def assemble_control_mass(
+    space: ControlSpace, geometry: tuple[np.ndarray, np.ndarray]
+) -> CellBlockOperator:
     """Block-diagonal control mass: one |det B| * M_ref block per cell.
 
     L2 products of affinely mapped scalars pick up only the |det B| factor, so
-    every block is a scaled copy of the reference mass matrix.
+    every block is a scaled copy of the reference mass matrix.  `geometry` is
+    the mesh's :func:`~ctrldisc.mesh.cell_geometry`; only |det B| is read.
     """
     ref = _reference_block(space.ref, space.ref)
-    abs_det = (cell_geometry(space.mesh) if geometry is None else geometry)[1]
-    return CellBlockOperator(ref, abs_det, None, None, (space.num_dofs,) * 2)
+    return CellBlockOperator(ref, geometry[1], None, None, (space.num_dofs,) * 2)
 
 
 def assemble_coupling(
-    state: StateSpace, control: ControlSpace, geometry=None
+    state: StateSpace, control: ControlSpace, geometry: tuple[np.ndarray, np.ndarray]
 ) -> CellBlockOperator:
-    """Rectangular coupling C[a, i] = int_Omega v_a phi_i (P1 row, control column)."""
-    abs_det = (cell_geometry(state.mesh) if geometry is None else geometry)[1]
+    """Rectangular coupling C[a, i] = int_Omega v_a phi_i (P1 row, control column).
+
+    `geometry` is the mesh's :func:`~ctrldisc.mesh.cell_geometry`; only
+    |det B| is read.
+    """
     shape = (state.num_dofs, control.num_dofs)
     block = _reference_block(state.ref, control.ref)
-    return CellBlockOperator(block, abs_det, state.mesh.cells, None, shape)
+    return CellBlockOperator(block, geometry[1], state.mesh.cells, None, shape)
 
 
 def _at_quadrature_points(f, mesh: SimplexMesh, rule: QuadratureRule):

@@ -16,7 +16,6 @@ __all__ = [
     "SimplexMesh",
     "cell_affine_map",
     "cell_geometry",
-    "cell_volumes",
     "unit_interval_mesh",
     "unit_square_mesh",
 ]
@@ -54,19 +53,6 @@ class SimplexMesh:
     @property
     def num_cells(self) -> int:
         return self.cells.shape[0]
-
-    def cell_vertices(self, index: int) -> np.ndarray:
-        """Coordinates of the d+1 vertices of one cell, shape (d+1, dim)."""
-        return self.vertices[self.cells[index]]
-
-    def to_json_dict(self) -> dict:
-        """Debug dump (vertices, cells); not a stability-guaranteed format."""
-        return {
-            "dimension": self.dim,
-            "h": self.h,
-            "vertices": self.vertices.tolist(),
-            "cells": self.cells.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -152,7 +138,3 @@ def cell_affine_map(mesh: SimplexMesh, index: int) -> AffineMap:
     offset.setflags(write=False)
     return AffineMap(matrix=matrix, offset=offset, abs_det=float(abs_det[0]))
 
-
-def cell_volumes(mesh: SimplexMesh) -> np.ndarray:
-    """|T| for every cell, via |det B| / d!."""
-    return cell_geometry(mesh)[1] / math.factorial(mesh.dim)

@@ -259,20 +259,19 @@ def minimize_nonneg_quadratic(
     gradient,
     g0: np.ndarray,
     j0: float,
-    x0: np.ndarray,
     lipschitz: float,
     tol: float,
     max_iterations: int,
 ):
-    """Minimize a convex quadratic over the non-negative orthant.
+    """Minimize a convex quadratic over the non-negative orthant, starting at x = 0.
 
     `gradient` must be the (affine) gradient map of the quadratic; `g0` its
     value at 0 and `j0` the objective at 0, which recover objective values via
-    J(x) = j0 + x . (g(x) + g0) / 2.  Accelerated projected gradient (FISTA,
-    Beck & Teboulle 2009) with step 1/L and gradient restarts (O'Donoghue &
-    Candes 2015, section 3.2).  The momentum-point gradient gz is formed as an
-    exact affine combination of stored gradients, so each step costs one
-    gradient evaluation.
+    J(x) = j0 + x . (g(x) + g0) / 2.  The start costs no evaluation.
+    Accelerated projected gradient (FISTA, Beck & Teboulle 2009) with step
+    1/L and gradient restarts (O'Donoghue & Candes 2015, section 3.2).  The
+    momentum-point gradient gz is formed as an exact affine combination of
+    stored gradients, so each step costs one gradient evaluation.
 
     The momentum step x_new = max(z - gz/L, 0) is rejected before any
     evaluation when (z - x_new) . (x_new - x) > 0: the iteration restarts
@@ -290,14 +289,14 @@ def minimize_nonneg_quadratic(
     Gives up when the smallest residual so far has not improved for
     _STAGNATION_WINDOW iterations: `tol` is then below what roundoff allows.
 
-    Returns (x, g, objective, residual, iterations); a negative iteration
-    count signals that `tol` was not reached: either the cap was hit (the
-    last iterate is returned) or the iteration stagnated (the iterate with
-    the smallest residual is returned, with minus the iterations run).  A
-    non-finite objective at a momentum point falls back to the plain step;
-    at a plain step it raises QpConvergenceError, carrying the last iterate
-    with a finite objective (its `state` is None): the quadratic is not
-    convex or `gradient` returned non-finite values.
+    Returns (x, g, objective, residual, iterations, failure).  `failure` is
+    None when `tol` was reached, else the message saying why not: the cap
+    was hit (the last iterate is returned), the iteration stagnated (the
+    iterate with the smallest residual is returned) or the objective became
+    non-finite at a plain step (the last iterate with a finite objective is
+    returned: the quadratic is not convex or `gradient` returned non-finite
+    values).  A non-finite objective at a momentum point falls back to the
+    plain step.
     """
     L = float(lipschitz)
     if L <= 0:
@@ -312,19 +311,13 @@ def minimize_nonneg_quadratic(
     def curvature_ok(step, g_step):
         return float(step @ g_step) <= L * float(step @ step)
 
-    def diverged(x, g, j, iterations):
-        return QpConvergenceError(
-            f"QP objective became non-finite after {iterations} iterations",
-            QpSolution(x, None, j, _kkt_residual(x, g), iterations),
-        )
+    def unmet(stop, res):
+        return f"QP did not reach tol={tol:.3e} {stop} (residual {res:.3e})"
 
-    x = np.maximum(np.asarray(x0, dtype=float), 0.0)
-    g, j = evaluate(x)
-    if not math.isfinite(j):
-        raise diverged(x, g, j, 0)
+    x, g, j = np.zeros(np.shape(g0)), g0, j0
     res = _kkt_residual(x, g)
     if res <= tol:
-        return x, g, j, res, 0
+        return x, g, j, res, 0, None
 
     x_prev, g_prev = x, g
     t = 1.0
@@ -348,7 +341,8 @@ def minimize_nonneg_quadratic(
                 x_new = np.maximum(x - g / L, 0.0)
                 g_new, j_new = evaluate(x_new)
                 if not math.isfinite(j_new):
-                    raise diverged(x, g, j, it - 1)
+                    failure = f"QP objective became non-finite after {it - 1} iterations"
+                    return x, g, j, _kkt_residual(x, g), it - 1, failure
                 if curvature_ok(x_new - x, g_new - g):
                     break
                 L *= 2.0
@@ -356,12 +350,13 @@ def minimize_nonneg_quadratic(
         x_prev, g_prev = x, g
         x, g, j, t = x_new, g_new, j_new, t_next
         if res <= tol:
-            return x, g, j, res, it
+            return x, g, j, res, it, None
         if res < best[3]:
             best, best_it = (x, g, j, res), it
         elif it - best_it >= _STAGNATION_WINDOW:
-            return (*best, -it)
-    return x, g, j, res, -max_iterations  # negative iteration count flags the cap
+            window = f"no new best in the last {_STAGNATION_WINDOW} of {it} iterations"
+            return (*best, it, unmet(f"and stagnated: {window}", best[3]))
+    return x, g, j, res, max_iterations, unmet(f"within {max_iterations} iterations", res)
 
 
 # Iterations without a new smallest KKT residual after which the iteration
@@ -375,10 +370,10 @@ def _kkt_residual(x: np.ndarray, g: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class QpSolution:
-    """Solution of the coefficient-constrained QP."""
+    """Solution of the coefficient-constrained QP, or the iterate a QpConvergenceError carries."""
 
     control: np.ndarray  # lambda >= 0, length N
-    state: np.ndarray | None  # None only on a QpConvergenceError of the generic core
+    state: np.ndarray  # y(lambda)
     objective: float
     kkt_residual: float  # ||min(D^-1 lam, D grad J)||_2 with D = diag(M_u)^(-1/2)
     iterations: int
@@ -396,14 +391,15 @@ def solve_qp(problem) -> QpSolution:
     has a mesh-independent spectrum, and a positive diagonal scaling leaves
     the constraint (z >= 0) and its projection unchanged.  The step size is
     1/L with L a power-iteration estimate of the scaled Hessian norm (5%
-    safety).  minimize_nonneg_quadratic restarts the momentum on a gradient
-    test, which costs no gradient evaluation, and doubles L when a step's
-    curvature test, taken from gradient differences, shows it too low; no
-    comparison of J values decides a step, so the iteration count does not
-    follow roundoff in J.  The reported
-    kkt_residual, ||min(z, grad_z J)||_2 = ||min(D^-1 lam, D grad J)||_2, is a
-    mesh-independent L2-type KKT measure.  The config's qp_tol and
-    max_qp_iterations set the tolerance and the iteration cap.
+    safety).  minimize_nonneg_quadratic starts at z = 0 from the gradient and
+    objective computed here, restarts the momentum on a gradient test, which
+    costs no gradient evaluation, and doubles L when a step's curvature test,
+    taken from gradient differences, shows it too low; no comparison of J
+    values decides a step, so the iteration count does not follow roundoff
+    in J.  The reported kkt_residual, ||min(z, grad_z J)||_2 =
+    ||min(D^-1 lam, D grad J)||_2, is a mesh-independent L2-type KKT measure.
+    The config's qp_tol and max_qp_iterations set the tolerance and the
+    iteration cap.
 
     The clean regime is decided exactly, before any floating-point work.
     K 1 = 0 makes the adjoint at lam = 0 the constant 1, so grad J(0) = 2 C'1
@@ -413,9 +409,10 @@ def solve_qp(problem) -> QpSolution:
     iterations, without a gradient evaluation, a factorization of A, the
     cell geometry or any assembly.
 
-    Raises QpConvergenceError with the best iterate attached when the cap
-    is exceeded, the iteration stagnates above qp_tol or the objective
-    becomes non-finite.
+    When the core reports a failure (the cap is exceeded, the iteration
+    stagnates above qp_tol or the objective becomes non-finite), raises
+    QpConvergenceError with its message and the QpSolution of the iterate
+    the core returned, state included.
     """
     disc = _as_discretization(problem)
     n = disc.num_control_dofs
@@ -423,14 +420,9 @@ def solve_qp(problem) -> QpSolution:
         state = np.zeros(disc.state_space.num_dofs)
         return QpSolution(np.zeros(n), state, disc.domain_volume, 0.0, 0)
 
-    tol, max_iterations = disc.config.qp_tol, disc.config.max_qp_iterations
     scale = 1.0 / np.sqrt(disc.control_mass.diagonal())
     g0, j0, _ = disc.gradient_objective_state(np.zeros(n))
     g0 = scale * g0
-
-    def solution(z, objective, residual, iterations):
-        lam = scale * z
-        return QpSolution(lam, disc.solve_state(lam), objective, residual, iterations)
 
     def grad(z):
         return scale * disc.gradient_objective_state(scale * z)[0]
@@ -442,23 +434,13 @@ def solve_qp(problem) -> QpSolution:
     if lipschitz <= 0.0:
         raise RuntimeError("Hessian norm estimate is zero; degenerate problem")
 
-    try:
-        z, _, j, res, iters = minimize_nonneg_quadratic(
-            grad, g0, j0, np.zeros(n), lipschitz, tol, max_iterations
-        )
-    except QpConvergenceError as err:
-        best = err.best
-        raise QpConvergenceError(
-            str(err), solution(best.control, best.objective, best.kkt_residual, best.iterations)
-        ) from None
-    result = solution(z, j, res, abs(iters))
-    if iters < 0:
-        stop = f"within {max_iterations} iterations"
-        if -iters < max_iterations:
-            window = _STAGNATION_WINDOW
-            stop = f"and stagnated: no new best in the last {window} of {-iters} iterations"
-        message = f"QP did not reach tol={tol:.3e} {stop} (residual {res:.3e})"
-        raise QpConvergenceError(message, result)
+    z, _, j, res, iterations, failure = minimize_nonneg_quadratic(
+        grad, g0, j0, lipschitz, disc.config.qp_tol, disc.config.max_qp_iterations
+    )
+    lam = scale * z
+    result = QpSolution(lam, disc.solve_state(lam), j, res, iterations)
+    if failure is not None:
+        raise QpConvergenceError(failure, result)
     return result
 
 

@@ -45,7 +45,7 @@ def dense_from_band(band: np.ndarray) -> np.ndarray:
 def test_state_operator_single_interval_cell():
     # hand assembly on [0,1]: stiffness [[1,-1],[-1,1]], mass [[1/3,1/6],[1/6,1/3]]
     mesh = unit_interval_mesh(1)
-    band = assemble_p1_stiffness_mass(StateSpace(mesh))[0]
+    band = assemble_p1_stiffness_mass(StateSpace(mesh), cell_geometry(mesh))[0]
     operator = dense_from_band(band)
     expected = np.array([[1 + 1 / 3, -1 + 1 / 6], [-1 + 1 / 6, 1 + 1 / 3]])
     np.testing.assert_allclose(operator, expected, atol=1e-15)
@@ -55,7 +55,7 @@ def test_state_operator_single_interval_cell():
 def test_stiffness_kernel_and_mass_volume(maker, n):
     mesh = maker(n)
     space = StateSpace(mesh)
-    band, mass = assemble_p1_stiffness_mass(space)
+    band, mass = assemble_p1_stiffness_mass(space, cell_geometry(mesh))
     ones = np.ones(space.num_dofs)
     # K 1 = 0, so A 1 = (K + M) 1 = M 1
     assert np.abs(dense_from_band(band) @ ones - mass @ ones).max() < 1e-13
@@ -66,9 +66,10 @@ def test_stiffness_kernel_and_mass_volume(maker, n):
 def test_assembled_matrices_exactly_symmetric_positive_diagonal(maker, n, degree):
     mesh = maker(n)
     state = StateSpace(mesh)
-    band, mass = assemble_p1_stiffness_mass(state)
+    geometry = cell_geometry(mesh)
+    band, mass = assemble_p1_stiffness_mass(state, geometry)
     control = ControlSpace(mesh, degree)
-    control_mass = assemble_control_mass(control)
+    control_mass = assemble_control_mass(control, geometry)
     for matrix in (dense(mass), dense_from_band(band), dense(control_mass)):
         assert (matrix == matrix.T).all()
         assert (np.diag(matrix) > 0).all()
@@ -78,17 +79,18 @@ def test_assembled_matrices_exactly_symmetric_positive_diagonal(maker, n, degree
 
 def test_control_mass_single_cell_p1():
     mesh = unit_interval_mesh(1)
-    block = dense(assemble_control_mass(ControlSpace(mesh, 1)))
+    block = dense(assemble_control_mass(ControlSpace(mesh, 1), cell_geometry(mesh)))
     np.testing.assert_allclose(block, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
 
 
 def test_control_mass_blocks_scale_with_det():
     mesh = unit_square_mesh(2)
     control = ControlSpace(mesh, 2)
-    control_mass = dense(assemble_control_mass(control))
+    assembled = assemble_control_mass(control, cell_geometry(mesh))
+    control_mass = dense(assembled)
     from ctrldisc.mesh import cell_affine_map
 
-    ref = assemble_control_mass(control, cell_geometry(mesh)).block
+    ref = assembled.block
     m = control.local_dim
     off_block = np.ones_like(control_mass, dtype=bool)
     for ci in range(mesh.num_cells):
@@ -106,7 +108,7 @@ def test_control_mass_blocks_scale_with_det():
 def test_partition_of_unity_has_unit_norm(maker, n, degree):
     mesh = maker(n)
     control = ControlSpace(mesh, degree)
-    control_mass = assemble_control_mass(control)
+    control_mass = assemble_control_mass(control, cell_geometry(mesh))
     ones = np.ones(control.num_dofs)
     assert ones @ (control_mass @ ones) == pytest.approx(1.0, abs=1e-12)
 
@@ -115,7 +117,7 @@ def test_coupling_column_sums_match_reference_integrals():
     # column sums equal |det B| * reference integrals (P1 partition of unity)
     mesh = unit_square_mesh(4)
     control = ControlSpace(mesh, 4)
-    coupling = assemble_coupling(StateSpace(mesh), control)
+    coupling = assemble_coupling(StateSpace(mesh), control, cell_geometry(mesh))
     col_sums = coupling.T @ np.ones(coupling.shape[0])
     ref = np.array([float(v) for v in basis_integrals(control.ref)])
     expected = np.tile(ref / 16.0, mesh.num_cells)  # |det B| = 1/n^2
@@ -126,7 +128,7 @@ def test_coupling_column_sums_match_reference_integrals():
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_coupling_column_sums_nonnegative_for_clean_degrees(degree):
     mesh = unit_square_mesh(3)
-    coupling = assemble_coupling(StateSpace(mesh), ControlSpace(mesh, degree))
+    coupling = assemble_coupling(StateSpace(mesh), ControlSpace(mesh, degree), cell_geometry(mesh))
     col_sums = coupling.T @ np.ones(coupling.shape[0])
     assert col_sums.min() >= -1e-13
 
@@ -252,7 +254,7 @@ def test_manufactured_solution_rate_two():
     for n in (8, 16, 32, 64):
         mesh = unit_square_mesh(n)
         space = StateSpace(mesh)
-        band = assemble_p1_stiffness_mass(space)[0]
+        band = assemble_p1_stiffness_mass(space, cell_geometry(mesh))[0]
         solve = _banded_cholesky_solver(band)
         y = solve(assemble_load(space, simplex_rule(2, 6), forcing))
         errors.append(l2_error(space, y, exact, simplex_rule(2, 6)))
@@ -281,15 +283,16 @@ def reference_cell(d):
 
 @pytest.mark.parametrize("d,k", EXACT_BLOCK_CASES)
 def test_reference_blocks_are_the_exact_gram_rounded_once(d, k):
-    state, control = StateSpace(reference_cell(d)), ControlSpace(reference_cell(d), k)
+    mesh = reference_cell(d)
+    state, control, geometry = StateSpace(mesh), ControlSpace(mesh, k), cell_geometry(mesh)
     blocks = {
         "control mass": (
-            assemble_control_mass(control, cell_geometry(control.mesh)).block,
+            assemble_control_mass(control, geometry).block,
             control.ref,
             control.ref,
         ),
-        "coupling": (assemble_coupling(state, control).block, state.ref, control.ref),
-        "P1 mass": (assemble_p1_stiffness_mass(state)[1].block, state.ref, state.ref),
+        "coupling": (assemble_coupling(state, control, geometry).block, state.ref, control.ref),
+        "P1 mass": (assemble_p1_stiffness_mass(state, geometry)[1].block, state.ref, state.ref),
     }
     for name, (block, a, b) in blocks.items():
         assert np.array_equal(block, exact_block(a, b)), name
@@ -360,7 +363,7 @@ def _jittered_square_mesh(n, seed=20161):
 
 def _loop_affine_map(mesh, ci):
     """Per-cell (B, b, |det B|), computed as before assembly was batched."""
-    verts = mesh.cell_vertices(ci)
+    verts = mesh.vertices[mesh.cells[ci]]
     matrix = (verts[1:] - verts[0]).T.copy()
     if mesh.dim == 1:
         det = matrix[0, 0]
@@ -455,11 +458,12 @@ def _assert_close(new, old, scale):
 def _assert_matches_loops(mesh, degree, seed=0):
     """A, C x, C' p, M_u x and M y against the dense loop oracles."""
     state, control = StateSpace(mesh), ControlSpace(mesh, degree)
-    band, mass = assemble_p1_stiffness_mass(state)
+    geometry = cell_geometry(mesh)
+    band, mass = assemble_p1_stiffness_mass(state, geometry)
     stiffness_old, mass_old = _loop_stiffness_mass(state)
     operator_old = (stiffness_old + mass_old).toarray()
     _assert_close(dense_from_band(band), operator_old, operator_old)
-    coupling = assemble_coupling(state, control)
+    coupling = assemble_coupling(state, control, geometry)
     coupling_old = _loop_coupling(state, control).toarray()
     control_mass_old = _loop_control_mass(control).toarray()
     rng = np.random.default_rng(seed)
@@ -468,7 +472,7 @@ def _assert_matches_loops(mesh, degree, seed=0):
     for new, old, v in (
         (coupling, coupling_old, x),
         (coupling.T, coupling_old.T, y),
-        (assemble_control_mass(control), control_mass_old, x),
+        (assemble_control_mass(control, geometry), control_mass_old, x),
         (mass, mass_old.toarray(), y),
     ):
         assert new.shape == old.shape
@@ -565,7 +569,8 @@ def test_band_solve_raises_on_lapack_error(monkeypatch):
         return rhs, -2
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: (failing_pbtrs,))
-    band = assemble_p1_stiffness_mass(StateSpace(unit_interval_mesh(3)))[0]
+    mesh = unit_interval_mesh(3)
+    band = assemble_p1_stiffness_mass(StateSpace(mesh), cell_geometry(mesh))[0]
     solve = _banded_cholesky_solver(band)
     with pytest.raises(ValueError, match="argument 2 of LAPACK pbtrs"):
         solve(np.ones(4))
@@ -598,4 +603,4 @@ def test_assembly_names_the_first_degenerate_cell():
         h=2.0,
     )
     with pytest.raises(ValueError, match=r"degenerate cell 1\b"):
-        assemble_p1_stiffness_mass(StateSpace(mesh))
+        assemble_p1_stiffness_mass(StateSpace(mesh), cell_geometry(mesh))

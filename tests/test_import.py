@@ -137,3 +137,18 @@ def test_benchmark_tracer_sees_the_assembly_on_first_use(monkeypatch):
         disc.operator, disc.mass, disc.coupling, disc.control_mass  # first uses
     layers = ("fem.stiffness_mass", "fem.coupling", "fem.control_mass")
     assert {key: trace.calls[key] for key in layers} == dict.fromkeys(layers, 1)
+
+
+def test_benchmark_tracer_reads_the_qp_iteration_count(monkeypatch):
+    # the tracer takes the iteration count from the QP core's result tuple
+    # (abs(result[4])); the core returns (x, g, objective, residual,
+    # iterations, failure), so a reordering would silently skew its counts
+    from ctrldisc import ocp
+
+    tracer = load_tracer(monkeypatch)
+    disc = ocp.Discretization(ocp.OcpConfig(2, 4, 2))
+    with tracer.traced(tracer.Tracer()) as trace:
+        solution = ocp.solve_qp(disc)
+    assert solution.iterations > 0
+    assert trace.counts["ocp.qp_iterations"] == solution.iterations
+    assert trace.calls["ocp.qp"] == 1
