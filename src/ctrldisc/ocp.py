@@ -35,7 +35,13 @@ from .fem import (
     assemble_p1_stiffness_mass,
     cg_solve,
 )
-from .mesh import cell_affine_map, cell_geometry, unit_interval_mesh, unit_square_mesh
+from .mesh import (
+    SimplexMesh,
+    cell_affine_map,
+    cell_geometry,
+    unit_interval_mesh,
+    unit_square_mesh,
+)
 from .quadrature import MAX_EXACTNESS, simplex_rule
 
 __all__ = [
@@ -116,6 +122,10 @@ class OcpConfig:
 class Discretization:
     """Everything built for a config: mesh, spaces, exact integrals, operators.
 
+    The mesh is the config's unit interval or unit square mesh, or `mesh`,
+    a prebuilt SimplexMesh of the config's dimension that covers the same
+    unit domain (config.n is then not read).
+
     `__init__` holds the config, the mesh, the state and control spaces, the
     exact reference basis integrals (`ref_integrals`), the indices of the
     negative ones (`negative_reference_indices`, which every regime decision
@@ -125,12 +135,17 @@ class Discretization:
     coupling (`coupling`) and the control mass (`control_mass`) as cell-block
     operators; `column_sums` = C'1; `solve`, which applies A's banded
     Cholesky factor (A is symmetric, so it serves state and adjoint alike);
-    and the audit rule.  A clean-regime solve needs none of them.
+    the QP's scaling `control_scale` and the blocks of its gradient map
+    `scaled_gradient`; and the audit rule.  A clean-regime solve needs none
+    of them.
     """
 
-    def __init__(self, config: OcpConfig):
+    def __init__(self, config: OcpConfig, mesh: SimplexMesh | None = None):
         self.config = config
-        mesh = unit_interval_mesh(config.n) if config.dim == 1 else unit_square_mesh(config.n)
+        if mesh is None:
+            mesh = unit_interval_mesh(config.n) if config.dim == 1 else unit_square_mesh(config.n)
+        elif mesh.dim != config.dim:
+            raise ValueError(f"mesh dimension {mesh.dim} differs from config dim {config.dim}")
         self.mesh = mesh
         self.state_space = StateSpace(mesh)
         self.control_space = ControlSpace(mesh, config.degree)
@@ -188,6 +203,45 @@ class Discretization:
         return _banded_cholesky_solver(self.operator)
 
     @cached_property
+    def _scaled_blocks(self):
+        """scaled_gradient's parts, built on first use.
+
+        sqrt(|det B|) per cell, diag(M_ref)^(-1/2), C^, 2 C^' and 2 alpha M^.
+        C^ = diag(M_ref)^(-1/2) C_ref' is applied with the sqrt(|det B|) factor
+        of its cell.  M^ = diag(M_ref)^(-1/2) M_ref diag(M_ref)^(-1/2) is the
+        same on every cell: D's |det B|^(-1/2) twice cancels M_u's |det B|.
+        """
+        root = 1.0 / np.sqrt(np.diag(self.control_mass.block))
+        coupling = root[:, None] * self.coupling.block.T  # (m, d+1)
+        control = root[:, None] * self.control_mass.block * root
+        root_dets = np.sqrt(self.abs_dets)[:, None]
+        return root_dets, root, coupling, 2.0 * coupling.T, 2.0 * self.config.alpha * control
+
+    @cached_property
+    def control_scale(self) -> np.ndarray:
+        """The QP's scaling D = diag(M_u)^(-1/2): |det B|^(-1/2) diag(M_ref)^(-1/2) per cell."""
+        root_dets, root = self._scaled_blocks[:2]
+        return (root / root_dets).ravel()
+
+    def scaled_gradient(self, z: np.ndarray) -> np.ndarray:
+        """The QP's gradient map g^(z) = D grad J(D z), with D = control_scale.
+
+        The one gradient formula: grad J = 2 C'p + 2 alpha M_u lam with the
+        state A y = C lam and the adjoint A p = M (y - y_d), in z = D^-1 lam.
+        One evaluation: z's cells times C^, scaled and added into the state
+        vector, two band solves, one M y, and (p[cells] sqrt(|det B|)) @ 2 C^'
+        + z @ 2 alpha M^ cell by cell.  It computes no objective and no
+        state, and does not check z: a float array of num_control_dofs entries.
+        """
+        root_dets, _, coupling, coupling_t, control = self._scaled_blocks
+        cells = self.mesh.cells
+        local = z.reshape(root_dets.size, -1)
+        into_state = (local @ coupling) * root_dets
+        rhs = np.bincount(cells.ravel(), into_state.ravel(), minlength=self.state_space.num_dofs)
+        p = self.solve(self.mass @ self.solve(rhs) - self._mass_target)
+        return ((p[cells] * root_dets) @ coupling_t + local @ control).ravel()
+
+    @cached_property
     def audit_rule(self):
         """The negative-part norm's quadrature rule, exactness 2k + 2, built on first use."""
         return simplex_rule(self.config.dim, 2 * self.config.degree + 2)
@@ -215,19 +269,19 @@ class Discretization:
         return self.gradient_objective_state(lam)[1]
 
     def gradient(self, lam: np.ndarray) -> np.ndarray:
-        """Reduced gradient 2 C'p + 2 alpha M_u lam with the adjoint A p = M (y - y_d)."""
+        """Reduced gradient grad J(lam) = D^-1 g^(D^-1 lam), from scaled_gradient."""
         return self.gradient_objective_state(lam)[0]
 
     def gradient_objective_state(
         self, lam: np.ndarray
     ) -> tuple[np.ndarray, float, np.ndarray]:
-        """(gradient, objective, state) at lam from one state and one adjoint solve."""
+        """(gradient, objective, state) at lam; the gradient is scaled_gradient's, unscaled."""
         lam = np.asarray(lam, dtype=float)
         y = self.solve_state(lam)
         my = self.mass @ y
-        p = self.solve(my - self._mass_target)
         mu_lam = self.control_mass @ lam
-        g = 2.0 * (self.coupling.T @ p) + 2.0 * self.config.alpha * mu_lam
+        scale = self.control_scale
+        g = self.scaled_gradient(lam / scale) / scale
         # ||y - y_d||^2 expanded exactly: y'My - 2 y_d 1'My + y_d^2 |Omega|,
         # which keeps J(0) = |Omega| free of cancellation noise
         j = (
@@ -389,9 +443,14 @@ def solve_qp(problem) -> QpSolution:
     `problem` is an OcpConfig or a prebuilt Discretization.  The iteration
     runs on z = D^-1 lam with D = diag(M_u)^(-1/2): the scaled Hessian D H D
     has a mesh-independent spectrum, and a positive diagonal scaling leaves
-    the constraint (z >= 0) and its projection unchanged.  The step size is
-    1/L with L a power-iteration estimate of the scaled Hessian norm (5%
-    safety).  minimize_nonneg_quadratic starts at z = 0 from the gradient and
+    the constraint (z >= 0) and its projection unchanged.  Every gradient,
+    the power iteration's included, is one call of disc.scaled_gradient,
+    which evaluates D grad J(D z) in these coordinates with two band solves
+    and no objective or state; the objective at z = 0 is |Omega| (y = 0),
+    and the core recovers every later one from gradients.  The final state
+    is one more solve.  The step size is 1/L with L a power-iteration
+    estimate of the scaled Hessian norm (5% safety).
+    minimize_nonneg_quadratic starts at z = 0 from the gradient and
     objective computed here, restarts the momentum on a gradient test, which
     costs no gradient evaluation, and doubles L when a step's curvature test,
     taken from gradient differences, shows it too low; no comparison of J
@@ -420,12 +479,9 @@ def solve_qp(problem) -> QpSolution:
         state = np.zeros(disc.state_space.num_dofs)
         return QpSolution(np.zeros(n), state, disc.domain_volume, 0.0, 0)
 
-    scale = 1.0 / np.sqrt(disc.control_mass.diagonal())
-    g0, j0, _ = disc.gradient_objective_state(np.zeros(n))
-    g0 = scale * g0
-
-    def grad(z):
-        return scale * disc.gradient_objective_state(scale * z)[0]
+    grad = disc.scaled_gradient
+    g0 = grad(np.zeros(n))
+    j0 = DESIRED_STATE**2 * disc.domain_volume  # y(0) = 0
 
     def hess_mv(s):
         return grad(s) - g0
@@ -437,7 +493,7 @@ def solve_qp(problem) -> QpSolution:
     z, _, j, res, iterations, failure = minimize_nonneg_quadratic(
         grad, g0, j0, lipschitz, disc.config.qp_tol, disc.config.max_qp_iterations
     )
-    lam = scale * z
+    lam = disc.control_scale * z
     result = QpSolution(lam, disc.solve_state(lam), j, res, iterations)
     if failure is not None:
         raise QpConvergenceError(failure, result)

@@ -26,7 +26,7 @@ from ctrldisc.fem import (
     l2_error,
 )
 from ctrldisc.mesh import SimplexMesh, cell_geometry, unit_interval_mesh, unit_square_mesh
-from ctrldisc.ocp import Discretization, OcpConfig
+from ctrldisc.ocp import DESIRED_STATE, Discretization, OcpConfig
 from ctrldisc.quadrature import simplex_rule
 
 
@@ -524,6 +524,50 @@ def test_cell_block_assembly_matches_loops_on_distorted_meshes(mesh, degree):
         assert re.fullmatch(r"degenerate cell \d+: \|det B\| = 0", str(err))
         reject()
     _assert_matches_loops(mesh, degree)
+
+
+def _interior_jittered(mesh, n, seed=20161):
+    """mesh (n cells a side) with every interior vertex moved by seeded shifts of up to 0.15 / n.
+
+    The domain stays the unit interval or square, and |det B| differs from
+    cell to cell.
+    """
+    rng = np.random.default_rng(seed)
+    interior = ((mesh.vertices > 0) & (mesh.vertices < 1)).all(axis=1)
+    shift = rng.uniform(-0.15 / n, 0.15 / n, size=mesh.vertices.shape) * interior[:, None]
+    return SimplexMesh(mesh.dim, mesh.vertices + shift, mesh.cells, mesh.h)
+
+
+@pytest.mark.parametrize(
+    "maker,n,degree",
+    [(unit_interval_mesh, 9, 3), (unit_square_mesh, 6, 2), (unit_square_mesh, 5, 4)],
+)
+def test_scaled_gradient_matches_loops_on_jittered_meshes(maker, n, degree):
+    # g^(z) = s * grad J(s * z) with s = diag(M_u)^(-1/2), from the per-cell
+    # loop oracles and dense solves; with |det B| varying from cell to cell a
+    # sqrt(|det B|) mistaken for |det B| (or back) cannot cancel
+    mesh = _interior_jittered(maker(n), n)
+    alpha = 0.3
+    disc = Discretization(OcpConfig(mesh.dim, degree, n, alpha=alpha), mesh=mesh)
+    assert disc.mesh is mesh and np.ptp(disc.abs_dets) > 0.1 * disc.abs_dets.max()
+    state, control = disc.state_space, disc.control_space
+    stiffness, mass = _loop_stiffness_mass(state)
+    operator = (stiffness + mass).toarray()
+    coupling = _loop_coupling(state, control).toarray()
+    control_mass = _loop_control_mass(control).toarray()
+    scale = 1.0 / np.sqrt(np.diag(control_mass))
+    z = np.random.default_rng(3).standard_normal(control.num_dofs)
+    lam = scale * z
+    y = np.linalg.solve(operator, coupling @ lam)
+    p = np.linalg.solve(operator, mass @ (y - DESIRED_STATE))
+    expected = scale * (2.0 * coupling.T @ p + 2.0 * alpha * control_mass @ lam)
+    assert np.abs(disc.scaled_gradient(z) - expected).max() <= 1e-14 * np.abs(expected).max()
+    assert np.abs(disc.control_scale - scale).max() <= 1e-15 * scale.max()
+
+
+def test_prebuilt_mesh_must_match_the_config_dimension():
+    with pytest.raises(ValueError, match="mesh dimension 1 differs from config dim 2"):
+        Discretization(OcpConfig(2, 2, 4), mesh=unit_interval_mesh(4))
 
 
 def exact_inverse(matrix: np.ndarray) -> np.ndarray:

@@ -494,6 +494,28 @@ def test_kkt_point_at_zero_needs_no_gradient_evaluation(monkeypatch):
     assert audit.negative_part_norm == 0.0
 
 
+def test_negative_regime_makes_two_band_solves_per_gradient_evaluation(monkeypatch):
+    # every gradient of the QP, the power iteration's included, is one call of
+    # the scaled kernel with one state and one adjoint solve; the final state
+    # is one more solve, and the (g, j, y) wrapper is never called
+    disc = Discretization(OcpConfig(2, 4, 8))
+    solves = count_calls(monkeypatch, disc, "solve")
+    kernel = count_calls(monkeypatch, disc, "scaled_gradient")
+    wrapper = count_calls(monkeypatch, Discretization, "gradient_objective_state")
+    power = []
+    original_norm = ocp.estimate_operator_norm
+
+    def counted_norm(matvec, n):
+        return original_norm(lambda v: power.append(v) or matvec(v), n)
+
+    monkeypatch.setattr(ocp, "estimate_operator_norm", counted_norm)
+    solution = solve_qp(disc)
+    assert (solution.iterations, len(power)) == (123, 5)
+    assert len(kernel) == 1 + len(power) + solution.iterations
+    assert len(solves) == 2 * len(kernel) + 1
+    assert not wrapper
+
+
 def test_negative_regime_factors_once_per_discretization(monkeypatch):
     factors = count_calls(monkeypatch, ocp, "_banded_cholesky_solver")
     disc = Discretization(OcpConfig(2, 4, 4))
@@ -524,6 +546,9 @@ def test_clean_regime_builds_no_float_layer(monkeypatch, capsys, dim, degree):
 
     for name in FLOAT_LAYERS:
         monkeypatch.setattr(ocp, name, refuse(name))
+    # nor the QP's gradient kernel, its blocks or its scaling
+    for name in ("scaled_gradient", "_scaled_blocks", "control_scale"):
+        monkeypatch.setattr(Discretization, name, property(refuse(name)))
     config = OcpConfig(dim, degree, 8)
     disc = Discretization(config)
     solution = solve_qp(disc)
