@@ -30,7 +30,7 @@ for trial in range(3):
     u = rng.standard_normal(disc.num_control_dofs)
     y = disc.solve_state(u)
     int_y = ones @ (disc.mass @ y)
-    int_u = disc.column_sums @ u
+    int_u = (disc.coupling.T @ ones) @ u
     print(f"  trial {trial}: int y - int u = {int_y - int_u:+.2e}")
 
 

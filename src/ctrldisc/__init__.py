@@ -31,21 +31,16 @@ from .exactbasis import (
     multi_indices,
 )
 from .fem import (
-    CgConvergenceError,
     ControlSpace,
-    LinearSolveReport,
     StateSpace,
     assemble_control_mass,
     assemble_coupling,
     assemble_load,
     assemble_p1_stiffness_mass,
-    cg_solve,
     l2_error,
 )
 from .mesh import (
-    AffineMap,
     SimplexMesh,
-    cell_affine_map,
     cell_geometry,
     unit_interval_mesh,
     unit_square_mesh,
@@ -76,9 +71,7 @@ from .quadrature import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "AuditReport",
-    "CgConvergenceError",
     "ControlSpace",
     "ConvergenceStudy",
     "CounterexampleCertificate",
@@ -86,7 +79,6 @@ __all__ = [
     "Discretization",
     "FeasibilityAudit",
     "LagrangeBasisSpec",
-    "LinearSolveReport",
     "NoNegativeBasisError",
     "OcpConfig",
     "QpConvergenceError",
@@ -102,9 +94,7 @@ __all__ = [
     "assemble_p1_stiffness_mass",
     "basis_integrals",
     "build_certificate",
-    "cell_affine_map",
     "cell_geometry",
-    "cg_solve",
     "conical_product_rule",
     "convergence_study",
     "feasibility_audit",

@@ -176,6 +176,11 @@ class LagrangeBasisSpec:
     def node_count(self) -> int:
         return len(self.nodes)
 
+    @property
+    def negative_indices(self) -> tuple[int, ...]:
+        """Indices i with integrals[i] < 0, by exact comparison: the one regime test."""
+        return tuple(i for i, v in enumerate(self.integrals) if v < 0)
+
 
 def _falling_factorial(shift: int, m: int) -> list[int]:
     """Integer coefficients of prod_{j<m} (t + shift - j), lowest power of t first."""
@@ -388,10 +393,11 @@ def audit_degrees(d: int, k_max: int) -> AuditReport:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     records = []
     for k in range(1, k_max + 1):
-        integrals = basis_integrals(lagrange_basis(d, k))
+        spec = lagrange_basis(d, k)
+        integrals = basis_integrals(spec)
         if sum(integrals, Fraction(0)) != Fraction(1, math.factorial(d)):
             raise RuntimeError(f"audit consistency failure at d={d}, k={k}")
-        negative = tuple(i for i, v in enumerate(integrals) if v < 0)
+        negative = spec.negative_indices
         records.append(
             DegreeRecord(
                 degree=k,

@@ -101,6 +101,11 @@ class ControlSpace:
         self.local_dim = self.ref.node_count
         self.num_dofs = self.local_dim * mesh.num_cells
 
+    @cached_property
+    def cell_dofs(self) -> np.ndarray:
+        """Each cell's dofs, shape (cells, m): row c is c*m, ..., c*m + m - 1."""
+        return np.arange(self.num_dofs).reshape(self.mesh.num_cells, self.local_dim)
+
     def tabulate(self, points: np.ndarray) -> np.ndarray:
         """Reference basis values at reference points, shape (m, nq).
 
@@ -195,14 +200,13 @@ class CellBlockOperator:
     Applying it gathers the cells' entries, multiplies by R once for all
     cells, scales by |det B| and adds each cell's result into its rows, cell
     by cell.  Row r and column s of cell c's copy of R are global row
-    rows[c, r] and column cols[c, s]; None stands for the discontinuous
-    cell-major layout, in which cell c owns dofs c*w, ..., c*w + w - 1.
+    rows[c, r] and column cols[c, s].
     """
 
     block: np.ndarray  # R, shape (r, s)
     abs_det: np.ndarray  # (cells,)
-    rows: np.ndarray | None  # (cells, r)
-    cols: np.ndarray | None  # (cells, s)
+    rows: np.ndarray  # (cells, r)
+    cols: np.ndarray  # (cells, s)
     shape: tuple[int, int]
 
     def __post_init__(self):
@@ -210,23 +214,13 @@ class CellBlockOperator:
         self._scale = self.abs_det[:, None]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        local = x.reshape(self.abs_det.size, -1) if self.cols is None else x[self.cols]
-        return self._add_into_rows((local @ self.block.T) * self._scale)
+        local = (x[self.cols] @ self.block.T) * self._scale
+        return np.bincount(self.rows.ravel(), local.ravel(), minlength=self.shape[0])
 
     @cached_property
     def T(self) -> CellBlockOperator:
         """The transposed operator, built on first use and kept."""
-        rows, cols = self.cols, self.rows
-        return CellBlockOperator(self.block.T, self.abs_det, rows, cols, self.shape[::-1])
-
-    def diagonal(self) -> np.ndarray:
-        """Diagonal of a square operator whose rows and columns are the same dofs."""
-        return self._add_into_rows(self._scale * np.diag(self.block))
-
-    def _add_into_rows(self, local: np.ndarray) -> np.ndarray:
-        if self.rows is None:
-            return local.ravel()
-        return np.bincount(self.rows.ravel(), local.ravel(), minlength=self.shape[0])
+        return CellBlockOperator(self.block.T, self.abs_det, self.cols, self.rows, self.shape[::-1])
 
 
 def _reference_block(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> np.ndarray:
@@ -287,7 +281,8 @@ def assemble_control_mass(
     the mesh's :func:`~ctrldisc.mesh.cell_geometry`; only |det B| is read.
     """
     ref = _reference_block(space.ref, space.ref)
-    return CellBlockOperator(ref, geometry[1], None, None, (space.num_dofs,) * 2)
+    dofs = space.cell_dofs
+    return CellBlockOperator(ref, geometry[1], dofs, dofs, (space.num_dofs,) * 2)
 
 
 def assemble_coupling(
@@ -300,7 +295,7 @@ def assemble_coupling(
     """
     shape = (state.num_dofs, control.num_dofs)
     block = _reference_block(state.ref, control.ref)
-    return CellBlockOperator(block, geometry[1], state.mesh.cells, None, shape)
+    return CellBlockOperator(block, geometry[1], state.mesh.cells, control.cell_dofs, shape)
 
 
 def _at_quadrature_points(f, mesh: SimplexMesh, rule: QuadratureRule):

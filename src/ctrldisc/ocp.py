@@ -23,9 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .exactbasis import basis_integrals, integral_of_square, lagrange_basis
-# cg_solve and cell_affine_map are not called here any more; they stay
-# importable from this module because perfbench's tracer test checks that
-# ocp.cg_solve is fem.cg_solve and ocp.cell_affine_map is mesh.cell_affine_map
+# cg_solve and cell_affine_map are not called here; perfbench's tracer test
+# checks that ocp.cg_solve is fem.cg_solve and ocp.cell_affine_map is mesh's
 from .fem import (
     ControlSpace,
     StateSpace,
@@ -123,8 +122,9 @@ class Discretization:
     """Everything built for a config: mesh, spaces, exact integrals, operators.
 
     The mesh is the config's unit interval or unit square mesh, or `mesh`,
-    a prebuilt SimplexMesh of the config's dimension that covers the same
-    unit domain (config.n is then not read).
+    a prebuilt SimplexMesh of the config's dimension (config.n is then not
+    read) whose cell volumes must sum to |Omega| = 1 within 1e-12, else
+    ValueError; the cell geometry of that check is kept.
 
     `__init__` holds the config, the mesh, the state and control spaces, the
     exact reference basis integrals (`ref_integrals`), the indices of the
@@ -133,11 +133,10 @@ class Discretization:
     use and kept: the cell geometry (`abs_dets`); A = K + M in upper band
     storage (`operator`) and the P1 mass (`mass`), from one assembly; the
     coupling (`coupling`) and the control mass (`control_mass`) as cell-block
-    operators; `column_sums` = C'1; `solve`, which applies A's banded
-    Cholesky factor (A is symmetric, so it serves state and adjoint alike);
-    the QP's scaling `control_scale` and the blocks of its gradient map
-    `scaled_gradient`; and the audit rule.  A clean-regime solve needs none
-    of them.
+    operators; `solve`, which applies A's banded Cholesky factor (A is
+    symmetric, so it serves state and adjoint alike); the QP's scaling
+    `control_scale` and the blocks of its gradient map `scaled_gradient`; and
+    the audit rule.  A clean-regime solve needs none of them.
     """
 
     def __init__(self, config: OcpConfig, mesh: SimplexMesh | None = None):
@@ -146,13 +145,16 @@ class Discretization:
             mesh = unit_interval_mesh(config.n) if config.dim == 1 else unit_square_mesh(config.n)
         elif mesh.dim != config.dim:
             raise ValueError(f"mesh dimension {mesh.dim} differs from config dim {config.dim}")
+        else:
+            self._geometry = cell_geometry(mesh)
+            volume = float(self._geometry[1].sum()) / math.factorial(mesh.dim)
+            if not abs(volume - 1.0) <= 1e-12:
+                raise ValueError(f"mesh volume {volume!r} is not the unit domain's 1")
         self.mesh = mesh
         self.state_space = StateSpace(mesh)
         self.control_space = ControlSpace(mesh, config.degree)
         self.ref_integrals = basis_integrals(self.control_space.ref)
-        self.negative_reference_indices = tuple(
-            j for j, v in enumerate(self.ref_integrals) if v < 0
-        )
+        self.negative_reference_indices = self.control_space.ref.negative_indices
         self.domain_volume = 1.0
 
     # The bodies below look the assemblers up in this module's namespace at
@@ -187,11 +189,6 @@ class Discretization:
     @cached_property
     def control_mass(self):
         return assemble_control_mass(self.control_space, self._geometry)
-
-    @cached_property
-    def column_sums(self) -> np.ndarray:
-        """C'1: the integral of each global control basis function."""
-        return self.coupling.T @ np.ones(self.state_space.num_dofs)
 
     @cached_property
     def _mass_target(self) -> np.ndarray:
@@ -263,14 +260,6 @@ class Discretization:
                 f"control coefficient vector must have length {self.num_control_dofs}"
             )
         return self.solve(self.coupling @ lam)
-
-    def objective(self, lam: np.ndarray) -> float:
-        """Reduced objective J(lam), from the one formula in gradient_objective_state."""
-        return self.gradient_objective_state(lam)[1]
-
-    def gradient(self, lam: np.ndarray) -> np.ndarray:
-        """Reduced gradient grad J(lam) = D^-1 g^(D^-1 lam), from scaled_gradient."""
-        return self.gradient_objective_state(lam)[0]
 
     def gradient_objective_state(
         self, lam: np.ndarray
@@ -433,32 +422,27 @@ class QpSolution:
     iterations: int
 
 
-def _as_discretization(problem) -> Discretization:
-    return problem if isinstance(problem, Discretization) else Discretization(problem)
-
-
-def solve_qp(problem) -> QpSolution:
+def solve_qp(disc: Discretization) -> QpSolution:
     """Solve the QP ``min J(lam) s.t. lam >= 0`` by accelerated projected gradients.
 
-    `problem` is an OcpConfig or a prebuilt Discretization.  The iteration
-    runs on z = D^-1 lam with D = diag(M_u)^(-1/2): the scaled Hessian D H D
-    has a mesh-independent spectrum, and a positive diagonal scaling leaves
-    the constraint (z >= 0) and its projection unchanged.  Every gradient,
-    the power iteration's included, is one call of disc.scaled_gradient,
-    which evaluates D grad J(D z) in these coordinates with two band solves
-    and no objective or state; the objective at z = 0 is |Omega| (y = 0),
-    and the core recovers every later one from gradients.  The final state
-    is one more solve.  The step size is 1/L with L a power-iteration
-    estimate of the scaled Hessian norm (5% safety).
-    minimize_nonneg_quadratic starts at z = 0 from the gradient and
-    objective computed here, restarts the momentum on a gradient test, which
-    costs no gradient evaluation, and doubles L when a step's curvature test,
-    taken from gradient differences, shows it too low; no comparison of J
-    values decides a step, so the iteration count does not follow roundoff
-    in J.  The reported kkt_residual, ||min(z, grad_z J)||_2 =
-    ||min(D^-1 lam, D grad J)||_2, is a mesh-independent L2-type KKT measure.
-    The config's qp_tol and max_qp_iterations set the tolerance and the
-    iteration cap.
+    The iteration runs on z = D^-1 lam with D = diag(M_u)^(-1/2): the scaled
+    Hessian D H D has a mesh-independent spectrum, and a positive diagonal
+    scaling leaves the constraint (z >= 0) and its projection unchanged.
+    Every gradient, the power iteration's included, is one call of
+    disc.scaled_gradient, which evaluates D grad J(D z) in these coordinates
+    with two band solves and no objective or state; the objective at z = 0
+    is |Omega| (y = 0), and the core recovers every later one from
+    gradients.  The final state is one more solve.  The step size is 1/L
+    with L a power-iteration estimate of the scaled Hessian norm (5%
+    safety).  minimize_nonneg_quadratic starts at z = 0 from the gradient
+    and objective computed here, restarts the momentum on a gradient test,
+    which costs no gradient evaluation, and doubles L when a step's
+    curvature test, taken from gradient differences, shows it too low; no
+    comparison of J values decides a step, so the iteration count does not
+    follow roundoff in J.  The reported kkt_residual, ||min(z, grad_z J)||_2
+    = ||min(D^-1 lam, D grad J)||_2, is a mesh-independent L2-type KKT
+    measure.  The config's qp_tol and max_qp_iterations set the tolerance
+    and the iteration cap.
 
     The clean regime is decided exactly, before any floating-point work.
     K 1 = 0 makes the adjoint at lam = 0 the constant 1, so grad J(0) = 2 C'1
@@ -473,7 +457,6 @@ def solve_qp(problem) -> QpSolution:
     QpConvergenceError with its message and the QpSolution of the iterate
     the core returned, state included.
     """
-    disc = _as_discretization(problem)
     n = disc.num_control_dofs
     if not disc.negative_reference_indices:
         state = np.zeros(disc.state_space.num_dofs)
@@ -536,8 +519,8 @@ class CounterexampleCertificate:
         }
 
 
-def build_certificate(problem) -> CounterexampleCertificate:
-    """Build the negative-direction certificate for a config or discretization.
+def build_certificate(config: OcpConfig) -> CounterexampleCertificate:
+    """Build the negative-direction certificate for a config.
 
     Reads only the exact reference basis of the config's dimension and
     degree: no mesh, no assembly and no solve.  Raises NoNegativeBasisError
@@ -546,22 +529,21 @@ def build_certificate(problem) -> CounterexampleCertificate:
     signs equal reference signs because the push-forward only scales
     integrals by |det B| > 0.
     """
-    cfg = problem.config if isinstance(problem, Discretization) else problem
-    ref = lagrange_basis(cfg.dim, cfg.degree)
+    ref = lagrange_basis(config.dim, config.degree)
     ref_ints = basis_integrals(ref)
-    neg_local = tuple(j for j, v in enumerate(ref_ints) if v < 0)  # as in Discretization
+    neg_local = ref.negative_indices
     if not neg_local:
-        raise NoNegativeBasisError(cfg.dim, cfg.degree)
+        raise NoNegativeBasisError(config.dim, config.degree)
 
     # Exact reference quantities; volume * |That|^{-1} = d! for the unit domains.
-    fact = Fraction(math.factorial(cfg.dim))
+    fact = Fraction(math.factorial(config.dim))
     beta_exact = -fact * sum((ref_ints[j] for j in neg_local), Fraction(0))
     m2_exact = fact * integral_of_square(ref, neg_local)
     if beta_exact <= 0 or m2_exact <= 0:
         raise RuntimeError("certificate construction produced non-positive invariants")
 
     # y(t w) is the constant -t beta, so J(t w) = (1 - t beta)^2 + alpha t^2 M^2
-    alpha = Fraction(cfg.alpha)
+    alpha = Fraction(config.alpha)
     t_exact = beta_exact / ((1 + alpha) * m2_exact)
     objective = (1 - t_exact * beta_exact) ** 2 + alpha * t_exact**2 * m2_exact
     if objective > 1 - t_exact * beta_exact:
@@ -569,10 +551,10 @@ def build_certificate(problem) -> CounterexampleCertificate:
 
     beta = float(beta_exact)
     m_squared = float(m2_exact)
-    step = beta / ((1.0 + cfg.alpha) * m_squared)
+    step = beta / ((1.0 + config.alpha) * m_squared)
     margin = beta * step
     return CounterexampleCertificate(
-        config=cfg,
+        config=config,
         ref_negative_indices=neg_local,
         beta_exact=beta_exact,
         m2_exact=m2_exact,
@@ -595,7 +577,7 @@ class FeasibilityAudit:
     negative_cell_fraction: float
 
 
-def feasibility_audit(problem, lam: np.ndarray) -> FeasibilityAudit:
+def feasibility_audit(disc: Discretization, lam: np.ndarray) -> FeasibilityAudit:
     """Audit per-cell integrals and the negative part of a control function.
 
     Cell averages use the exact reference integrals (scaled by d!), so their
@@ -604,7 +586,6 @@ def feasibility_audit(problem, lam: np.ndarray) -> FeasibilityAudit:
     no nonzero coefficient both are exactly 0, with no quadrature and no
     product with the reference integrals.
     """
-    disc = _as_discretization(problem)
     lam = np.asarray(lam, dtype=float)
     lam_cells = lam.reshape(disc.mesh.num_cells, disc.control_space.local_dim)
 

@@ -278,22 +278,35 @@ def disc_d2k2():
     return Discretization(OcpConfig(dim=2, degree=2, n=4))
 
 
+def objective(disc, lam):
+    return disc.gradient_objective_state(lam)[1]
+
+
+def gradient(disc, lam):
+    return disc.gradient_objective_state(lam)[0]
+
+
+def column_sums(disc):
+    """C'1: the integral of each global control basis function."""
+    return disc.coupling.T @ np.ones(disc.state_space.num_dofs)
+
+
 def test_objective_at_zero_is_volume(disc_d2k2):
-    assert disc_d2k2.objective(np.zeros(disc_d2k2.num_control_dofs)) == pytest.approx(
+    assert objective(disc_d2k2, np.zeros(disc_d2k2.num_control_dofs)) == pytest.approx(
         1.0, abs=1e-14
     )
 
 
 def test_objective_at_ones(disc_d2k2):
     # u = 1 gives y = 1: ||1 + 1||^2 + alpha ||1||^2 = 4 + alpha
-    value = disc_d2k2.objective(np.ones(disc_d2k2.num_control_dofs))
+    value = objective(disc_d2k2, np.ones(disc_d2k2.num_control_dofs))
     assert value == pytest.approx(4.0 + disc_d2k2.config.alpha, abs=1e-10)
 
 
 def test_gradient_at_zero_is_twice_column_sums(disc_d2k2):
     # y = 0 makes the adjoint solve A p = M 1, i.e. p = 1, so g = 2 C' 1
-    g0 = disc_d2k2.gradient(np.zeros(disc_d2k2.num_control_dofs))
-    np.testing.assert_allclose(g0, 2.0 * disc_d2k2.column_sums, atol=1e-12)
+    g0 = gradient(disc_d2k2, np.zeros(disc_d2k2.num_control_dofs))
+    np.testing.assert_allclose(g0, 2.0 * column_sums(disc_d2k2), atol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -309,21 +322,21 @@ def test_origin_ties_coupling_and_masses_together(dim, degree, n):
     ones = np.ones(disc.state_space.num_dofs)
     p = disc.solve(disc.mass @ ones)
     assert np.abs(p - 1.0).max() <= 1e-14
-    g0 = disc.gradient(np.zeros(disc.num_control_dofs))
-    assert np.abs(g0 - 2.0 * disc.column_sums).max() <= 1e-14
+    g0 = gradient(disc, np.zeros(disc.num_control_dofs))
+    assert np.abs(g0 - 2.0 * column_sums(disc)).max() <= 1e-14
 
 
 def test_gradient_matches_central_differences(disc_d2k2):
     disc = disc_d2k2
     rng = np.random.default_rng(0)
     lam = np.abs(rng.standard_normal(disc.num_control_dofs))
-    g = disc.gradient(lam)
+    g = gradient(disc, lam)
     step = 1e-5
     fd = np.empty_like(g)
     for i in range(lam.size):
         bump = np.zeros_like(lam)
         bump[i] = step
-        fd[i] = (disc.objective(lam + bump) - disc.objective(lam - bump)) / (2 * step)
+        fd[i] = (objective(disc, lam + bump) - objective(disc, lam - bump)) / (2 * step)
     assert np.linalg.norm(fd - g) / np.linalg.norm(g) <= 1e-6
 
 
@@ -334,14 +347,14 @@ def test_objective_is_quadratic_secant_identity(disc_d2k2):
     s = rng.standard_normal(disc.num_control_dofs)
     lam1 = np.abs(rng.standard_normal(disc.num_control_dofs))
     lam2 = 2.0 * np.abs(rng.standard_normal(disc.num_control_dofs))
-    excess1 = disc.objective(lam1 + s) - disc.objective(lam1) - disc.gradient(lam1) @ s
-    excess2 = disc.objective(lam2 + s) - disc.objective(lam2) - disc.gradient(lam2) @ s
+    excess1 = objective(disc, lam1 + s) - objective(disc, lam1) - gradient(disc, lam1) @ s
+    excess2 = objective(disc, lam2 + s) - objective(disc, lam2) - gradient(disc, lam2) @ s
     assert excess1 == pytest.approx(excess2, abs=1e-8)
 
 
 def test_wrong_length_rejected(disc_d2k2):
     with pytest.raises(ValueError):
-        disc_d2k2.objective(np.zeros(3))
+        disc_d2k2.gradient_objective_state(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +457,7 @@ def test_certificate_direction_has_a_constant_state(dim, degree, n):
     # L_n = ||y(w)|| = beta on the unit domain; build_certificate relies on
     # it, and the float state solve checks it here
     disc = Discretization(OcpConfig(dim=dim, degree=degree, n=n))
-    cert = build_certificate(disc)
+    cert = build_certificate(disc.config)
     y = disc.solve_state(certificate_direction(disc, cert))
     assert np.ptp(y) <= 1e-14
     assert abs(y.mean() + cert.beta) <= 1e-12 * cert.beta
@@ -457,7 +470,7 @@ def test_certificate_direction_has_a_constant_state(dim, degree, n):
 def test_zero_is_kkt_point_for_clean_degrees():
     for degree in (1, 2, 3, 5):
         disc = Discretization(OcpConfig(dim=2, degree=degree, n=2 if degree == 5 else 4))
-        g0 = disc.gradient(np.zeros(disc.num_control_dofs))
+        g0 = gradient(disc, np.zeros(disc.num_control_dofs))
         assert g0.min() >= -1e-12
         solution = solve_qp(disc)
         assert np.linalg.norm(solution.control) <= 1e-8
@@ -516,12 +529,21 @@ def test_negative_regime_makes_two_band_solves_per_gradient_evaluation(monkeypat
     assert not wrapper
 
 
+def test_one_gradient_evaluation_makes_two_band_solves(monkeypatch):
+    # one state and one adjoint solve per call of the QP's kernel, no more
+    disc = Discretization(OcpConfig(2, 4, 4))
+    solves = count_calls(monkeypatch, disc, "solve")
+    for total in (2, 4):
+        disc.scaled_gradient(np.ones(disc.num_control_dofs))
+        assert len(solves) == total
+
+
 def test_negative_regime_factors_once_per_discretization(monkeypatch):
     factors = count_calls(monkeypatch, ocp, "_banded_cholesky_solver")
     disc = Discretization(OcpConfig(2, 4, 4))
     assert len(factors) == 0
     solution = solve_qp(disc)
-    build_certificate(disc)
+    build_certificate(disc.config)
     feasibility_audit(disc, solution.control)
     assert len(factors) == 1
     assert solution.iterations > 0
@@ -549,6 +571,8 @@ def test_clean_regime_builds_no_float_layer(monkeypatch, capsys, dim, degree):
     # nor the QP's gradient kernel, its blocks or its scaling
     for name in ("scaled_gradient", "_scaled_blocks", "control_scale"):
         monkeypatch.setattr(Discretization, name, property(refuse(name)))
+    # nor the control dofs' cell layout, which only the cell-block operators read
+    monkeypatch.setattr(ControlSpace, "cell_dofs", property(refuse("cell_dofs")))
     config = OcpConfig(dim, degree, 8)
     disc = Discretization(config)
     solution = solve_qp(disc)
@@ -574,7 +598,7 @@ def test_lazy_operators_equal_eager_assembly_and_are_built_once(monkeypatch):
     disc = Discretization(OcpConfig(2, 4, 4))
     assert not any(calls.values())
     solution = solve_qp(disc)
-    build_certificate(disc)
+    build_certificate(disc.config)
     feasibility_audit(disc, solution.control)
 
     mesh = disc.mesh
@@ -619,7 +643,7 @@ def test_clean_degrees_are_the_known_ones():
 )
 def test_clean_regime_solution_is_exactly_zero(case, n, alpha, tol):
     dim, degree = case
-    solution = solve_qp(OcpConfig(dim, degree, n, alpha=alpha, qp_tol=tol))
+    solution = solve_qp(Discretization(OcpConfig(dim, degree, n, alpha=alpha, qp_tol=tol)))
     assert not solution.control.any()
     assert solution.objective == 1.0
     assert (solution.kkt_residual, solution.iterations) == (0.0, 0)
@@ -636,15 +660,15 @@ def test_regime_label_certificate_and_origin_share_one_test():
         assert (study.regime == "INFEASIBLE_LIMIT") == bool(negative)
         assert (study.runs[0].iterations > 0) == bool(negative)
         if negative:
-            assert build_certificate(disc).ref_negative_indices == negative
+            assert build_certificate(disc.config).ref_negative_indices == negative
         else:
             with pytest.raises(NoNegativeBasisError):
-                build_certificate(disc)
+                build_certificate(disc.config)
 
 
 def test_counterexample_solution_beats_certificate_bound():
     disc = Discretization(OcpConfig(dim=2, degree=4, n=4))
-    certificate = build_certificate(disc)
+    certificate = build_certificate(disc.config)
     solution = solve_qp(disc)
     assert solution.objective <= certificate.objective_bound + 1e-8
     assert solution.objective <= certificate.measured_objective + 1e-10
@@ -654,9 +678,14 @@ def test_counterexample_solution_beats_certificate_bound():
 
 
 def scaled_kkt_residual(disc, lam):
-    """||min(lam sqrt(m), g / sqrt(m))|| with m = diag(M_u), from a fresh gradient."""
-    root = np.sqrt(disc.control_mass.diagonal())
-    return np.linalg.norm(np.minimum(lam * root, disc.gradient(lam) / root))
+    """||min(lam sqrt(m), g / sqrt(m))|| with m = diag(M_u), from a fresh gradient.
+
+    m is |det B| times diag(M_ref) on each cell, from the assembled control
+    mass's block and the mesh's cells, not from the solver's control_scale.
+    """
+    m = cell_geometry(disc.mesh)[1][:, None] * np.diag(disc.control_mass.block)
+    root = np.sqrt(m.ravel())
+    return np.linalg.norm(np.minimum(lam * root, gradient(disc, lam) / root))
 
 
 def test_kkt_residual_is_the_scaled_natural_residual():
@@ -681,7 +710,7 @@ def test_qp_iteration_budget_d2k4(n, alpha):
     solution = solve_qp(disc)
     assert solution.iterations <= 400
     assert scaled_kkt_residual(disc, solution.control) <= 1.01 * disc.config.qp_tol
-    assert solution.objective <= build_certificate(disc).objective_bound
+    assert solution.objective <= build_certificate(disc.config).objective_bound
 
 
 @pytest.mark.parametrize("dim,degree,n,iterations", [(2, 4, 8, 123), (2, 4, 16, 123), (1, 8, 256, 59)])
@@ -690,7 +719,7 @@ def test_qp_iteration_count_ignores_one_ulp_changes_of_alpha(dim, degree, n, ite
     # roundoff level leave the count alone, and so does refining the mesh
     for i in range(4):
         config = OcpConfig(dim, degree, n, alpha=0.1 * (1 + i * 2**-52))
-        assert solve_qp(config).iterations == iterations
+        assert solve_qp(Discretization(config)).iterations == iterations
 
 
 def reference_optimum(dim, degree, alpha):
@@ -746,11 +775,6 @@ def test_discrete_optimum_is_the_same_on_every_mesh(dim, degree, n):
     assert abs(solution.objective / j_ref - 1.0) <= tol
     assert np.linalg.norm(blocks - mu, axis=1).max() <= 100 * tol * np.linalg.norm(mu)
     assert c < 0  # the optimum has a negative part on every cell
-
-
-def test_solve_qp_accepts_config():
-    solution = solve_qp(OcpConfig(dim=1, degree=2, n=4))
-    assert solution.objective == pytest.approx(1.0, abs=1e-8)
 
 
 def test_solve_qp_iteration_cap_carries_best():
@@ -845,12 +869,12 @@ def test_certificate_matches_mesh_assembled_quantities():
     # solved objective at t_hat w is the exact J(t_hat w)
     for (dim, degree), n in itertools.product(EXACT_ORACLE_CASES, (2, 4, 8)):
         disc = Discretization(OcpConfig(dim=dim, degree=degree, n=n))
-        cert = build_certificate(disc)
+        cert = build_certificate(disc.config)
         w = certificate_direction(disc, cert)
         measured = {
-            "beta": (-float(disc.column_sums @ w), cert.beta),
+            "beta": (-float(column_sums(disc) @ w), cert.beta),
             "M2": (float(w @ (disc.control_mass @ w)), cert.m_squared),
-            "J": (disc.objective(cert.step * w), cert.measured_objective),
+            "J": (objective(disc, cert.step * w), cert.measured_objective),
         }
         for name, (value, certified) in measured.items():
             assert abs(value - certified) <= 1e-13 * certified, (name, dim, degree, n)
@@ -870,11 +894,13 @@ def test_certificate_bound_is_an_exact_comparison(monkeypatch):
         build_certificate(config)
 
 
-def test_certificate_builds_no_float_layer():
-    disc = Discretization(OcpConfig(dim=2, degree=4, n=4))
-    build_certificate(disc)
-    layers = ("_geometry", "operator", "coupling", "control_mass", "solve")
-    assert not set(layers) & set(disc.__dict__)
+def test_certificate_builds_no_float_layer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("float layer built for a certificate")
+
+    for name in (*FLOAT_LAYERS, "Discretization", "unit_interval_mesh", "unit_square_mesh"):
+        monkeypatch.setattr(ocp, name, refuse)
+    assert build_certificate(OcpConfig(dim=2, degree=4, n=4)).beta_exact == Fraction(1, 15)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,5 +1037,5 @@ def test_config_validation():
 
 def test_monotonicity_objective_never_above_volume():
     for config in (OcpConfig(dim=1, degree=8, n=4), OcpConfig(dim=2, degree=4, n=4)):
-        solution = solve_qp(config)
+        solution = solve_qp(Discretization(config))
         assert solution.objective <= 1.0 + 1e-12
