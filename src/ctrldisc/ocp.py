@@ -83,7 +83,10 @@ class NoNegativeBasisError(Exception):
 
 
 class QpConvergenceError(RuntimeError):
-    """QP iteration cap exceeded, stagnated or objective non-finite; carries the best iterate."""
+    """The QP core failed: cap, stagnation, or an unbounded or non-finite objective.
+
+    Carries the iterate the core returned as `best`.
+    """
 
     def __init__(self, message: str, best: "QpSolution"):
         super().__init__(message)
@@ -227,16 +230,21 @@ class Discretization:
         state A y = C lam and the adjoint A p = M (y - y_d), in z = D^-1 lam.
         One evaluation: z's cells times C^, scaled and added into the state
         vector, two band solves, one M y, and (p[cells] sqrt(|det B|)) @ 2 C^'
-        + z @ 2 alpha M^ cell by cell.  It computes no objective and no
-        state, and does not check z: a float array of num_control_dofs entries.
+        + z @ 2 alpha M^ cell by cell.  It computes no objective, and does
+        not check z: a float array of num_control_dofs entries.
         """
+        return self._scaled_gradient_state(z)[0]
+
+    def _scaled_gradient_state(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """scaled_gradient(z) and the state y(D z) it solved for."""
         root_dets, _, coupling, coupling_t, control = self._scaled_blocks
         cells = self.mesh.cells
         local = z.reshape(root_dets.size, -1)
         into_state = (local @ coupling) * root_dets
         rhs = np.bincount(cells.ravel(), into_state.ravel(), minlength=self.state_space.num_dofs)
-        p = self.solve(self.mass @ self.solve(rhs) - self._mass_target)
-        return ((p[cells] * root_dets) @ coupling_t + local @ control).ravel()
+        y = self.solve(rhs)
+        p = self.solve(self.mass @ y - self._mass_target)
+        return ((p[cells] * root_dets) @ coupling_t + local @ control).ravel(), y
 
     @cached_property
     def audit_rule(self):
@@ -252,38 +260,45 @@ class Discretization:
     def num_control_dofs(self) -> int:
         return self.control_space.num_dofs
 
-    def solve_state(self, lam: np.ndarray) -> np.ndarray:
-        """State coefficients y with A y = C lam for control coefficients lam."""
+    def _control_vector(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (self.num_control_dofs,):
             raise ValueError(
                 f"control coefficient vector must have length {self.num_control_dofs}"
             )
-        return self.solve(self.coupling @ lam)
+        return lam
+
+    def solve_state(self, lam: np.ndarray) -> np.ndarray:
+        """State coefficients y with A y = C lam for control coefficients lam."""
+        return self.solve(self.coupling @ self._control_vector(lam))
 
     def gradient_objective_state(
         self, lam: np.ndarray
     ) -> tuple[np.ndarray, float, np.ndarray]:
-        """(gradient, objective, state) at lam; the gradient is scaled_gradient's, unscaled."""
-        lam = np.asarray(lam, dtype=float)
-        y = self.solve_state(lam)
-        my = self.mass @ y
-        mu_lam = self.control_mass @ lam
+        """(gradient, objective, state) at lam from one scaled_gradient evaluation, unscaled.
+
+        Its two band solves give the state as well, so the objective needs no third.
+        """
+        lam = self._control_vector(lam)
         scale = self.control_scale
-        g = self.scaled_gradient(lam / scale) / scale
+        g, y = self._scaled_gradient_state(lam / scale)
+        my = self.mass @ y
         # ||y - y_d||^2 expanded exactly: y'My - 2 y_d 1'My + y_d^2 |Omega|,
         # which keeps J(0) = |Omega| free of cancellation noise
         j = (
             float(y @ my)
             - 2.0 * DESIRED_STATE * float(my.sum())
             + DESIRED_STATE**2 * self.domain_volume
-            + self.config.alpha * float(lam @ mu_lam)
+            + self.config.alpha * float(lam @ (self.control_mass @ lam))
         )
-        return g, j, y
+        return g / scale, j, y
 
 
 def estimate_operator_norm(matvec, n: int, max_iterations: int = 60, rtol: float = 1e-3) -> float:
-    """Power-iteration estimate of the spectral norm of a symmetric PSD operator."""
+    """Power-iteration estimate of the spectral norm of a symmetric PSD operator.
+
+    No solve calls it; it stays because perfbench's tracer wraps it by name.
+    """
     v = np.ones(n) / math.sqrt(n)
     estimate = 0.0
     for it in range(max_iterations):
@@ -302,7 +317,6 @@ def minimize_nonneg_quadratic(
     gradient,
     g0: np.ndarray,
     j0: float,
-    lipschitz: float,
     tol: float,
     max_iterations: int,
 ):
@@ -310,97 +324,180 @@ def minimize_nonneg_quadratic(
 
     `gradient` must be the (affine) gradient map of the quadratic; `g0` its
     value at 0 and `j0` the objective at 0, which recover objective values via
-    J(x) = j0 + x . (g(x) + g0) / 2.  The start costs no evaluation.
-    Accelerated projected gradient (FISTA, Beck & Teboulle 2009) with step
-    1/L and gradient restarts (O'Donoghue & Candes 2015, section 3.2).  The
-    momentum-point gradient gz is formed as an exact affine combination of
-    stored gradients, so each step costs one gradient evaluation.
+    J(x) = j0 + x . (g(x) + g0) / 2.  The start costs no evaluation.  GPCG
+    (More & Toraldo, SIAM J. Optim. 1, 1991): projected-gradient steps find
+    the active face, and conjugate gradients minimize on it.
 
-    The momentum step x_new = max(z - gz/L, 0) is rejected before any
-    evaluation when (z - x_new) . (x_new - x) > 0: the iteration restarts
-    and takes the plain projected step from x instead.  Every accepted step
-    from z (z = x for a plain step) must pass the quadratic's curvature test
-    (x_new - z) . (g_new - gz) <= L ||x_new - z||^2, that is d'Hd <= L d'd,
-    taken from gradient differences.  It fails only when `lipschitz`
-    underestimates the Hessian norm: L is then doubled and the plain step
-    retaken.  No comparison of J values decides a step, so near the optimum,
-    where J values agree to roundoff, the iterates do not follow its noise.
+    * A gradient-projection phase steps along -g, with the entries that
+      would leave the orthant at once set to 0, until the active set
+      {x_i = 0} stops changing or a step decreases J by at most _GP_DECREASE
+      times the phase's largest decrease.  The first trial step length is 1,
+      every later one the Barzilai-Borwein length s.s / s.(g_new - g) of the
+      previous gradient-projection step s.
+    * A CG phase runs CG on the free face {x_i > 0} from x, each Hessian
+      product H v = gradient(v) - g0 (v scaled to unit norm), until a CG step
+      decreases J by at most _CG_DECREASE times the phase's largest or meets
+      non-positive curvature, then searches along the CG step.  CG phases
+      repeat while every gradient entry on the active set is >= 0 (the
+      binding set is the active set); otherwise a gradient-projection phase
+      follows.
+    * Both search on the projected path max(x + a d, 0), starting with the
+      given length: a trial is accepted when J decreases by at least
+      _SUFFICIENT_DECREASE times the first-order prediction g . s, where
+      s = trial - x; otherwise a shrinks to the minimizer of the quadratic
+      through J(x), g . s and J(trial), but not below the first breakpoint
+      of the path, where the unbent part of the path ends.  J's change is
+      taken from gradients as s . (g + g_new) / 2, exact for a quadratic,
+      so no L is needed and no J value is compared with another.
 
-    Terminates when the KKT residual ||min(x, g)||_2 drops to `tol`.  It
-    vanishes exactly at the KKT points (x >= 0, g >= 0, x_i g_i = 0) and,
-    unlike the fixed-point residual ||x - proj(x - g/L)||, does not depend on L.
-    Gives up when the smallest residual so far has not improved for
-    _STAGNATION_WINDOW iterations: `tol` is then below what roundoff allows.
+    Every accepted point gets its own gradient, and the KKT residual
+    ||min(x, g)||_2 at it decides the stop: it vanishes exactly at the KKT
+    points (x >= 0, g >= 0, x_i g_i = 0).  The iteration ends when it drops
+    to `tol`.  It gives up when the smallest residual so far has not
+    improved for _STAGNATION_WINDOW iterations, or when a search step no
+    longer moves x: `tol` is then below what roundoff allows.
 
-    Returns (x, g, objective, residual, iterations, failure).  `failure` is
-    None when `tol` was reached, else the message saying why not: the cap
-    was hit (the last iterate is returned), the iteration stagnated (the
-    iterate with the smallest residual is returned) or the objective became
-    non-finite at a plain step (the last iterate with a finite objective is
-    returned: the quadratic is not convex or `gradient` returned non-finite
-    values).  A non-finite objective at a momentum point falls back to the
-    plain step.
+    Returns (x, g, objective, residual, iterations, failure), where
+    `iterations` counts the calls of `gradient`, Hessian products included,
+    and `max_iterations` caps them.  `failure` is None when `tol` was
+    reached, else the message saying why not: the cap was hit, the
+    iteration stagnated (the iterate with the smallest residual is returned
+    then, else the last one), CG found J unbounded below along a feasible
+    direction, or a gradient became non-finite.
     """
-    L = float(lipschitz)
-    if L <= 0:
-        raise ValueError("lipschitz estimate must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-
-    def evaluate(x):
-        g = gradient(x)
-        return g, j0 + 0.5 * float(x @ (g + g0))
-
-    def curvature_ok(step, g_step):
-        return float(step @ g_step) <= L * float(step @ step)
-
-    def unmet(stop, res):
-        return f"QP did not reach tol={tol:.3e} {stop} (residual {res:.3e})"
-
     x, g, j = np.zeros(np.shape(g0)), g0, j0
     res = _kkt_residual(x, g)
-    if res <= tol:
-        return x, g, j, res, 0, None
+    best, best_at, calls = (x, g, j, res), 0, 0
 
-    x_prev, g_prev = x, g
-    t = 1.0
-    best, best_it = (x, g, j, res), 0
-    for it in range(1, max_iterations + 1):
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        gamma = (t - 1.0) / t_next
-        z = x + gamma * (x - x_prev)
-        gz = g + gamma * (g - g_prev)
-        x_new = np.maximum(z - gz / L, 0.0)
-        restart = float((z - x_new) @ (x_new - x)) > 0.0
-        if not restart:
-            g_new, j_new = evaluate(x_new)
-            restart = not math.isfinite(j_new)
-            if not (restart or curvature_ok(x_new - z, g_new - gz)):
-                restart, L = True, 2.0 * L
-        if restart:
-            # plain projected step from x, doubling L until it passes the test
-            t_next = 1.0
-            while True:
-                x_new = np.maximum(x - g / L, 0.0)
-                g_new, j_new = evaluate(x_new)
-                if not math.isfinite(j_new):
-                    failure = f"QP objective became non-finite after {it - 1} iterations"
-                    return x, g, j, _kkt_residual(x, g), it - 1, failure
-                if curvature_ok(x_new - x, g_new - g):
-                    break
-                L *= 2.0
-        res = _kkt_residual(x_new, g_new)
-        x_prev, g_prev = x, g
-        x, g, j, t = x_new, g_new, j_new, t_next
+    def unmet(stop, residual):
+        return f"QP did not reach tol={tol:.3e} {stop} (residual {residual:.3e})"
+
+    def evaluate(v):
+        nonlocal calls
+        if calls == max_iterations:
+            raise _Stop(unmet(f"within {max_iterations} iterations", res))
+        calls += 1
+        return gradient(v)
+
+    def stagnated(reason):
+        window = f"no new best in the last {calls - best_at} of {calls} iterations"
+        return _Stop(unmet(f"and stagnated: {reason}{window}", best[3]), best)
+
+    def non_finite():
+        return _Stop(f"QP objective became non-finite after {calls} iterations")
+
+    def search(d, length):
+        """Move x to an accepted point of max(x + a d, 0); return J's decrease."""
+        nonlocal x, g, j, res, best, best_at
+        shrinking = d < 0.0
+        first_break = float(np.min(x[shrinking] / -d[shrinking])) if shrinking.any() else 0.0
+        while True:
+            x_new = np.maximum(x + length * d, 0.0)
+            s = x_new - x
+            if not s.any():
+                raise stagnated("the search step vanished; ")
+            g_new = evaluate(x_new)
+            change, first_order = 0.5 * float(s @ (g + g_new)), float(g @ s)
+            if not math.isfinite(change):
+                raise non_finite()
+            if change <= _SUFFICIENT_DECREASE * first_order:
+                break
+            excess = change - first_order
+            ratio = min(max(-0.5 * first_order / excess, 0.01), 0.9) if excess > 0.0 else 0.5
+            length = max(ratio * length, first_break if first_break < length else 0.0)
+        x, g, j = x_new, g_new, j0 + 0.5 * float(x_new @ (g_new + g0))
+        res = _kkt_residual(x, g)
         if res <= tol:
-            return x, g, j, res, it, None
+            raise _Stop(None)
         if res < best[3]:
-            best, best_it = (x, g, j, res), it
-        elif it - best_it >= _STAGNATION_WINDOW:
-            window = f"no new best in the last {_STAGNATION_WINDOW} of {it} iterations"
-            return (*best, it, unmet(f"and stagnated: {window}", best[3]))
-    return x, g, j, res, max_iterations, unmet(f"within {max_iterations} iterations", res)
+            best, best_at = (x, g, j, res), calls
+        elif calls - best_at >= _STAGNATION_WINDOW:
+            raise stagnated("")
+        return -change
 
+    def cg_direction():
+        """The step CG on the free face takes from x (0 off the face)."""
+        free = x > 0.0
+        r = g[free]
+        p, w, rr, top = -r, np.zeros_like(r), float(r @ r), 0.0
+        v = np.zeros_like(x)
+        while rr > 0.0:
+            norm = math.sqrt(float(p @ p))
+            v[free] = p / norm
+            hp = norm * (evaluate(v) - g0)[free]
+            curvature = float(p @ hp)
+            if not math.isfinite(curvature):
+                raise non_finite()
+            if curvature <= 0.0:
+                if not w.any():
+                    if (p >= 0.0).all():  # x + t p stays feasible as J decreases
+                        raise _Stop(f"QP objective is unbounded below after {calls} iterations")
+                    w = p
+                break
+            a = rr / curvature
+            w += a * p
+            r = r + a * hp
+            drop = 0.5 * a * rr
+            top = max(top, drop)
+            if drop <= _CG_DECREASE * top:
+                break
+            rr, rr_old = float(r @ r), rr
+            p = -r + (rr / rr_old) * p
+        d = np.zeros_like(x)
+        d[free] = w
+        return d
+
+    failure = None
+    try:
+        if res <= tol:
+            raise _Stop(None)
+        step = 1.0
+        while True:
+            top = 0.0
+            while True:  # gradient projection
+                x_old, g_old, active = x, g, x == 0.0
+                drop = search(np.where(active & (g >= 0.0), 0.0, -g), step)
+                s = x - x_old
+                curvature = float(s @ (g - g_old))
+                step = float(s @ s) / curvature if curvature > 0.0 else 2.0 * step
+                top = max(top, drop)
+                if np.array_equal(x == 0.0, active) or drop <= _GP_DECREASE * top:
+                    break
+            while True:  # CG, while the binding set is the active set
+                d = cg_direction()
+                if not d.any():
+                    break
+                search(d, 1.0)
+                if (g[x == 0.0] < 0.0).any():
+                    break
+    except _Stop as stop:
+        failure = stop.failure
+        if stop.iterate is not None:
+            x, g, j, res = stop.iterate
+    return x, g, j, res, calls, failure
+
+
+class _Stop(Exception):
+    """Ends minimize_nonneg_quadratic's iteration.
+
+    `failure` is None when tol was reached; `iterate` is the (x, g, j, res)
+    to return when it is not the last accepted one.
+    """
+
+    def __init__(self, failure: str | None, iterate=None):
+        super().__init__(failure)
+        self.failure = failure
+        self.iterate = iterate
+
+
+# The share of the first-order decrease a search step must achieve, and the
+# shares of a phase's largest decrease at or below which a CG or a
+# gradient-projection phase stops.
+_SUFFICIENT_DECREASE = 0.01
+_CG_DECREASE = 0.1
+_GP_DECREASE = 0.25
 
 # Iterations without a new smallest KKT residual after which the iteration
 # counts as stagnated.
@@ -419,30 +516,28 @@ class QpSolution:
     state: np.ndarray  # y(lambda)
     objective: float
     kkt_residual: float  # ||min(D^-1 lam, D grad J)||_2 with D = diag(M_u)^(-1/2)
-    iterations: int
+    iterations: int  # gradient evaluations of the QP core
 
 
 def solve_qp(disc: Discretization) -> QpSolution:
-    """Solve the QP ``min J(lam) s.t. lam >= 0`` by accelerated projected gradients.
+    """Solve the QP ``min J(lam) s.t. lam >= 0`` by GPCG.
 
     The iteration runs on z = D^-1 lam with D = diag(M_u)^(-1/2): the scaled
     Hessian D H D has a mesh-independent spectrum, and a positive diagonal
     scaling leaves the constraint (z >= 0) and its projection unchanged.
-    Every gradient, the power iteration's included, is one call of
-    disc.scaled_gradient, which evaluates D grad J(D z) in these coordinates
-    with two band solves and no objective or state; the objective at z = 0
-    is |Omega| (y = 0), and the core recovers every later one from
-    gradients.  The final state is one more solve.  The step size is 1/L
-    with L a power-iteration estimate of the scaled Hessian norm (5%
-    safety).  minimize_nonneg_quadratic starts at z = 0 from the gradient
-    and objective computed here, restarts the momentum on a gradient test,
-    which costs no gradient evaluation, and doubles L when a step's
-    curvature test, taken from gradient differences, shows it too low; no
+    Every gradient and every Hessian product H v = g(v) - g(0) is one call
+    of disc.scaled_gradient, which evaluates D grad J(D z) in these
+    coordinates with two band solves and no objective or state; the
+    objective at z = 0 is |Omega| (y = 0), and the core recovers every later
+    one from gradients.  The final state is one more solve.
+    minimize_nonneg_quadratic starts at z = 0 from the gradient and
+    objective computed here; it estimates no Lipschitz constant, and no
     comparison of J values decides a step, so the iteration count does not
     follow roundoff in J.  The reported kkt_residual, ||min(z, grad_z J)||_2
     = ||min(D^-1 lam, D grad J)||_2, is a mesh-independent L2-type KKT
     measure.  The config's qp_tol and max_qp_iterations set the tolerance
-    and the iteration cap.
+    and the cap on the core's gradient evaluations, which the returned
+    iterations counts (the gradient at 0 is not among them).
 
     The clean regime is decided exactly, before any floating-point work.
     K 1 = 0 makes the adjoint at lam = 0 the constant 1, so grad J(0) = 2 C'1
@@ -453,9 +548,9 @@ def solve_qp(disc: Discretization) -> QpSolution:
     cell geometry or any assembly.
 
     When the core reports a failure (the cap is exceeded, the iteration
-    stagnates above qp_tol or the objective becomes non-finite), raises
-    QpConvergenceError with its message and the QpSolution of the iterate
-    the core returned, state included.
+    stagnates above qp_tol, or the objective is unbounded below or
+    non-finite), raises QpConvergenceError with its message and the
+    QpSolution of the iterate the core returned, state included.
     """
     n = disc.num_control_dofs
     if not disc.negative_reference_indices:
@@ -465,16 +560,8 @@ def solve_qp(disc: Discretization) -> QpSolution:
     grad = disc.scaled_gradient
     g0 = grad(np.zeros(n))
     j0 = DESIRED_STATE**2 * disc.domain_volume  # y(0) = 0
-
-    def hess_mv(s):
-        return grad(s) - g0
-
-    lipschitz = 1.05 * estimate_operator_norm(hess_mv, n)
-    if lipschitz <= 0.0:
-        raise RuntimeError("Hessian norm estimate is zero; degenerate problem")
-
     z, _, j, res, iterations, failure = minimize_nonneg_quadratic(
-        grad, g0, j0, lipschitz, disc.config.qp_tol, disc.config.max_qp_iterations
+        grad, g0, j0, disc.config.qp_tol, disc.config.max_qp_iterations
     )
     lam = disc.control_scale * z
     result = QpSolution(lam, disc.solve_state(lam), j, res, iterations)
@@ -612,7 +699,7 @@ class StudyRun:
     objective: float
     min_cell_average: float
     negative_part_norm: float
-    iterations: int
+    iterations: int  # gradient evaluations of the QP core
 
 
 @dataclass(frozen=True)
