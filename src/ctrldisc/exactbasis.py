@@ -7,16 +7,19 @@ quadratic triangle), so floating point is never allowed near a sign decision.
 
 The reference simplex in dimension ``d`` is ``{x in R^d : x_i >= 0, sum x <= 1}``
 with volume ``1/d!``.  Basis functions are the nodal (Lagrange) polynomials of
-degree ``k`` on the equispaced lattice ``{alpha/k : |alpha| <= k}``, built
-from Silvester's closed product form in barycentric coordinates (see
-`lagrange_basis`).  A basis is stored as one rational coefficient matrix: row
-i holds basis function i's coefficients over the monomials x^beta,
-beta in `multi_indices(d, k)`.  Every exact quantity is a linear or bilinear
-form of such matrices against the monomial moments: the basis integrals, and
-the Gram matrix of two bases (`gram`), which gives every reference block of
-the assembly and `integral_of_square`.  Lagrange interpolation on the lattice is
-unique, so the closed form gives exactly the rationals of the generalized
-Vandermonde solve, which the tests keep as an oracle (`solve_rational_system`).
+degree ``k`` on the equispaced lattice ``{alpha/k : |alpha| <= k}``, in
+Silvester's closed product form in barycentric coordinates (see
+`lagrange_basis`).  The two exact quantities come by separate routes.  The
+basis integrals, which decide every sign question, are one univariate
+convolution per permutation orbit of (k - |alpha|, alpha) against Dirichlet's
+moment formula.  The Gram matrix of two bases (`gram`), which gives every
+reference block of the assembly and `integral_of_square`, is A P B^T for the
+coefficient matrices A, B and the monomial moments P; a basis builds its
+coefficient matrix (row i over the monomials x^beta, beta in
+`multi_indices(d, k)`, held as integers times k!) only when a Gram first reads
+it.  Lagrange interpolation on the lattice is unique, so the closed form gives
+exactly the rationals of the generalized Vandermonde solve, which the tests
+keep as an oracle (`solve_rational_system`).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "AuditReport",
@@ -55,14 +58,17 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"unsupported dimension {d}; expected one of {SUPPORTED_DIMENSIONS}")
 
 
-def exponents_of_degree(d: int, total: int):
-    """Yield all length-d tuples of non-negative ints summing to `total`, lexicographic."""
+def exponents_of_degree(d: int, total: int) -> list[tuple[int, ...]]:
+    """All length-d tuples of non-negative ints summing to `total`, lexicographic."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
     if d == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in exponents_of_degree(d - 1, total - first):
-            yield (first,) + rest
+        return [(total,)]
+    return [
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in exponents_of_degree(d - 1, total - first)
+    ]
 
 
 def multi_indices(d: int, k: int) -> list[tuple[int, ...]]:
@@ -159,27 +165,61 @@ def solve_rational_system(matrix, rhs):
 class LagrangeBasisSpec:
     """Degree-k Lagrange basis on the d-dimensional reference simplex.
 
-    Basis function i is phi_i(x) = sum_j coefficients[i][j] x^beta_j, with
-    beta_j = multi_indices(dim, degree)[j]; exact zeros are the shared
-    `_ZERO`.  nodes[i] and coefficients[i] correspond: phi_i(nodes[j]) is
-    exactly the Kronecker delta and the basis sums exactly to the constant 1.
-    integrals[i] is the exact integral of phi_i over the reference simplex.
+    Basis function i is the one of node alphas[i] / degree: phi_i(nodes[j])
+    is exactly the Kronecker delta, and the basis sums exactly to the
+    constant 1.  integrals[i] is the exact integral of phi_i over the
+    reference simplex.  The coefficient matrix is built on first use and
+    kept: phi_i(x) = sum_j coefficients[i][j] x^beta_j with beta_j =
+    multi_indices(dim, degree)[j], held as the integer matrix
+    `integer_coefficients` = degree! * coefficients.
     """
 
     dim: int
     degree: int
-    nodes: tuple[tuple[Fraction, ...], ...]
-    coefficients: tuple[tuple[Fraction, ...], ...]
+    alphas: tuple[tuple[int, ...], ...]
     integrals: tuple[Fraction, ...]
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.alphas)
 
     @property
     def negative_indices(self) -> tuple[int, ...]:
         """Indices i with integrals[i] < 0, by exact comparison: the one regime test."""
         return tuple(i for i, v in enumerate(self.integrals) if v < 0)
+
+    @cached_property
+    def nodes(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(a, self.degree) for a in alpha) for alpha in self.alphas)
+
+    @cached_property
+    def integer_coefficients(self) -> tuple[tuple[int, ...], ...]:
+        """degree! times the coefficient matrix, an integer matrix (see `_integer_coefficients`)."""
+        return _integer_coefficients(self.dim, self.degree, self.alphas)
+
+    @cached_property
+    def coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rational coefficient matrix; exact zeros are the shared `_ZERO`."""
+        scale = math.factorial(self.degree)
+        return tuple(
+            tuple(Fraction(v, scale) if v else _ZERO for v in row)
+            for row in self.integer_coefficients
+        )
+
+
+def _moment_scales(d: int, top: int) -> list[int]:
+    """(top + d)! / (s + d)! for s = 0..top: the package's one integer moment formula.
+
+    By Dirichlet's formula the integral over the reference simplex of x^a is
+    prod(a!) / (|a| + d)!, and that of prod_{i=0..d} lambda_i^b_i over the
+    barycentric coordinates is prod(b!) / (|b| + d)!.  Either one is
+    prod(a!) * scales[|a|] / (top + d)! for |a| <= top (`monomial_integral`
+    stays as the oracle).
+    """
+    scales = [1] * (top + 1)
+    for s in range(top - 1, -1, -1):
+        scales[s] = scales[s + 1] * (s + 1 + d)
+    return scales
 
 
 def _falling_factorial(shift: int, m: int) -> list[int]:
@@ -193,6 +233,16 @@ def _falling_factorial(shift: int, m: int) -> list[int]:
     return coeffs
 
 
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """Product of two univariate integer polynomials, lowest power first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _integer_product(a: dict, b: dict) -> dict:
     """Product of two polynomials stored as {exponent tuple: int}."""
     out: dict[tuple[int, ...], int] = {}
@@ -203,30 +253,18 @@ def _integer_product(a: dict, b: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
-    """Construct the degree-k Lagrange basis on the reference simplex, exactly.
+def _integer_coefficients(d: int, k: int, alphas) -> tuple[tuple[int, ...], ...]:
+    """k! times the monomial coefficients of the basis functions of nodes alphas / k.
 
-    Silvester's closed form for the equispaced lattice: with barycentric
-    coordinates lambda_0 = 1 - sum(x), lambda_i = x_i and alpha_0 = k - |alpha|,
-
-        phi_alpha = prod_{i=0..d} prod_{j<alpha_i} (k lambda_i - j) / (j + 1).
-
-    The products are expanded in integer arithmetic in y = k x (the falling
-    factorials of each y_i and of k - sum(y) are built once per order), and
-    the coefficient of x^beta is c_beta * k^|beta| / prod_i alpha_i!; each
-    integral is one Fraction from the same integers and the moment formula.
-    The interpolant on the lattice is unique, so every coefficient is the
-    same Fraction that solving the generalized Vandermonde system in the
-    monomial basis gives (`solve_rational_system`, kept as the test oracle).
-    The partition of unity (on the integer numerators) and the integral sum
-    1/d! are checked exactly.  Memoized; the result is immutable and safe to
-    share.
+    Silvester's product form (see `lagrange_basis`) is expanded in integer
+    arithmetic in y = k x: the falling factorials of each y_i and of
+    k - sum(y) are built once per order, and the coefficient of x^beta is
+    c_beta * k^|beta| / prod_i alpha_i!, where prod_i alpha_i! divides k!.
+    Lagrange interpolation on the lattice is unique, so these are the
+    rationals of the generalized Vandermonde solve (`solve_rational_system`,
+    kept as the test oracle).  The partition of unity is checked exactly.
     """
-    _check_dimension(d)
-    if k < 1:
-        raise ValueError(f"degree must be >= 1, got {k}")
-    alphas = multi_indices(d, k)
+    monomials = multi_indices(d, k)
     zero = (0,) * d
 
     # y_c (y_c - 1) ... (y_c - m + 1), per (coordinate c, order m)
@@ -250,23 +288,11 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
             if coeffs[sum(beta)]
         }
 
-    # x^beta = y^beta / k^|beta|, and over the simplex
-    # int x^beta = prod(beta!) / (|beta| + d)! = moment[beta] / (k + d)!
-    scale = {beta: k ** sum(beta) for beta in alphas}
-    moment = {
-        beta: scale[beta]
-        * math.prod(map(math.factorial, beta))
-        * (math.factorial(k + d) // math.factorial(sum(beta) + d))
-        for beta in alphas
-    }
-
-    # Partition of unity, sum_i phi_i = 1, in integers: prod_i alpha_i! divides
-    # k!, so summing c_beta k^|beta| k! / prod_i alpha_i! over the basis must
-    # give k! at beta = 0 and 0 elsewhere.
-    column = {beta: j for j, beta in enumerate(alphas)}
+    # x^beta = y^beta / k^|beta|
+    scale = {beta: k ** sum(beta) for beta in monomials}
+    column = {beta: j for j, beta in enumerate(monomials)}
     k_factorial = math.factorial(k)
-    unity = [0] * len(alphas)
-    rows, integrals = [], []
+    rows = []
     for alpha in alphas:
         alpha_0 = k - sum(alpha)
         product = falling_0[alpha_0]
@@ -275,26 +301,74 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
             if a:
                 product = _integer_product(product, falling_y[c, a])
                 denominator *= math.factorial(a)
-        row = [_ZERO] * len(alphas)
+        multiplier = k_factorial // denominator
+        row = [0] * len(monomials)
         for beta, v in product.items():
-            if v:
-                row[column[beta]] = Fraction(v * scale[beta], denominator)
-                unity[column[beta]] += v * scale[beta] * (k_factorial // denominator)
+            row[column[beta]] = v * scale[beta] * multiplier
         rows.append(tuple(row))
-        integrals.append(
-            Fraction(
-                sum(v * moment[beta] for beta, v in product.items()),
-                denominator * math.factorial(k + d),
-            )
-        )
 
-    # Exact self-checks: partition of unity and total moment.
-    if unity != [k_factorial] + [0] * (len(alphas) - 1):
+    # sum_i phi_i = 1: the columns of k! * coefficients sum to k!, 0, ..., 0
+    if [sum(col) for col in zip(*rows)] != [k_factorial] + [0] * (len(monomials) - 1):
         raise RuntimeError(f"partition of unity violated for d={d}, k={k}")
-    if sum(integrals, _ZERO) != Fraction(1, math.factorial(d)):
-        raise RuntimeError(f"basis integrals do not sum to 1/d! for d={d}, k={k}")
+    return tuple(rows)
 
-    return LagrangeBasisSpec(d, k, tuple(lattice_nodes(d, k)), tuple(rows), tuple(integrals))
+
+@lru_cache(maxsize=None)
+def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
+    """Construct the degree-k Lagrange basis on the reference simplex, exactly.
+
+    Silvester's closed form for the equispaced lattice: with barycentric
+    coordinates lambda_0 = 1 - sum(x), lambda_i = x_i and alpha_0 = k - |alpha|,
+
+        phi_alpha = prod_{i=0..d} q_{alpha_i}(lambda_i),
+        q_a(lambda) = prod_{j<a} (k lambda - j) / (j + 1)
+                    = sum_b f_a[b] k^b lambda^b / a!,
+
+    a product of univariate polynomials in distinct barycentric coordinates
+    (f_a the coefficients of the falling factorial t (t - 1) ... (t - a + 1)).
+    Dirichlet's formula, int prod lambda_i^b_i = prod(b!) / (|b| + d)!, then
+    makes each integral one univariate convolution: with w_a[b] = f_a[b] k^b
+    b! and u the convolution of the w_{alpha_i}, i = 0..d,
+
+        int phi_alpha = sum_s u[s] (k + d)! / (s + d)! / ((k + d)! prod_i alpha_i!).
+
+    It depends only on the multiset (alpha_0, alpha), so it is computed once
+    per permutation orbit.  The integrals sum exactly to 1/d! (checked on the
+    integer numerators).  The coefficient matrix, which only a Gram matrix
+    reads, is built on first use (`LagrangeBasisSpec.integer_coefficients`).
+    Memoized; the result is immutable and safe to share.
+    """
+    _check_dimension(d)
+    if k < 1:
+        raise ValueError(f"degree must be >= 1, got {k}")
+    alphas = tuple(multi_indices(d, k))
+    # w_a, a = 0..k: q_a(lambda) = sum_b f_a[b] k^b lambda^b / a!, times b!
+    weights = [
+        [f * k**b * math.factorial(b) for b, f in enumerate(_falling_factorial(0, a))]
+        for a in range(k + 1)
+    ]
+    scales = _moment_scales(d, k)
+    top, k_factorial = math.factorial(k + d), math.factorial(k)
+    orbits = {}  # sorted (alpha_0, alpha) -> (integral, k! (k + d)! * integral)
+    integrals, total = [], 0
+    for alpha in alphas:
+        orbit = tuple(sorted((k - sum(alpha), *alpha)))
+        if orbit not in orbits:
+            u = [1]
+            for a in orbit:
+                u = _convolve(u, weights[a])
+            numerator = sum(map(operator.mul, u, scales))
+            denominator = math.prod(map(math.factorial, orbit))  # divides k!
+            orbits[orbit] = (
+                Fraction(numerator, top * denominator),
+                numerator * (k_factorial // denominator),
+            )
+        integral, share = orbits[orbit]
+        integrals.append(integral)
+        total += share
+    if total * math.factorial(d) != top * k_factorial:
+        raise RuntimeError(f"basis integrals do not sum to 1/d! for d={d}, k={k}")
+    return LagrangeBasisSpec(d, k, alphas, tuple(integrals))
 
 
 def basis_integrals(spec: LagrangeBasisSpec) -> tuple[Fraction, ...]:
@@ -305,39 +379,36 @@ def basis_integrals(spec: LagrangeBasisSpec) -> tuple[Fraction, ...]:
     return spec.integrals
 
 
-def _integer_rows(spec: LagrangeBasisSpec) -> list[list[int]]:
-    """degree! times the coefficient matrix, an integer matrix (see lagrange_basis)."""
-    scale = math.factorial(spec.degree)
-    return [[v.numerator * (scale // v.denominator) for v in row] for row in spec.coefficients]
-
-
 def gram(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[list[list[int]], int]:
     """Exact Gram matrix G[i][j] = integral of a_i b_j over the reference simplex.
 
     Returned as integer numerators over one common denominator, G[i][j] =
     numerators[i][j] / denominator.  G = A P B^T for the coefficient matrices
     A, B and the monomial moments P[beta][gamma] = int x^(beta + gamma), all
-    in integers: A times a.degree!, B times b.degree! and P times
-    (a.degree + b.degree + d)!.
+    in integers: A times a.degree! and B times b.degree! (each basis's
+    `integer_coefficients`), and P times (a.degree + b.degree + d)!.
     """
     if a.dim != b.dim:
         raise ValueError(f"bases of dimensions {a.dim} and {b.dim} share no simplex")
     d = a.dim
-    top = math.factorial(a.degree + b.degree + d)
-    # top * int x^sigma = prod(sigma!) * top / (|sigma| + d)!
+    top = a.degree + b.degree
+    scales = _moment_scales(d, top)
     moment = {
-        sigma: math.prod(map(math.factorial, sigma)) * (top // math.factorial(sum(sigma) + d))
-        for sigma in multi_indices(d, a.degree + b.degree)
+        sigma: math.prod(map(math.factorial, sigma)) * scales[sum(sigma)]
+        for sigma in multi_indices(d, top)
     }
     betas = multi_indices(d, a.degree)
     columns = [  # column gamma of P
         [moment[tuple(map(operator.add, beta, gamma))] for beta in betas]
         for gamma in multi_indices(d, b.degree)
     ]
-    rows_a, rows_b = _integer_rows(a), _integer_rows(b)
-    left = [[sum(map(operator.mul, row, column)) for column in columns] for row in rows_a]
+    rows_b = b.integer_coefficients
+    left = [
+        [sum(map(operator.mul, row, column)) for column in columns]
+        for row in a.integer_coefficients
+    ]
     numerators = [[sum(map(operator.mul, row, other)) for other in rows_b] for row in left]
-    return numerators, math.factorial(a.degree) * math.factorial(b.degree) * top
+    return numerators, math.factorial(a.degree) * math.factorial(b.degree) * math.factorial(top + d)
 
 
 def integral_of_square(spec: LagrangeBasisSpec, indices) -> Fraction:

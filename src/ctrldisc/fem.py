@@ -69,7 +69,7 @@ class StateSpace:
         spec = lagrange_basis(mesh.dim, 1)
         # graded-lex order lists the P1 nodes 0, e_d, ..., e_1
         order = [0, *range(mesh.dim, 0, -1)]
-        fields = (spec.nodes, spec.coefficients, spec.integrals)
+        fields = (spec.alphas, spec.integrals)
         self.ref = LagrangeBasisSpec(mesh.dim, 1, *(tuple(f[i] for i in order) for f in fields))
 
     def tabulate(self, points: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Simplex quadrature with construction-time exactness certification.
 
 Every rule built here is checked, monomial by monomial, against the exact
-moment oracle before it is returned; a misprinted or mis-derived rule fails
-loudly instead of silently polluting a result.  Assembly uses no rule (its
-blocks are exact Gram matrices, see :func:`ctrldisc.exactbasis.gram`); rules
-serve the integrands that are not polynomials: the negative part in
-``ocp.feasibility_audit``, ``fem.assemble_load`` and ``fem.l2_error``.
+moments (each rounded once) before it is returned; a misprinted or
+mis-derived rule fails loudly instead of silently polluting a result.
+Assembly uses no rule (its blocks are exact Gram matrices, see
+:func:`ctrldisc.exactbasis.gram`); rules serve the integrands that are not
+polynomials: the negative part in ``ocp.feasibility_audit``,
+``fem.assemble_load`` and ``fem.l2_error``.
 
 Families:
 
@@ -27,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .exactbasis import exponents_of_degree, monomial_integral, multi_indices
+from .exactbasis import _moment_scales, exponents_of_degree, multi_indices
 
 __all__ = [
     "MAX_EXACTNESS",
@@ -92,7 +93,10 @@ def _certify(rule: QuadratureRule) -> QuadratureRule:
     alphas = multi_indices(rule.dim, rule.exactness)
     # every monomial at every point at once, shape (nq, M)
     table = np.prod(rule.points[:, None, :] ** np.array(alphas, dtype=float), axis=2)
-    exact = np.array([float(monomial_integral(alpha)) for alpha in alphas])
+    # prod(a!) / (|a| + d)!, one correctly rounded int / int each: float(monomial_integral(a))
+    scales = _moment_scales(rule.dim, rule.exactness)
+    top = math.factorial(rule.exactness + rule.dim)
+    exact = np.array([math.prod(map(math.factorial, a)) * scales[sum(a)] / top for a in alphas])
     rel = np.abs(rule.weights @ table - exact) / exact
     failing = np.flatnonzero(rel > CERTIFICATE_RTOL)
     if failing.size:

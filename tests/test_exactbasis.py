@@ -9,6 +9,7 @@ matrix built here by certified quadrature for exact squares.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrldisc import exactbasis
 from ctrldisc.exactbasis import (
     audit_degrees,
     basis_integrals,
+    exponents_of_degree,
     gram,
     integral_of_square,
     lagrange_basis,
@@ -30,12 +33,19 @@ from ctrldisc.exactbasis import (
 )
 from ctrldisc.fem import ControlSpace
 from ctrldisc.mesh import SimplexMesh
+from ctrldisc.ocp import Discretization, OcpConfig, build_certificate, feasibility_audit, solve_qp
 from ctrldisc.quadrature import grundmann_moeller, simplex_rule
 
 SUPPORTED = (
     [(1, k) for k in range(1, 12)]
     + [(2, k) for k in range(1, 9)]
     + [(3, k) for k in range(1, 7)]
+)
+# the closed-form integrals are cross-checked past the degrees SUPPORTED covers
+WIDE = (
+    [(1, k) for k in range(1, 15)]
+    + [(2, k) for k in range(1, 15)]
+    + [(3, k) for k in range(1, 9)]
 )
 
 
@@ -83,6 +93,19 @@ def test_monomial_integral_dimension_check():
         monomial_integral((1, -1))
 
 
+@pytest.mark.parametrize("d,top", [(1, 30), (2, 30), (3, 14)])
+def test_moment_scales_give_correctly_rounded_moments(d, top):
+    # quadrature certification divides prod(a!) * scales[|a|] by (e + d)! in
+    # floats; int / int rounds correctly, so this is float(monomial_integral(a))
+    for exactness in range(top + 1):
+        scales = exactbasis._moment_scales(d, exactness)
+        denominator = math.factorial(exactness + d)
+        for a in multi_indices(d, exactness):
+            moment = math.prod(map(math.factorial, a)) * scales[sum(a)]
+            assert Fraction(moment, denominator) == monomial_integral(a)
+            assert moment / denominator == float(monomial_integral(a))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_monomial_integral_matches_sympy(d):
     if d == 1:
@@ -110,6 +133,14 @@ def test_monomial_integral_matches_sympy(d):
 
 def test_multi_indices_graded_lex():
     assert multi_indices(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+def test_index_enumerations_reject_dimensions_below_one():
+    for d in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            multi_indices(d, 2)
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            exponents_of_degree(d, 2)
 
 
 def test_lattice_nodes_examples():
@@ -225,8 +256,10 @@ def test_closed_form_equals_vandermonde_oracle(d, k):
     assert terms == vandermonde_basis(d, k)
 
 
-@pytest.mark.parametrize("d,k", SUPPORTED)
+@pytest.mark.parametrize("d,k", WIDE)
 def test_stored_integrals_equal_term_by_term_integrals(d, k):
+    # two independent routes: the closed form per orbit, and the coefficient
+    # rows against the moment oracle
     spec = lagrange_basis(d, k)
     monos = multi_indices(d, k)
     assert spec.integrals == tuple(
@@ -234,6 +267,53 @@ def test_stored_integrals_equal_term_by_term_integrals(d, k):
         for row in spec.coefficients
     )
     assert basis_integrals(spec) is spec.integrals
+
+
+@st.composite
+def permuted_basis_functions(draw):
+    d, k = draw(st.sampled_from(WIDE))
+    alpha = draw(st.sampled_from(multi_indices(d, k)))
+    full = draw(st.permutations((k - sum(alpha), *alpha)))
+    return d, k, alpha, tuple(full[1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=permuted_basis_functions())
+def test_integrals_are_invariant_under_barycentric_permutations(case):
+    d, k, alpha, image = case
+    spec = lagrange_basis(d, k)
+    assert spec.integrals[spec.alphas.index(image)] == spec.integrals[spec.alphas.index(alpha)]
+
+
+@pytest.fixture
+def matrix_builds(monkeypatch):
+    """Counts of the coefficient-matrix builds per (d, k), on freshly built bases."""
+    builds = Counter()
+    build = exactbasis._integer_coefficients
+
+    def counting(d, k, alphas):
+        builds[d, k] += 1
+        return build(d, k, alphas)
+
+    monkeypatch.setattr(exactbasis, "_integer_coefficients", counting)
+    lagrange_basis.cache_clear()
+    yield builds
+    lagrange_basis.cache_clear()
+
+
+def test_audits_and_clean_solves_build_no_coefficient_matrix(matrix_builds):
+    audit_degrees(3, 6)
+    disc = Discretization(OcpConfig(2, 3, 4))
+    solution = solve_qp(disc)
+    feasibility_audit(disc, solution.control)
+    assert not matrix_builds
+
+
+def test_a_negative_solve_builds_each_coefficient_matrix_once(matrix_builds):
+    config = OcpConfig(2, 4, 4)
+    solve_qp(Discretization(config))
+    build_certificate(config)
+    assert matrix_builds == {(2, 1): 1, (2, 4): 1}
 
 
 def test_lagrange_basis_rejects_bad_input():
