@@ -9,17 +9,21 @@ The reference simplex in dimension ``d`` is ``{x in R^d : x_i >= 0, sum x <= 1}`
 with volume ``1/d!``.  Basis functions are the nodal (Lagrange) polynomials of
 degree ``k`` on the equispaced lattice ``{alpha/k : |alpha| <= k}``, in
 Silvester's closed product form in barycentric coordinates (see
-`lagrange_basis`).  The two exact quantities come by separate routes.  The
-basis integrals, which decide every sign question, are one univariate
-convolution per permutation orbit of (k - |alpha|, alpha) against Dirichlet's
-moment formula.  The Gram matrix of two bases (`gram`), which gives every
-reference block of the assembly and `integral_of_square`, is A P B^T for the
-coefficient matrices A, B and the monomial moments P; a basis builds its
-coefficient matrix (row i over the monomials x^beta, beta in
-`multi_indices(d, k)`, held as integers times k!) only when a Gram first reads
-it.  Lagrange interpolation on the lattice is unique, so the closed form gives
-exactly the rationals of the generalized Vandermonde solve, which the tests
-keep as an oracle (`solve_rational_system`).
+`lagrange_basis`).  Both exact quantities come from that product form and
+Dirichlet's moment formula, once per permutation orbit.  The basis
+integrals, which decide every sign question, are one univariate convolution
+per orbit of (k - |alpha|, alpha).  An entry of the Gram matrix of two bases
+(`gram`), which gives every reference block of the assembly and
+`integral_of_square`, is a chain of short univariate convolutions per orbit
+of the pairs (A_i, B_i) of the two barycentric multi-indices; each Gram is
+computed once per basis memo, and its row and column sums are checked
+against the integrals.  At d = 1 a Gram is instead A P B^T for the
+coefficient matrices A, B and the monomial moments P, and only there does a
+basis build its coefficient matrix (row i over the monomials x^beta, beta in
+`multi_indices(d, k)`, held as integers times k!).  Lagrange interpolation on
+the lattice is unique, so the closed form gives exactly the rationals of the
+generalized Vandermonde solve, which the tests keep as an oracle
+(`solve_rational_system`).
 """
 
 from __future__ import annotations
@@ -168,10 +172,10 @@ class LagrangeBasisSpec:
     Basis function i is the one of node alphas[i] / degree: phi_i(nodes[j])
     is exactly the Kronecker delta, and the basis sums exactly to the
     constant 1.  integrals[i] is the exact integral of phi_i over the
-    reference simplex.  The coefficient matrix is built on first use and
-    kept: phi_i(x) = sum_j coefficients[i][j] x^beta_j with beta_j =
-    multi_indices(dim, degree)[j], held as the integer matrix
-    `integer_coefficients` = degree! * coefficients.
+    reference simplex.  The coefficient matrix is built on first use (by a
+    d = 1 Gram, or a test) and kept: phi_i(x) = sum_j coefficients[i][j]
+    x^beta_j with beta_j = multi_indices(dim, degree)[j], held as the integer
+    matrix `integer_coefficients` = degree! * coefficients.
     """
 
     dim: int
@@ -196,6 +200,11 @@ class LagrangeBasisSpec:
     def integer_coefficients(self) -> tuple[tuple[int, ...], ...]:
         """degree! times the coefficient matrix, an integer matrix (see `_integer_coefficients`)."""
         return _integer_coefficients(self.dim, self.degree, self.alphas)
+
+    @cached_property
+    def _grams(self) -> dict:
+        """`gram`'s memo, on the spec so that `lagrange_basis.cache_clear()` drops it."""
+        return {}
 
     @cached_property
     def coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -334,9 +343,10 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
 
     It depends only on the multiset (alpha_0, alpha), so it is computed once
     per permutation orbit.  The integrals sum exactly to 1/d! (checked on the
-    integer numerators).  The coefficient matrix, which only a Gram matrix
-    reads, is built on first use (`LagrangeBasisSpec.integer_coefficients`).
-    Memoized; the result is immutable and safe to share.
+    integer numerators; `audit_degrees` relies on this check).  The
+    coefficient matrix, which only a d = 1 Gram reads, is built on first use
+    (`LagrangeBasisSpec.integer_coefficients`).  Memoized; the spec also
+    keeps every Gram computed from it (`gram`), and is immutable otherwise.
     """
     _check_dimension(d)
     if k < 1:
@@ -379,17 +389,62 @@ def basis_integrals(spec: LagrangeBasisSpec) -> tuple[Fraction, ...]:
     return spec.integrals
 
 
-def gram(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[list[list[int]], int]:
+def gram(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Exact Gram matrix G[i][j] = integral of a_i b_j over the reference simplex.
 
     Returned as integer numerators over one common denominator, G[i][j] =
-    numerators[i][j] / denominator.  G = A P B^T for the coefficient matrices
-    A, B and the monomial moments P[beta][gamma] = int x^(beta + gamma), all
-    in integers: A times a.degree! and B times b.degree! (each basis's
-    `integer_coefficients`), and P times (a.degree + b.degree + d)!.
+    numerators[i][j] / denominator, with denominator = a.degree! b.degree!
+    (a.degree + b.degree + d)!.  For d >= 2 the entries come by permutation
+    orbits (`_gram_by_orbits`) and no coefficient matrix is read; the row
+    sums must then equal a's integrals and the column sums b's (the basis
+    sums to 1), an exact check against the integrals that `lagrange_basis`
+    computed by its own route.  For d = 1, where the symmetry group has two
+    elements and the orbits cost more than they save, the entries come as
+    A P B^T (`_gram_by_coefficients`), whose coefficient matrices are
+    checked for the partition of unity.  Each Gram is computed once and kept
+    on the memoized `lagrange_basis(d, a.degree)`, keyed by both node
+    orders, so that a reordered copy of a basis (`fem.StateSpace.ref`)
+    shares it and `lagrange_basis.cache_clear()` drops it.  Only work that
+    reads a Gram twice gains from the memo, such as `ocp.convergence_study`
+    (three Grams per mesh and one for the certificate: 3 distinct of 10); a
+    single solve or certificate computes each of its Grams once.
     """
     if a.dim != b.dim:
         raise ValueError(f"bases of dimensions {a.dim} and {b.dim} share no simplex")
+    memo = lagrange_basis(a.dim, a.degree)._grams
+    key = (a.alphas, b.alphas)
+    if key in memo:
+        return memo[key]
+    denominator = (
+        math.factorial(a.degree) * math.factorial(b.degree)
+        * math.factorial(a.degree + b.degree + a.dim)
+    )
+    if a.dim == 1:  # `_integer_coefficients` checks the partition of unity
+        numerators = _gram_by_coefficients(a, b)
+    else:
+        numerators = _gram_by_orbits(a, b)
+        for sums, spec in ((map(sum, numerators), a), (map(sum, zip(*numerators)), b)):
+            if any(
+                s * v.denominator != v.numerator * denominator
+                for s, v in zip(sums, spec.integrals)
+            ):
+                raise RuntimeError(
+                    f"Gram of d={a.dim}, k={a.degree} and k={b.degree} does not sum "
+                    "to the basis integrals"
+                )
+    memo[key] = numerators, denominator
+    return memo[key]
+
+
+def _gram_by_coefficients(
+    a: LagrangeBasisSpec, b: LagrangeBasisSpec
+) -> tuple[tuple[int, ...], ...]:
+    """Gram numerators as A P B^T, over a.degree! b.degree! (a.degree + b.degree + d)!.
+
+    A and B are the coefficient matrices times a.degree! and b.degree! (each
+    basis's `integer_coefficients`), and P[beta][gamma] = int x^(beta + gamma)
+    times (a.degree + b.degree + d)!.  Cubic in the basis size.
+    """
     d = a.dim
     top = a.degree + b.degree
     scales = _moment_scales(d, top)
@@ -407,8 +462,77 @@ def gram(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[list[list[int]], i
         [sum(map(operator.mul, row, column)) for column in columns]
         for row in a.integer_coefficients
     ]
-    numerators = [[sum(map(operator.mul, row, other)) for other in rows_b] for row in left]
-    return numerators, math.factorial(a.degree) * math.factorial(b.degree) * math.factorial(top + d)
+    return tuple(tuple([sum(map(operator.mul, row, other)) for other in rows_b]) for row in left)
+
+
+def _gram_by_orbits(
+    a: LagrangeBasisSpec, b: LagrangeBasisSpec
+) -> tuple[tuple[int, ...], ...]:
+    """Gram numerators from Silvester's product form, once per permutation orbit.
+
+    With barycentric multi-indices A = (ka - |alpha|, alpha), B = (kb -
+    |beta|, beta) and q_m as in `lagrange_basis`, a_alpha b_beta is the
+    product over i = 0..d of the univariate q_{A_i}(lambda_i) q_{B_i}(lambda_i)
+    = sum_c g[c] lambda_i^c / (A_i! B_i!), g the convolution of f_{A_i}[c]
+    ka^c and f_{B_i}[c] kb^c.  By Dirichlet's formula the entry, times
+    ka! kb! (ka + kb + d)!, is
+
+        sum_s u[s] (ka + kb + d)! / (s + d)! * ka! / prod A_i! * kb! / prod B_i!,
+
+    u the convolution over i of w_i[c] = g[c] c!.  It depends only on the
+    multiset of pairs (A_i, B_i), so it is computed once per orbit, from the
+    pairs sorted as (A_i + B_i, A_i): the scales are correlated with the w of
+    the highest-degree pair (once per pair), then with each middle w, then
+    dotted with the first.
+    """
+    d, ka, kb = a.dim, a.degree, b.degree
+    top = ka + kb
+    scales = _moment_scales(d, top)
+    factorials = [1]
+    for c in range(1, top + 1):
+        factorials.append(factorials[-1] * c)
+    # q_m(lambda) = sum_c v[k][m][c] lambda^c / m!, per degree k and order m
+    v = {
+        k: [[f * k**c for c, f in enumerate(_falling_factorial(0, m))] for m in range(k + 1)]
+        for k in {ka, kb}
+    }
+    weights, divisors = {}, {}  # per pair (A_i + B_i, A_i): w, and A_i! B_i!
+    for m in range(ka + 1):
+        for n in range(kb + 1):
+            weights[m + n, m] = list(map(operator.mul, _convolve(v[ka][m], v[kb][n]), factorials))
+            divisors[m + n, m] = factorials[m] * factorials[n]
+    numerator_scale = factorials[ka] * factorials[kb]
+    tails, orbits = {}, {}
+
+    def orbit_value(key):
+        last = key[-1]
+        if last not in tails:  # tail[s] = sum_c w[c] scales[s + c]
+            w = weights[last]
+            tails[last] = [sum(map(operator.mul, w, scales[s:])) for s in range(top - last[0] + 1)]
+        tail = tails[last]
+        for pair in key[-2:0:-1]:
+            w = weights[pair]
+            tail = [sum(map(operator.mul, w, tail[s:])) for s in range(len(tail) - pair[0])]
+        divisor = math.prod(map(divisors.__getitem__, key))  # divides ka! kb!
+        return sum(map(operator.mul, weights[key[0]], tail)) * (numerator_scale // divisor)
+
+    rows = [(ka - sum(alpha), *alpha) for alpha in a.alphas]
+    columns = [(kb - sum(beta), *beta) for beta in b.alphas]
+    # The orbit's multiset as one integer: digit A_i (kb + 1) + B_i in base 8
+    # counts the coordinates with that pair (at most d + 1 <= 4, so no
+    # carries), and the digit's 8^power splits into a row and a column factor.
+    row_codes = [[1 << 3 * (kb + 1) * m for m in row] for row in rows]
+    column_codes = [[1 << 3 * n for n in column] for column in columns]
+    numerators = [[0] * len(columns) for _ in rows]
+    for i, row in enumerate(row_codes):
+        for j, column in enumerate(column_codes):
+            code = sum(map(operator.mul, row, column))
+            value = orbits.get(code)
+            if value is None:
+                key = tuple(sorted(zip(map(operator.add, rows[i], columns[j]), rows[i])))
+                value = orbits[code] = orbit_value(key)
+            numerators[i][j] = value
+    return tuple(map(tuple, numerators))
 
 
 def integral_of_square(spec: LagrangeBasisSpec, indices) -> Fraction:
@@ -465,9 +589,7 @@ def audit_degrees(d: int, k_max: int) -> AuditReport:
     records = []
     for k in range(1, k_max + 1):
         spec = lagrange_basis(d, k)
-        integrals = basis_integrals(spec)
-        if sum(integrals, Fraction(0)) != Fraction(1, math.factorial(d)):
-            raise RuntimeError(f"audit consistency failure at d={d}, k={k}")
+        integrals = basis_integrals(spec)  # their sum, 1/d!, is checked on construction
         negative = spec.negative_indices
         records.append(
             DegreeRecord(

@@ -7,8 +7,10 @@ degree k (one independent basis block per cell).
 A cell integral of affinely pushed-forward functions is the reference
 integral times |det B|, so the coupling C, the control mass M_u and the P1
 mass M are each one reference block, applied by a :class:`CellBlockOperator`:
-the exact Gram matrix of two reference bases (:func:`~ctrldisc.exactbasis.gram`),
-rounded to float once per entry.  Assembly takes no quadrature rule; only
+the exact Gram matrix of two reference bases (:func:`~ctrldisc.exactbasis.gram`,
+computed once per permutation orbit and kept with the basis memo, so every
+mesh of a study reuses it), rounded to float once per entry.  At d >= 2 no
+coefficient matrix is built.  Assembly takes no quadrature rule; only
 integrands that are not polynomials (loads, :func:`l2_error`) use one.  Only
 the stiffness depends on B itself; A = K + M is assembled straight into upper
 band storage, symmetric by construction.  Results agree with per-cell loops
@@ -60,7 +62,8 @@ class StateSpace:
     """Continuous P1 space on a simplex mesh; one dof per vertex.
 
     Contains the constant function 1 exactly (all-ones coefficient vector).
-    `ref` is the exact reference basis in the cells' vertex order 0, e_1, ..., e_d.
+    `ref` is the exact reference basis in the cells' vertex order 0, e_1, ..., e_d;
+    `gram` keeps its Grams with `lagrange_basis(d, 1)`, so every mesh shares them.
     """
 
     def __init__(self, mesh: SimplexMesh):

@@ -33,7 +33,14 @@ from ctrldisc.exactbasis import (
 )
 from ctrldisc.fem import ControlSpace
 from ctrldisc.mesh import SimplexMesh
-from ctrldisc.ocp import Discretization, OcpConfig, build_certificate, feasibility_audit, solve_qp
+from ctrldisc.ocp import (
+    Discretization,
+    OcpConfig,
+    build_certificate,
+    convergence_study,
+    feasibility_audit,
+    solve_qp,
+)
 from ctrldisc.quadrature import grundmann_moeller, simplex_rule
 
 SUPPORTED = (
@@ -309,11 +316,25 @@ def test_audits_and_clean_solves_build_no_coefficient_matrix(matrix_builds):
     assert not matrix_builds
 
 
-def test_a_negative_solve_builds_each_coefficient_matrix_once(matrix_builds):
+def test_a_negative_solve_builds_no_coefficient_matrix(matrix_builds):
+    # at d >= 2 every Gram comes by orbits, and nothing else reads the matrix
     config = OcpConfig(2, 4, 4)
     solve_qp(Discretization(config))
     build_certificate(config)
-    assert matrix_builds == {(2, 1): 1, (2, 4): 1}
+    assert not matrix_builds
+
+
+def test_audit_raises_when_the_construction_is_corrupted(monkeypatch):
+    # audit_degrees relies on the sum check that lagrange_basis runs on
+    # construction; a wrong moment formula must still stop the audit
+    scales = exactbasis._moment_scales
+    monkeypatch.setattr(
+        exactbasis, "_moment_scales", lambda d, top: [s + 1 for s in scales(d, top)]
+    )
+    lagrange_basis.cache_clear()
+    with pytest.raises(RuntimeError, match="do not sum to 1/d!"):
+        audit_degrees(3, 6)
+    lagrange_basis.cache_clear()
 
 
 def test_lagrange_basis_rejects_bad_input():
@@ -454,6 +475,86 @@ def test_gram_rows_sum_to_the_basis_integrals(d, k):
     coupling = gram_fractions(p1, spec)
     assert tuple(sum(column, Fraction(0)) for column in zip(*coupling)) == spec.integrals
     assert tuple(sum(row, Fraction(0)) for row in coupling) == p1.integrals
+
+
+# the Gram by both routes: each is the other's oracle
+ROUTE_CASES = (
+    [(1, k) for k in range(1, 15)] + [(2, k) for k in range(1, 11)] + [(3, k) for k in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("d,k", ROUTE_CASES)
+def test_orbit_route_equals_coefficient_route(d, k):
+    spec, p1, lower = lagrange_basis(d, k), lagrange_basis(d, 1), lagrange_basis(d, max(k - 1, 1))
+    reordered = exactbasis.LagrangeBasisSpec(d, k, spec.alphas[::-1], spec.integrals[::-1])
+    pairs = [(spec, spec), (p1, spec), (spec, p1), (lower, spec), (spec, lower), (reordered, spec)]
+    for a, b in pairs:
+        assert exactbasis._gram_by_orbits(a, b) == exactbasis._gram_by_coefficients(a, b)
+
+
+def barycentric_pairs(a, i, b, j):
+    """The multiset {(A_l, B_l)} that fixes entry (i, j) of gram(a, b)."""
+    rows = (a.degree - sum(a.alphas[i]), *a.alphas[i])
+    columns = (b.degree - sum(b.alphas[j]), *b.alphas[j])
+    return sorted(zip(rows, columns))
+
+
+@pytest.mark.parametrize("ka,kb", [(4, 4), (1, 4), (3, 2)])
+def test_one_corrupted_orbit_value_trips_the_sum_check(monkeypatch, ka, kb):
+    route = exactbasis._gram_by_orbits
+
+    def corrupted(a, b):
+        orbit = barycentric_pairs(a, 0, b, 0)
+        return tuple(
+            tuple(
+                value + (barycentric_pairs(a, i, b, j) == orbit)
+                for j, value in enumerate(row)
+            )
+            for i, row in enumerate(route(a, b))
+        )
+
+    monkeypatch.setattr(exactbasis, "_gram_by_orbits", corrupted)
+    lagrange_basis.cache_clear()
+    with pytest.raises(RuntimeError, match="does not sum to the basis integrals"):
+        gram(lagrange_basis(2, ka), lagrange_basis(2, kb))
+    lagrange_basis.cache_clear()
+
+
+@pytest.fixture
+def gram_computations(monkeypatch):
+    """Counts of the Gram computations per (route, d, a.degree, b.degree), on fresh bases."""
+    computations = Counter()
+    for name in ("_gram_by_orbits", "_gram_by_coefficients"):
+
+        def counting(a, b, name=name, route=getattr(exactbasis, name)):
+            computations[name, a.dim, a.degree, b.degree] += 1
+            return route(a, b)
+
+        monkeypatch.setattr(exactbasis, name, counting)
+    lagrange_basis.cache_clear()
+    yield computations
+    lagrange_basis.cache_clear()
+
+
+def test_each_gram_is_computed_once(gram_computations):
+    # the certificate and each mesh's control mass share the P4 Gram, and
+    # every mesh's reordered P1 basis shares the P1 Grams
+    convergence_study(OcpConfig(2, 4, 4), [4, 8, 16])
+    assert gram_computations == {
+        ("_gram_by_orbits", 2, 4, 4): 1,
+        ("_gram_by_orbits", 2, 1, 4): 1,
+        ("_gram_by_orbits", 2, 1, 1): 1,
+    }
+
+
+def test_the_gram_memo_goes_with_the_basis_memo(gram_computations):
+    spec = lagrange_basis(1, 3)
+    first = gram(spec, spec)
+    assert gram(spec, spec) is first
+    lagrange_basis.cache_clear()
+    spec = lagrange_basis(1, 3)
+    assert gram(spec, spec) == first
+    assert gram_computations == {("_gram_by_coefficients", 1, 3, 3): 2}
 
 
 def test_gram_rejects_bases_of_different_dimensions():

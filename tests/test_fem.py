@@ -10,7 +10,8 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from ctrldisc.exactbasis import basis_integrals, gram, multi_indices
+from ctrldisc import exactbasis
+from ctrldisc.exactbasis import basis_integrals, gram, lagrange_basis, multi_indices
 from ctrldisc.fem import (
     CellBlockOperator,
     CgConvergenceError,
@@ -18,6 +19,7 @@ from ctrldisc.fem import (
     StateSpace,
     _banded_cholesky_solver,
     _inverse,
+    _reference_block,
     assemble_control_mass,
     assemble_coupling,
     assemble_load,
@@ -296,6 +298,23 @@ def test_reference_blocks_are_the_exact_gram_rounded_once(d, k):
     }
     for name, (block, a, b) in blocks.items():
         assert np.array_equal(block, exact_block(a, b)), name
+
+
+@pytest.mark.parametrize("d,k", [(1, 8), (1, 12), (2, 4), (2, 8), (3, 2), (3, 5)])
+def test_reference_blocks_are_bitwise_equal_by_either_gram_route(monkeypatch, d, k):
+    def blocks():
+        lagrange_basis.cache_clear()
+        mesh = reference_cell(d)
+        p1, control = StateSpace(mesh).ref, ControlSpace(mesh, k).ref
+        return [_reference_block(a, b) for a, b in ((p1, p1), (p1, control), (control, control))]
+
+    default = blocks()
+    orbits, coefficients = exactbasis._gram_by_orbits, exactbasis._gram_by_coefficients
+    monkeypatch.setattr(exactbasis, "_gram_by_orbits", coefficients)
+    monkeypatch.setattr(exactbasis, "_gram_by_coefficients", orbits)
+    swapped = blocks()
+    lagrange_basis.cache_clear()
+    assert [block.tobytes() for block in default] == [block.tobytes() for block in swapped]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

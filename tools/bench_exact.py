@@ -1,0 +1,172 @@
+"""Exact-layer timings of two checkouts of ctrldisc, interleaved, as one JSON file.
+
+    python tools/bench_exact.py PARENT_SRC CHANGE_SRC > BENCH_<n>.json
+
+PARENT_SRC and CHANGE_SRC are the ``src`` directories of the two checkouts
+(for example one made with ``git archive <commit> | tar -x -C DIR``).  Each
+of ROUNDS rounds runs one worker process per checkout, and the rounds
+alternate which checkout runs first, so slow drift of the machine hits both
+alike.  A worker imports ``ctrldisc`` from its ``src`` with one BLAS thread
+and times every case in process: one untimed warm-up, then up to REPEATS
+timed runs (fewer once a case has used its time budget), each after
+``lagrange_basis.cache_clear()`` so that no memo survives from the run
+before.  A Gram case builds the basis untimed and times one
+``gram(spec, spec)``; a CLI case times one ``cli.main(argv)`` with stdout
+captured.  The file keeps the best time of every case over all rounds.
+
+The change's worker also times VARIANTS, each a design choice of the
+exact layer undone, beside the case it would replace: the d = 1 Gram by
+orbits (``_gram_by_orbits`` alone, without the sum check and the memo, so a
+lower bound of that route), and CLI runs without the Gram memo.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+from time import perf_counter
+
+GRAM_CASES = [(1, 8), (1, 10), (2, 4), (2, 8), (2, 14), (3, 2), (3, 6)]
+CLI_CASES = [
+    "solve --dim 2 --degree 4 --mesh 8",
+    "solve --dim 1 --degree 10 --mesh 256",
+    "solve --dim 2 --degree 8 --mesh 4",
+    "convergence --dim 2 --degree 4 --meshes 4,8,16",
+    "certificate --dim 2 --degree 4",
+]
+# (case as built, the same work with one choice undone)
+VARIANTS = [
+    ("gram d=1 k=8", "gram d=1 k=8 by orbits"),
+    ("gram d=1 k=10", "gram d=1 k=10 by orbits"),
+    (CLI_CASES[0], f"{CLI_CASES[0]} without the Gram memo"),
+    (CLI_CASES[3], f"{CLI_CASES[3]} without the Gram memo"),
+    (CLI_CASES[4], f"{CLI_CASES[4]} without the Gram memo"),
+]
+ROUNDS = 10
+REPEATS = 100
+BUDGET_S = 2.0  # per case and worker; every case still gets 3 timed runs
+
+
+def _best(run) -> float:
+    run()
+    times: list[float] = []
+    while len(times) < REPEATS and (len(times) < 3 or sum(times) < BUDGET_S):
+        times.append(run())
+    return min(times)
+
+
+def worker(src: str, variants: bool) -> dict:
+    sys.path.insert(0, src)
+    from ctrldisc import cli, exactbasis
+    from ctrldisc.exactbasis import LagrangeBasisSpec, gram, lagrange_basis
+
+    def gram_run(d, k, route=gram):
+        def run():
+            lagrange_basis.cache_clear()
+            spec = lagrange_basis(d, k)
+            start = perf_counter()
+            route(spec, spec)
+            return perf_counter() - start
+
+        return run
+
+    def cli_run(argv):
+        def run():
+            lagrange_basis.cache_clear()
+            start = perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+            return perf_counter() - start
+
+        return run
+
+    out = {f"gram d={d} k={k}": _best(gram_run(d, k)) for d, k in GRAM_CASES}
+    out.update({command: _best(cli_run(command.split())) for command in CLI_CASES})
+    if variants:
+        orbits = exactbasis._gram_by_orbits
+        for k in (8, 10):
+            out[f"gram d=1 k={k} by orbits"] = _best(gram_run(1, k, orbits))
+        LagrangeBasisSpec._grams = property(lambda spec: {})  # a fresh memo per gram call
+        for command in (CLI_CASES[0], CLI_CASES[3], CLI_CASES[4]):
+            out[f"{command} without the Gram memo"] = _best(cli_run(command.split()))
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", nargs="?")
+    parser.add_argument("change_src", nargs="?")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--variants", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        json.dump(worker(args.worker, args.variants), sys.stdout)
+        return 0
+    if not (args.parent_src and args.change_src):
+        parser.error("PARENT_SRC and CHANGE_SRC are required")
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    best: dict[str, dict[str, float]] = {"parent": {}, "change": {}}
+    sides = [("parent", args.parent_src, []), ("change", args.change_src, ["--variants"])]
+    for round_ in range(ROUNDS):
+        for label, src, flags in sides if round_ % 2 == 0 else sides[::-1]:
+            argv = [sys.executable, __file__, "--worker", os.path.abspath(src), *flags]
+            done = subprocess.run(argv, env=env, check=True, capture_output=True)
+            times = json.loads(done.stdout)
+            for case, seconds in times.items():
+                best[label][case] = min(seconds, best[label].get(case, seconds))
+
+    import numpy
+
+    def ms(seconds):
+        return round(seconds * 1e3, 3)
+
+    cases = [f"gram d={d} k={k}" for d, k in GRAM_CASES] + CLI_CASES
+    change = best["change"]
+    report = {
+        "command": " ".join(["python", "tools/bench_exact.py", *sys.argv[1:]]),
+        "method": (
+            f"{ROUNDS} rounds of one worker process per checkout, alternating which "
+            f"runs first; in process, one BLAS thread, best of up to {REPEATS} runs "
+            f"per round (at least 3, {BUDGET_S} s budget per case), lagrange_basis "
+            "memo cleared before every run"
+        ),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "machine": platform.machine(),
+            "nproc": os.cpu_count(),
+        },
+        "unit": "ms",
+        "results": [
+            {
+                "case": case,
+                "parent_ms": ms(best["parent"][case]),
+                "change_ms": ms(change[case]),
+                "speedup": round(best["parent"][case] / change[case], 2),
+            }
+            for case in cases
+        ],
+        "variants": [
+            {
+                "case": case,
+                "change_ms": ms(change[case]),
+                "variant": variant,
+                "variant_ms": ms(change[variant]),
+            }
+            for case, variant in VARIANTS
+        ],
+    }
+    json.dump(report, sys.stdout, indent=2)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
