@@ -1,29 +1,27 @@
 """Exact Lagrange bases on the reference simplex and sign audits of their integrals.
 
-Everything in this module runs in rational arithmetic (`fractions.Fraction`).
-The downstream feasibility question hinges on the *sign* of basis integrals,
-and some of those integrals are exactly zero (e.g. the vertex functions of the
-quadratic triangle), so floating point is never allowed near a sign decision.
+Everything in this module runs in rational arithmetic (`fractions.Fraction`)
+or in integers over one known denominator.  The downstream feasibility
+question hinges on the *sign* of basis integrals, and some of those integrals
+are exactly zero (e.g. the vertex functions of the quadratic triangle), so
+floating point is never allowed near a sign decision.
 
 The reference simplex in dimension ``d`` is ``{x in R^d : x_i >= 0, sum x <= 1}``
 with volume ``1/d!``.  Basis functions are the nodal (Lagrange) polynomials of
 degree ``k`` on the equispaced lattice ``{alpha/k : |alpha| <= k}``, in
 Silvester's closed product form in barycentric coordinates (see
-`lagrange_basis`).  Both exact quantities come from that product form and
-Dirichlet's moment formula, once per permutation orbit.  The basis
-integrals, which decide every sign question, are one univariate convolution
-per orbit of (k - |alpha|, alpha).  An entry of the Gram matrix of two bases
-(`gram`), which gives every reference block of the assembly and
-`integral_of_square`, is a chain of short univariate convolutions per orbit
-of the pairs (A_i, B_i) of the two barycentric multi-indices; each Gram is
-computed once per basis memo, and its row and column sums are checked
-against the integrals.  At d = 1 a Gram is instead A P B^T for the
-coefficient matrices A, B and the monomial moments P, and only there does a
-basis build its coefficient matrix (row i over the monomials x^beta, beta in
-`multi_indices(d, k)`, held as integers times k!).  Lagrange interpolation on
-the lattice is unique, so the closed form gives exactly the rationals of the
-generalized Vandermonde solve, which the tests keep as an oracle
-(`solve_rational_system`).
+`lagrange_basis`), so a basis is its barycentric multi-indices and their exact
+integrals.  Both exact quantities come from that product form and Dirichlet's
+moment formula.  The basis integrals, which decide every sign question, are
+one univariate convolution per permutation orbit of (k - |alpha|, alpha).  An
+entry of the Gram matrix of two bases (`gram`), which gives every reference
+block of the assembly and `integral_of_square`, is a chain of short univariate
+convolutions per orbit of the pairs (A_i, B_i) of the two barycentric
+multi-indices, checked by row and column sums against the integrals.  At
+d = 1 a Gram is instead A H B^T over the monomials x^p, the only place where
+monomial coefficients are built.  Lagrange interpolation on the lattice is
+unique, so the closed form gives exactly the rationals of the generalized
+Vandermonde solve, which the tests keep as an oracle (`solve_rational_system`).
 """
 
 from __future__ import annotations
@@ -52,10 +50,6 @@ __all__ = [
 
 SUPPORTED_DIMENSIONS = (1, 2, 3)
 
-# The one zero that every coefficient row shares: no Fraction is built or
-# added for an exactly zero coefficient.
-_ZERO = Fraction(0)
-
 
 def _check_dimension(d: int) -> None:
     if d not in SUPPORTED_DIMENSIONS:
@@ -66,6 +60,8 @@ def exponents_of_degree(d: int, total: int) -> list[tuple[int, ...]]:
     """All length-d tuples of non-negative ints summing to `total`, lexicographic."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
+    if total < 0:
+        raise ValueError(f"total degree must be >= 0, got {total}")
     if d == 1:
         return [(total,)]
     return [
@@ -172,10 +168,8 @@ class LagrangeBasisSpec:
     Basis function i is the one of node alphas[i] / degree: phi_i(nodes[j])
     is exactly the Kronecker delta, and the basis sums exactly to the
     constant 1.  integrals[i] is the exact integral of phi_i over the
-    reference simplex.  The coefficient matrix is built on first use (by a
-    d = 1 Gram, or a test) and kept: phi_i(x) = sum_j coefficients[i][j]
-    x^beta_j with beta_j = multi_indices(dim, degree)[j], held as the integer
-    matrix `integer_coefficients` = degree! * coefficients.
+    reference simplex.  The functions themselves are Silvester's product form
+    (`lagrange_basis`); no monomial coefficients are kept.
     """
 
     dim: int
@@ -197,23 +191,9 @@ class LagrangeBasisSpec:
         return tuple(tuple(Fraction(a, self.degree) for a in alpha) for alpha in self.alphas)
 
     @cached_property
-    def integer_coefficients(self) -> tuple[tuple[int, ...], ...]:
-        """degree! times the coefficient matrix, an integer matrix (see `_integer_coefficients`)."""
-        return _integer_coefficients(self.dim, self.degree, self.alphas)
-
-    @cached_property
     def _grams(self) -> dict:
         """`gram`'s memo, on the spec so that `lagrange_basis.cache_clear()` drops it."""
         return {}
-
-    @cached_property
-    def coefficients(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rational coefficient matrix; exact zeros are the shared `_ZERO`."""
-        scale = math.factorial(self.degree)
-        return tuple(
-            tuple(Fraction(v, scale) if v else _ZERO for v in row)
-            for row in self.integer_coefficients
-        )
 
 
 def _moment_scales(d: int, top: int) -> list[int]:
@@ -231,11 +211,11 @@ def _moment_scales(d: int, top: int) -> list[int]:
     return scales
 
 
-def _falling_factorial(shift: int, m: int) -> list[int]:
-    """Integer coefficients of prod_{j<m} (t + shift - j), lowest power of t first."""
+def _falling_factorial(m: int) -> list[int]:
+    """Integer coefficients of t (t - 1) ... (t - m + 1), lowest power of t first."""
     coeffs = [1]
     for j in range(m):
-        nxt = [(shift - j) * c for c in coeffs] + [0]
+        nxt = [-j * c for c in coeffs] + [0]
         for p, c in enumerate(coeffs):
             nxt[p + 1] += c
         coeffs = nxt
@@ -250,76 +230,6 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def _integer_product(a: dict, b: dict) -> dict:
-    """Product of two polynomials stored as {exponent tuple: int}."""
-    out: dict[tuple[int, ...], int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
-
-
-def _integer_coefficients(d: int, k: int, alphas) -> tuple[tuple[int, ...], ...]:
-    """k! times the monomial coefficients of the basis functions of nodes alphas / k.
-
-    Silvester's product form (see `lagrange_basis`) is expanded in integer
-    arithmetic in y = k x: the falling factorials of each y_i and of
-    k - sum(y) are built once per order, and the coefficient of x^beta is
-    c_beta * k^|beta| / prod_i alpha_i!, where prod_i alpha_i! divides k!.
-    Lagrange interpolation on the lattice is unique, so these are the
-    rationals of the generalized Vandermonde solve (`solve_rational_system`,
-    kept as the test oracle).  The partition of unity is checked exactly.
-    """
-    monomials = multi_indices(d, k)
-    zero = (0,) * d
-
-    # y_c (y_c - 1) ... (y_c - m + 1), per (coordinate c, order m)
-    falling_y = {}
-    for m in range(k + 1):
-        coeffs = _falling_factorial(0, m)
-        for c in range(d):
-            falling_y[c, m] = {
-                zero[:c] + (p,) + zero[c + 1 :]: v for p, v in enumerate(coeffs) if v
-            }
-    # (k - s)(k - 1 - s) ... (k - m + 1 - s) with s = sum(y), per order m,
-    # through s^p = sum_{|beta| = p} p! / prod(beta!) y^beta
-    falling_0 = {}
-    for m in range(k + 1):
-        coeffs = _falling_factorial(k, m)  # in t = -s
-        falling_0[m] = {
-            beta: (-1) ** sum(beta)
-            * coeffs[sum(beta)]
-            * (math.factorial(sum(beta)) // math.prod(map(math.factorial, beta)))
-            for beta in multi_indices(d, m)
-            if coeffs[sum(beta)]
-        }
-
-    # x^beta = y^beta / k^|beta|
-    scale = {beta: k ** sum(beta) for beta in monomials}
-    column = {beta: j for j, beta in enumerate(monomials)}
-    k_factorial = math.factorial(k)
-    rows = []
-    for alpha in alphas:
-        alpha_0 = k - sum(alpha)
-        product = falling_0[alpha_0]
-        denominator = math.factorial(alpha_0)
-        for c, a in enumerate(alpha):
-            if a:
-                product = _integer_product(product, falling_y[c, a])
-                denominator *= math.factorial(a)
-        multiplier = k_factorial // denominator
-        row = [0] * len(monomials)
-        for beta, v in product.items():
-            row[column[beta]] = v * scale[beta] * multiplier
-        rows.append(tuple(row))
-
-    # sum_i phi_i = 1: the columns of k! * coefficients sum to k!, 0, ..., 0
-    if [sum(col) for col in zip(*rows)] != [k_factorial] + [0] * (len(monomials) - 1):
-        raise RuntimeError(f"partition of unity violated for d={d}, k={k}")
-    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -343,10 +253,9 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
 
     It depends only on the multiset (alpha_0, alpha), so it is computed once
     per permutation orbit.  The integrals sum exactly to 1/d! (checked on the
-    integer numerators; `audit_degrees` relies on this check).  The
-    coefficient matrix, which only a d = 1 Gram reads, is built on first use
-    (`LagrangeBasisSpec.integer_coefficients`).  Memoized; the spec also
-    keeps every Gram computed from it (`gram`), and is immutable otherwise.
+    integer numerators; `audit_degrees` relies on this check).  Memoized; the
+    spec also keeps every Gram computed from it (`gram`), and is immutable
+    otherwise.
     """
     _check_dimension(d)
     if k < 1:
@@ -354,7 +263,7 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
     alphas = tuple(multi_indices(d, k))
     # w_a, a = 0..k: q_a(lambda) = sum_b f_a[b] k^b lambda^b / a!, times b!
     weights = [
-        [f * k**b * math.factorial(b) for b, f in enumerate(_falling_factorial(0, a))]
+        [f * k**b * math.factorial(b) for b, f in enumerate(_falling_factorial(a))]
         for a in range(k + 1)
     ]
     scales = _moment_scales(d, k)
@@ -395,19 +304,18 @@ def gram(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[tuple[tuple[int, .
     Returned as integer numerators over one common denominator, G[i][j] =
     numerators[i][j] / denominator, with denominator = a.degree! b.degree!
     (a.degree + b.degree + d)!.  For d >= 2 the entries come by permutation
-    orbits (`_gram_by_orbits`) and no coefficient matrix is read; the row
-    sums must then equal a's integrals and the column sums b's (the basis
-    sums to 1), an exact check against the integrals that `lagrange_basis`
-    computed by its own route.  For d = 1, where the symmetry group has two
-    elements and the orbits cost more than they save, the entries come as
-    A P B^T (`_gram_by_coefficients`), whose coefficient matrices are
-    checked for the partition of unity.  Each Gram is computed once and kept
-    on the memoized `lagrange_basis(d, a.degree)`, keyed by both node
-    orders, so that a reordered copy of a basis (`fem.StateSpace.ref`)
-    shares it and `lagrange_basis.cache_clear()` drops it.  Only work that
-    reads a Gram twice gains from the memo, such as `ocp.convergence_study`
-    (three Grams per mesh and one for the certificate: 3 distinct of 10); a
-    single solve or certificate computes each of its Grams once.
+    orbits (`_gram_by_orbits`); the row sums must then equal a's integrals and
+    the column sums b's (the basis sums to 1), an exact check against the
+    integrals that `lagrange_basis` computed by its own route.  For d = 1,
+    where the symmetry group has two elements and the orbits cost more than
+    they save, the entries come as A H B^T over the monomials
+    (`_gram_on_interval`), whose coefficient rows are checked for the
+    partition of unity.  Each Gram is computed once and kept on the memoized
+    `lagrange_basis(d, a.degree)`, keyed by both node orders, so that a
+    reordered copy of a basis (`fem.StateSpace.ref`) shares it and
+    `lagrange_basis.cache_clear()` drops it.  Only work that reads a Gram
+    twice gains from the memo, such as `ocp.convergence_study`, where every
+    mesh and the certificate read the same Grams.
     """
     if a.dim != b.dim:
         raise ValueError(f"bases of dimensions {a.dim} and {b.dim} share no simplex")
@@ -419,8 +327,8 @@ def gram(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[tuple[tuple[int, .
         math.factorial(a.degree) * math.factorial(b.degree)
         * math.factorial(a.degree + b.degree + a.dim)
     )
-    if a.dim == 1:  # `_integer_coefficients` checks the partition of unity
-        numerators = _gram_by_coefficients(a, b)
+    if a.dim == 1:  # `_interval_rows` checks the partition of unity
+        numerators = _gram_on_interval(a, b)
     else:
         numerators = _gram_by_orbits(a, b)
         for sums, spec in ((map(sum, numerators), a), (map(sum, zip(*numerators)), b)):
@@ -436,32 +344,42 @@ def gram(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[tuple[tuple[int, .
     return memo[key]
 
 
-def _gram_by_coefficients(
-    a: LagrangeBasisSpec, b: LagrangeBasisSpec
-) -> tuple[tuple[int, ...], ...]:
-    """Gram numerators as A P B^T, over a.degree! b.degree! (a.degree + b.degree + d)!.
+def _interval_rows(k: int, alphas) -> list[list[int]]:
+    """k! times the coefficients of x^0, ..., x^k of the d = 1 basis functions of nodes alphas / k.
 
-    A and B are the coefficient matrices times a.degree! and b.degree! (each
-    basis's `integer_coefficients`), and P[beta][gamma] = int x^(beta + gamma)
-    times (a.degree + b.degree + d)!.  Cubic in the basis size.
+    In y = k x, Silvester's product form (see `lagrange_basis`) of node a / k is
+    k! phi_a = comb(k, a) (k - y) (k - 1 - y) ... (a + 1 - y) * y (y - 1) ... (y - a + 1),
+    two falling factorials, each built for a = 0..k one linear factor in x
+    at a time.  Lagrange interpolation on the lattice is unique, so these are
+    k! times the rationals of the Vandermonde inverse.  The partition of
+    unity is checked exactly.
     """
-    d = a.dim
+    # right[a] = y (y - 1) ... (y - a + 1) and left[a] = (k - y) ... (k - a + 1 - y)
+    right, left = [[1]], [[1]]
+    for a in range(k):
+        right.append(_convolve(right[-1], [-a, k]))
+        left.append(_convolve(left[-1], [k - a, -k]))
+    rows = [[math.comb(k, a) * c for c in _convolve(left[k - a], right[a])] for (a,) in alphas]
+    # sum_a phi_a = 1: the columns of k! phi sum to k!, 0, ..., 0
+    if [sum(column) for column in zip(*rows)] != [math.factorial(k)] + [0] * k:
+        raise RuntimeError(f"partition of unity violated for d=1, k={k}")
+    return rows
+
+
+def _gram_on_interval(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[tuple[int, ...], ...]:
+    """Gram numerators at d = 1 as A H B^T, over a.degree! b.degree! (a.degree + b.degree + 1)!.
+
+    A and B are the coefficient rows of `_interval_rows`, and H[p][q] is the
+    integral of x^(p + q) over [0, 1] times (a.degree + b.degree + 1)!: the
+    Hankel matrix of (a.degree + b.degree + 1)! / (s + 1).
+    """
     top = a.degree + b.degree
-    scales = _moment_scales(d, top)
-    moment = {
-        sigma: math.prod(map(math.factorial, sigma)) * scales[sum(sigma)]
-        for sigma in multi_indices(d, top)
-    }
-    betas = multi_indices(d, a.degree)
-    columns = [  # column gamma of P
-        [moment[tuple(map(operator.add, beta, gamma))] for beta in betas]
-        for gamma in multi_indices(d, b.degree)
-    ]
-    rows_b = b.integer_coefficients
+    hankel = [math.factorial(top + 1) // (s + 1) for s in range(top + 1)]
     left = [
-        [sum(map(operator.mul, row, column)) for column in columns]
-        for row in a.integer_coefficients
+        [sum(map(operator.mul, row, hankel[q:])) for q in range(b.degree + 1)]
+        for row in _interval_rows(a.degree, a.alphas)
     ]
+    rows_b = _interval_rows(b.degree, b.alphas)
     return tuple(tuple([sum(map(operator.mul, row, other)) for other in rows_b]) for row in left)
 
 
@@ -493,7 +411,7 @@ def _gram_by_orbits(
         factorials.append(factorials[-1] * c)
     # q_m(lambda) = sum_c v[k][m][c] lambda^c / m!, per degree k and order m
     v = {
-        k: [[f * k**c for c, f in enumerate(_falling_factorial(0, m))] for m in range(k + 1)]
+        k: [[f * k**c for c, f in enumerate(_falling_factorial(m))] for m in range(k + 1)]
         for k in {ka, kb}
     }
     weights, divisors = {}, {}  # per pair (A_i + B_i, A_i): w, and A_i! B_i!

@@ -8,13 +8,13 @@ A cell integral of affinely pushed-forward functions is the reference
 integral times |det B|, so the coupling C, the control mass M_u and the P1
 mass M are each one reference block, applied by a :class:`CellBlockOperator`:
 the exact Gram matrix of two reference bases (:func:`~ctrldisc.exactbasis.gram`,
-computed once per permutation orbit and kept with the basis memo, so every
-mesh of a study reuses it), rounded to float once per entry.  At d >= 2 no
-coefficient matrix is built.  Assembly takes no quadrature rule; only
-integrands that are not polynomials (loads, :func:`l2_error`) use one.  Only
-the stiffness depends on B itself; A = K + M is assembled straight into upper
-band storage, symmetric by construction.  Results agree with per-cell loops
-to roundoff (tests/test_fem.py keeps them as oracles).
+by permutation orbits at d >= 2 and over monomials at d = 1, kept with the
+basis memo so that every mesh of a study reuses it), rounded to float once per
+entry.  Assembly takes no quadrature rule; only integrands that are not
+polynomials (loads, :func:`l2_error`) use one.  Only the stiffness depends on
+B itself; A = K + M is assembled straight into upper band storage, symmetric
+by construction.  Results agree with per-cell loops to roundoff
+(tests/test_fem.py keeps them as oracles).
 
 The state operator A is fixed and symmetric positive definite, so
 :func:`_banded_cholesky_solver` factors it once (the vertex numbering gives

@@ -16,6 +16,7 @@ acquire a persistent negative part.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -105,6 +106,9 @@ class OcpConfig:
     max_qp_iterations: int = 200_000
 
     def __post_init__(self):
+        for name in ("dim", "degree", "n", "max_qp_iterations"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.dim not in (1, 2):
             raise ValueError(f"solves are supported for dim in {{1, 2}}, got {self.dim}")
         if not 1 <= self.degree <= MAX_CONTROL_DEGREE:
@@ -742,18 +746,18 @@ class ConvergenceStudy:
 
 def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
     """Solve the QP on a family of meshes and classify the limit regime."""
-    ns = sorted({int(n) for n in mesh_parameters})
+    ns = sorted(set(mesh_parameters))
     if len(ns) < 2:
         raise ValueError("a convergence study needs at least two mesh parameters")
-    if any(n < 1 for n in ns):
-        raise ValueError("mesh parameters must be >= 1")
+    if any(not isinstance(n, numbers.Integral) or n < 1 for n in ns):
+        raise ValueError(f"mesh parameters must be integers >= 1, got {ns}")
 
     try:
         certificate = build_certificate(config)
     except NoNegativeBasisError:
         certificate = None
     runs = []
-    for n in ns:
+    for n in map(int, ns):
         disc = Discretization(replace(config, n=n))
         solution = solve_qp(disc)
         audit = feasibility_audit(disc, solution.control)

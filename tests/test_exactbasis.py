@@ -3,14 +3,17 @@
 Oracles used here are deliberately separate from the library code paths:
 iterated symbolic integration (sympy) for simplex moments, a local
 fraction-arithmetic elimination for moment-matched quadrature weights, the
-closed factorial formula for barycentric monomial integrals, a
-Fraction-per-product double sum for the exact Gram matrix, and a float Gram
-matrix built here by certified quadrature for exact squares.
+closed factorial formula for barycentric monomial integrals, the general-d
+monomial expansion of the basis (`integer_rows`, which the library keeps for
+d = 1 only), a Fraction-per-product double sum for the exact Gram matrix, and
+a float Gram matrix built here by certified quadrature for exact squares.
 """
 
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -69,6 +72,80 @@ def solve_fractions(matrix, rhs):
             f = rows[r][col] / rows[col][col]
             rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
     return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def falling_factorial(shift, m):
+    """Integer coefficients of prod_{j<m} (t + shift - j), lowest power of t first."""
+    coeffs = [1]
+    for j in range(m):
+        coeffs = [(shift - j) * c + lower for c, lower in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def polynomial_product(a, b):
+    """Product of two polynomials stored as {exponent tuple: int}."""
+    out = Counter()
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[tuple(map(operator.add, ea, eb))] += ca * cb
+    return out
+
+
+@lru_cache(maxsize=None)
+def integer_rows(d, k):
+    """{alpha: k! times the monomial coefficients of the basis function of node alpha / k}.
+
+    Silvester's product form (see `lagrange_basis`) expanded in y = k x: k!
+    phi_alpha is k! / prod_i alpha_i! times the falling factorial of k -
+    sum(y) of order alpha_0 = k - |alpha| and those of each y_i of order
+    alpha_i, and the coefficient of x^beta is that of y^beta times k^|beta|.
+    Columns follow multi_indices(d, k).  The partition of unity is checked.
+    """
+    monomials = multi_indices(d, k)
+    zero = (0,) * d
+    rows = {}
+    for alpha in monomials:
+        alpha_0 = k - sum(alpha)
+        # (k - s)(k - 1 - s) ... in t = -s, through s^p = sum_{|beta| = p} p! / prod(beta!) y^beta
+        f = falling_factorial(k, alpha_0)
+        product = {
+            beta: (-1) ** sum(beta) * f[sum(beta)]
+            * (math.factorial(sum(beta)) // math.prod(map(math.factorial, beta)))
+            for beta in multi_indices(d, alpha_0)
+        }
+        for c, a in enumerate(alpha):
+            falling = falling_factorial(0, a)
+            y_c = {zero[:c] + (p,) + zero[c + 1 :]: v for p, v in enumerate(falling)}
+            product = polynomial_product(product, y_c)
+        multiplier = math.factorial(k) // math.prod(map(math.factorial, (alpha_0, *alpha)))
+        rows[alpha] = tuple(product.get(b, 0) * k ** sum(b) * multiplier for b in monomials)
+    unity = [math.factorial(k)] + [0] * (len(monomials) - 1)
+    assert [sum(column) for column in zip(*rows.values())] == unity
+    return rows
+
+
+def coefficients(spec):
+    """The monomial coefficients of spec's basis functions as Fractions, in spec's node order."""
+    rows, scale = integer_rows(spec.dim, spec.degree), math.factorial(spec.degree)
+    return [[Fraction(v, scale) for v in rows[alpha]] for alpha in spec.alphas]
+
+
+def coefficient_gram(a, b):
+    """`gram(a, b)`'s numerators as A P B^T: integer coefficient rows against the moments."""
+    d, top = a.dim, a.degree + b.degree
+    scale = math.factorial(top + d)
+    moment = {sigma: int(monomial_integral(sigma) * scale) for sigma in multi_indices(d, top)}
+    rows_a, rows_b = integer_rows(d, a.degree), integer_rows(d, b.degree)
+    columns = [  # column gamma of P
+        [moment[tuple(map(operator.add, beta, gamma))] for beta in multi_indices(d, a.degree)]
+        for gamma in multi_indices(d, b.degree)
+    ]
+    left = [
+        [sum(map(operator.mul, rows_a[alpha], column)) for column in columns] for alpha in a.alphas
+    ]
+    return tuple(
+        tuple(sum(map(operator.mul, row, rows_b[beta])) for beta in b.alphas) for row in left
+    )
 
 
 def barycentric_integral(exponents, d):
@@ -150,6 +227,12 @@ def test_index_enumerations_reject_dimensions_below_one():
             exponents_of_degree(d, 2)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exponents_of_a_negative_degree_are_rejected_in_every_dimension(d):
+    with pytest.raises(ValueError, match="total degree must be >= 0"):
+        exponents_of_degree(d, -1)
+
+
 def test_lattice_nodes_examples():
     assert lattice_nodes(1, 2) == [(0,), (Fraction(1, 2),), (1,)]
     assert set(lattice_nodes(2, 1)) == {(0, 0), (1, 0), (0, 1)}
@@ -182,31 +265,24 @@ def test_lattice_nodes_rejects_bad_input():
 def test_lagrange_basis_d1k1():
     # monomials 1, x
     spec = lagrange_basis(1, 1)
-    assert spec.coefficients == ((1, -1), (0, 1))
+    assert coefficients(spec) == [[1, -1], [0, 1]]
+    assert exactbasis._interval_rows(1, spec.alphas) == [[1, -1], [0, 1]]
 
 
 def test_lagrange_basis_d1k2_frozen():
     # monomials 1, x, x^2
     spec = lagrange_basis(1, 2)
-    assert spec.coefficients == ((1, -3, 2), (0, 4, -4), (0, -1, 2))
-    assert all(type(c) is Fraction for row in spec.coefficients for c in row)
+    assert coefficients(spec) == [[1, -3, 2], [0, 4, -4], [0, -1, 2]]
+    assert exactbasis._interval_rows(2, spec.alphas) == [[2, -6, 4], [0, 8, -8], [0, -2, 4]]
 
 
 def test_lagrange_basis_d2k1_barycentric():
     # monomials 1, y, x (graded-lex: (0, 0), (0, 1), (1, 0))
     spec = lagrange_basis(2, 1)
-    by_node = dict(zip(spec.nodes, spec.coefficients))
-    assert by_node[(0, 0)] == (1, -1, -1)
-    assert by_node[(1, 0)] == (0, 0, 1)
-    assert by_node[(0, 1)] == (0, 1, 0)
-
-
-@pytest.mark.parametrize("d,k", SUPPORTED)
-def test_coefficient_rows_share_one_zero(d, k):
-    spec = lagrange_basis(d, k)
-    zeros = {id(c) for row in spec.coefficients for c in row if not c}
-    assert len(zeros) == 1
-    assert all(len(row) == spec.node_count for row in spec.coefficients)
+    by_node = dict(zip(spec.nodes, coefficients(spec)))
+    assert by_node[(0, 0)] == [1, -1, -1]
+    assert by_node[(1, 0)] == [0, 0, 1]
+    assert by_node[(0, 1)] == [0, 1, 0]
 
 
 @pytest.mark.parametrize("d,k", SUPPORTED)
@@ -221,7 +297,7 @@ def test_delta_property_exact(d, k):
                 if a:
                     v *= x**a
             mono_vals[alpha] = v
-        for i, row in enumerate(spec.coefficients):
+        for i, row in enumerate(coefficients(spec)):
             value = sum((c * mono_vals[a] for a, c in zip(monos, row)), Fraction(0))
             assert value == (1 if i == j else 0)
 
@@ -229,7 +305,7 @@ def test_delta_property_exact(d, k):
 @pytest.mark.parametrize("d,k", SUPPORTED)
 def test_partition_of_unity_exact(d, k):
     spec = lagrange_basis(d, k)
-    total = [sum(column, Fraction(0)) for column in zip(*spec.coefficients)]
+    total = [sum(column, Fraction(0)) for column in zip(*coefficients(spec))]
     assert multi_indices(d, k)[0] == (0,) * d
     assert total == [1] + [0] * (spec.node_count - 1)
 
@@ -259,8 +335,17 @@ def vandermonde_basis(d, k):
 )
 def test_closed_form_equals_vandermonde_oracle(d, k):
     monos = multi_indices(d, k)
-    terms = [{b: c for b, c in zip(monos, row) if c} for row in lagrange_basis(d, k).coefficients]
+    terms = [{b: c for b, c in zip(monos, row) if c} for row in coefficients(lagrange_basis(d, k))]
     assert terms == vandermonde_basis(d, k)
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_interval_rows_equal_the_vandermonde_inverse(k):
+    # the library's own d = 1 expansion, behind every d = 1 Gram
+    rows = exactbasis._interval_rows(k, lagrange_basis(1, k).alphas)
+    scale = math.factorial(k)
+    terms = [{(p,): Fraction(c, scale) for p, c in enumerate(row) if c} for row in rows]
+    assert terms == vandermonde_basis(1, k)
 
 
 @pytest.mark.parametrize("d,k", WIDE)
@@ -271,7 +356,7 @@ def test_stored_integrals_equal_term_by_term_integrals(d, k):
     monos = multi_indices(d, k)
     assert spec.integrals == tuple(
         sum((c * monomial_integral(beta) for beta, c in zip(monos, row)), Fraction(0))
-        for row in spec.coefficients
+        for row in coefficients(spec)
     )
     assert basis_integrals(spec) is spec.integrals
 
@@ -294,15 +379,15 @@ def test_integrals_are_invariant_under_barycentric_permutations(case):
 
 @pytest.fixture
 def matrix_builds(monkeypatch):
-    """Counts of the coefficient-matrix builds per (d, k), on freshly built bases."""
+    """Counts of the d = 1 coefficient-row builds per degree, on freshly built bases."""
     builds = Counter()
-    build = exactbasis._integer_coefficients
+    build = exactbasis._interval_rows
 
-    def counting(d, k, alphas):
-        builds[d, k] += 1
-        return build(d, k, alphas)
+    def counting(k, alphas):
+        builds[k] += 1
+        return build(k, alphas)
 
-    monkeypatch.setattr(exactbasis, "_integer_coefficients", counting)
+    monkeypatch.setattr(exactbasis, "_interval_rows", counting)
     lagrange_basis.cache_clear()
     yield builds
     lagrange_basis.cache_clear()
@@ -310,9 +395,11 @@ def matrix_builds(monkeypatch):
 
 def test_audits_and_clean_solves_build_no_coefficient_matrix(matrix_builds):
     audit_degrees(3, 6)
-    disc = Discretization(OcpConfig(2, 3, 4))
-    solution = solve_qp(disc)
-    feasibility_audit(disc, solution.control)
+    audit_degrees(1, 10)
+    for config in (OcpConfig(2, 3, 4), OcpConfig(1, 3, 4)):
+        disc = Discretization(config)
+        solution = solve_qp(disc)
+        feasibility_audit(disc, solution.control)
     assert not matrix_builds
 
 
@@ -322,6 +409,12 @@ def test_a_negative_solve_builds_no_coefficient_matrix(matrix_builds):
     solve_qp(Discretization(config))
     build_certificate(config)
     assert not matrix_builds
+
+
+def test_a_negative_interval_solve_builds_rows_once_per_gram(matrix_builds):
+    # the control mass, the coupling and the P1 mass: two row sets per Gram
+    solve_qp(Discretization(OcpConfig(1, 8, 4)))
+    assert matrix_builds == {8: 3, 1: 3}
 
 
 def test_audit_raises_when_the_construction_is_corrupted(monkeypatch):
@@ -440,9 +533,9 @@ def gram_oracle(a, b):
                 ),
                 Fraction(0),
             )
-            for row_b in b.coefficients
+            for row_b in coefficients(b)
         ]
-        for row_a in a.coefficients
+        for row_a in coefficients(a)
     ]
 
 
@@ -489,7 +582,10 @@ def test_orbit_route_equals_coefficient_route(d, k):
     reordered = exactbasis.LagrangeBasisSpec(d, k, spec.alphas[::-1], spec.integrals[::-1])
     pairs = [(spec, spec), (p1, spec), (spec, p1), (lower, spec), (spec, lower), (reordered, spec)]
     for a, b in pairs:
-        assert exactbasis._gram_by_orbits(a, b) == exactbasis._gram_by_coefficients(a, b)
+        expected = coefficient_gram(a, b)
+        assert exactbasis._gram_by_orbits(a, b) == expected
+        if d == 1:
+            assert exactbasis._gram_on_interval(a, b) == expected
 
 
 def barycentric_pairs(a, i, b, j):
@@ -524,7 +620,7 @@ def test_one_corrupted_orbit_value_trips_the_sum_check(monkeypatch, ka, kb):
 def gram_computations(monkeypatch):
     """Counts of the Gram computations per (route, d, a.degree, b.degree), on fresh bases."""
     computations = Counter()
-    for name in ("_gram_by_orbits", "_gram_by_coefficients"):
+    for name in ("_gram_by_orbits", "_gram_on_interval"):
 
         def counting(a, b, name=name, route=getattr(exactbasis, name)):
             computations[name, a.dim, a.degree, b.degree] += 1
@@ -554,7 +650,7 @@ def test_the_gram_memo_goes_with_the_basis_memo(gram_computations):
     lagrange_basis.cache_clear()
     spec = lagrange_basis(1, 3)
     assert gram(spec, spec) == first
-    assert gram_computations == {("_gram_by_coefficients", 1, 3, 3): 2}
+    assert gram_computations == {("_gram_on_interval", 1, 3, 3): 2}
 
 
 def test_gram_rejects_bases_of_different_dimensions():

@@ -30,6 +30,7 @@ from ctrldisc.fem import (
 from ctrldisc.mesh import SimplexMesh, cell_geometry, unit_interval_mesh, unit_square_mesh
 from ctrldisc.ocp import DESIRED_STATE, Discretization, OcpConfig
 from ctrldisc.quadrature import simplex_rule
+from test_exactbasis import coefficient_gram, coefficients
 
 
 def dense(operator: CellBlockOperator) -> np.ndarray:
@@ -309,9 +310,9 @@ def test_reference_blocks_are_bitwise_equal_by_either_gram_route(monkeypatch, d,
         return [_reference_block(a, b) for a, b in ((p1, p1), (p1, control), (control, control))]
 
     default = blocks()
-    orbits, coefficients = exactbasis._gram_by_orbits, exactbasis._gram_by_coefficients
-    monkeypatch.setattr(exactbasis, "_gram_by_orbits", coefficients)
-    monkeypatch.setattr(exactbasis, "_gram_by_coefficients", orbits)
+    # d = 1 by orbits; d >= 2 as A P B^T over the tests' general-d monomial expansion
+    monkeypatch.setattr(exactbasis, "_gram_on_interval", exactbasis._gram_by_orbits)
+    monkeypatch.setattr(exactbasis, "_gram_by_orbits", coefficient_gram)
     swapped = blocks()
     lagrange_basis.cache_clear()
     assert [block.tobytes() for block in default] == [block.tobytes() for block in swapped]
@@ -339,7 +340,7 @@ def exact_values(spec, points):
     for q, point in enumerate(points):
         exact = [Fraction(x) for x in point]
         monomials = [math.prod(x**e for x, e in zip(exact, beta)) for beta in indices]
-        for i, row in enumerate(spec.coefficients):
+        for i, row in enumerate(coefficients(spec)):
             out[i, q] = float(sum(c * v for c, v in zip(row, monomials) if c))
     return out
 

@@ -134,6 +134,16 @@ def test_mesh_inputs_validated():
         unit_square_mesh(0)
 
 
+@pytest.mark.parametrize("maker", [unit_interval_mesh, unit_square_mesh])
+def test_mesh_sizes_must_be_integers(maker):
+    # a float size passes n >= 1, and then np.arange(n + 1) / n reaches past 1
+    for n in (3.7, 2.5, 4.0):
+        with pytest.raises(ValueError, match="must be an integer"):
+            maker(n)
+    mesh = maker(np.int64(3))
+    assert np.array_equal(mesh.vertices, maker(3).vertices) and mesh.h == maker(3).h
+
+
 def test_mesh_arrays_immutable():
     mesh = unit_square_mesh(2)
     with pytest.raises(ValueError):

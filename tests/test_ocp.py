@@ -1080,6 +1080,15 @@ def test_study_requires_two_meshes():
         convergence_study(OcpConfig(dim=1, degree=2, n=4), [4])
 
 
+def test_study_rejects_non_integral_mesh_parameters():
+    config = OcpConfig(dim=1, degree=2, n=4)
+    with pytest.raises(ValueError, match="mesh parameters must be integers"):
+        convergence_study(config, [2, 4.9])
+    study = convergence_study(config, np.array([4, 2]))
+    assert [type(run.n) for run in study.runs] == [int, int]
+    assert [run.n for run in study.runs] == [2, 4]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         OcpConfig(dim=3, degree=1, n=2)
@@ -1100,6 +1109,16 @@ def test_config_validation():
             OcpConfig(dim=2, degree=1, n=2, alpha=value)
         with pytest.raises(ValueError, match="qp_tol"):
             OcpConfig(dim=2, degree=1, n=2, qp_tol=value)
+
+
+@pytest.mark.parametrize("name", ["dim", "degree", "n", "max_qp_iterations"])
+def test_config_sizes_must_be_integers(name):
+    # a float passes every range check, then misbuilds the mesh or lifts the iteration cap
+    base = {"dim": 2, "degree": 4, "n": 2, "max_qp_iterations": 3}
+    for value in (base[name] + 0.5, float(base[name])):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            OcpConfig(**{**base, name: value})
+    assert OcpConfig(**{**base, name: np.int64(base[name])}) == OcpConfig(**base)
 
 
 def test_monotonicity_objective_never_above_volume():
