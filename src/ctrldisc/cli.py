@@ -9,8 +9,8 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,7 +34,8 @@ EXIT_NUMERICAL = 3
 
 
 def _render(obj, indent: int) -> str:
-    pad = "  " * indent
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)  # what json.dumps does with a str
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -46,22 +47,20 @@ def _render(obj, indent: int) -> str:
         if not np.isfinite(value):
             raise ValueError(f"non-finite value {value!r} in report")
         return format(value, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {_render(v, indent + 1)}" for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_render(v, indent + 1)}" for v in items)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+        brackets = "{}"
+        items = [
+            f"{encode_basestring_ascii(str(k))}: {_render(v, indent + 1)}" for k, v in obj.items()
+        ]
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        brackets = "[]"
+        items = [_render(v, indent + 1) for v in obj]
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    if not items:
+        return brackets
+    pad = "\n" + "  " * indent
+    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
 
 
 def dumps(obj) -> str:

@@ -56,32 +56,33 @@ def _check_dimension(d: int) -> None:
         raise ValueError(f"unsupported dimension {d}; expected one of {SUPPORTED_DIMENSIONS}")
 
 
-def exponents_of_degree(d: int, total: int) -> list[tuple[int, ...]]:
-    """All length-d tuples of non-negative ints summing to `total`, lexicographic."""
+def _graded_exponents(d: int, k: int) -> list[list[tuple[int, ...]]]:
+    """The length-d tuples of non-negative ints by sum t = 0..k, lexicographic, built bottom up."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if total < 0:
-        raise ValueError(f"total degree must be >= 0, got {total}")
-    if d == 1:
-        return [(total,)]
-    return [
-        (first,) + rest
-        for first in range(total + 1)
-        for rest in exponents_of_degree(d - 1, total - first)
-    ]
+    if k < 0:
+        raise ValueError(f"total degree must be >= 0, got {k}")
+    by_total = [[(t,)] for t in range(k + 1)]
+    for _ in range(d - 1):
+        by_total = [
+            [(first,) + rest for first in range(t + 1) for rest in by_total[t - first]]
+            for t in range(k + 1)
+        ]
+    return by_total
+
+
+def exponents_of_degree(d: int, total: int) -> list[tuple[int, ...]]:
+    """All length-d tuples of non-negative ints summing to `total`, lexicographic."""
+    return _graded_exponents(d, total)[total]
 
 
 def multi_indices(d: int, k: int) -> list[tuple[int, ...]]:
     """All multi-indices of length d with order <= k, in graded-lexicographic order.
 
     Graded-lex: ascending total degree, lexicographic (as tuples) within each degree.
-    This single ordering fixes the node ordering, the monomial ordering of the
-    interpolation system, and the basis-function ordering everywhere else.
+    This single ordering fixes the node and basis-function orderings everywhere.
     """
-    out: list[tuple[int, ...]] = []
-    for total in range(k + 1):
-        out.extend(exponents_of_degree(d, total))
-    return out
+    return [alpha for level in _graded_exponents(d, k) for alpha in level]
 
 
 def lattice_nodes(d: int, k: int) -> list[tuple[Fraction, ...]]:
@@ -183,8 +184,8 @@ class LagrangeBasisSpec:
 
     @property
     def negative_indices(self) -> tuple[int, ...]:
-        """Indices i with integrals[i] < 0, by exact comparison: the one regime test."""
-        return tuple(i for i, v in enumerate(self.integrals) if v < 0)
+        """Indices i with integrals[i] < 0, by numerator sign: the one regime test."""
+        return tuple([i for i, v in enumerate(self.integrals) if v.numerator < 0])
 
     @cached_property
     def nodes(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -291,10 +292,7 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
 
 
 def basis_integrals(spec: LagrangeBasisSpec) -> tuple[Fraction, ...]:
-    """Exact integrals of every basis function over the reference simplex.
-
-    Computed once, when the basis is built; this returns `spec.integrals`.
-    """
+    """Exact integrals of every basis function over the reference simplex: `spec.integrals`."""
     return spec.integrals
 
 
@@ -498,8 +496,8 @@ class AuditReport:
 def audit_degrees(d: int, k_max: int) -> AuditReport:
     """Audit the sign of every basis integral for k = 1..k_max in dimension d.
 
-    An integral equal to exactly 0 counts as non-negative.  All sign tests are
-    exact rational comparisons.
+    An integral equal to exactly 0 counts as non-negative.  All sign tests read
+    exact numerators.
     """
     _check_dimension(d)
     if k_max < 1:

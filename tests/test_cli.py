@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctrldisc
 from ctrldisc.cli import dumps, main
@@ -257,6 +259,59 @@ def test_dumps_float_formatting():
         dumps(float("nan"))
     with pytest.raises(TypeError):
         dumps(object())
+
+
+# quotes, backslashes, control and non-ASCII characters, which need escaping
+ESCAPED = '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'
+report_text = st.text(alphabet=st.one_of(st.sampled_from(ESCAPED), st.characters()), max_size=12)
+report_leaves = st.one_of(
+    report_text,
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**31), 2**31 - 1).map(np.int32),
+    st.integers(0, 255).map(np.uint8),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([[], (), {}]),
+)
+report_payloads = st.recursive(
+    report_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(report_text, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def plain(obj):
+    """The payload with numpy ints as ints, as the standard library serializes it."""
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return int(obj) if isinstance(obj, np.integer) else obj
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(payload=report_payloads)
+def test_dumps_equals_the_standard_library_without_floats(payload):
+    assert dumps(payload) == json.dumps(plain(payload), indent=2)
+
+
+@pytest.mark.parametrize(
+    "payload", [float("inf"), {"a": [1, -np.inf]}, [np.float64("nan")], ({"b": float("nan")},)]
+)
+def test_dumps_rejects_non_finite_floats_anywhere(payload):
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [object(), {"a": [{1, 2}]}, [Fraction(1, 2)], (b"x",)])
+def test_dumps_rejects_unsupported_types_anywhere(payload):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps(payload)
 
 
 def test_unreachable_tolerance_stagnates_quickly(capsys):

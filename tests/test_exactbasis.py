@@ -9,6 +9,7 @@ d = 1 only), a Fraction-per-product double sum for the exact Gram matrix, and
 a float Gram matrix built here by certified quadrature for exact squares.
 """
 
+import itertools
 import math
 import operator
 from collections import Counter
@@ -34,7 +35,7 @@ from ctrldisc.exactbasis import (
     multi_indices,
     solve_rational_system,
 )
-from ctrldisc.fem import ControlSpace
+from ctrldisc.fem import ControlSpace, StateSpace
 from ctrldisc.mesh import SimplexMesh
 from ctrldisc.ocp import (
     Discretization,
@@ -231,6 +232,19 @@ def test_index_enumerations_reject_dimensions_below_one():
 def test_exponents_of_a_negative_degree_are_rejected_in_every_dimension(d):
     with pytest.raises(ValueError, match="total degree must be >= 0"):
         exponents_of_degree(d, -1)
+    with pytest.raises(ValueError, match="total degree must be >= 0"):
+        multi_indices(d, -1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_multi_indices_equal_the_sorted_lattice(d):
+    # oracle: every length-d tuple with sum <= k, sorted by (sum, tuple)
+    for k in range(15):
+        lattice = [alpha for alpha in itertools.product(range(k + 1), repeat=d) if sum(alpha) <= k]
+        expected = sorted(lattice, key=lambda alpha: (sum(alpha), alpha))
+        assert multi_indices(d, k) == expected
+        assert len(expected) == math.comb(d + k, d)
+        assert exponents_of_degree(d, k) == [alpha for alpha in expected if sum(alpha) == k]
 
 
 def test_lattice_nodes_examples():
@@ -716,6 +730,17 @@ def test_audit_zero_integral_counts_nonnegative():
     assert any(v == 0 for v in record.integrals)
     assert record.all_nonnegative
     assert record.negative_indices == ()
+
+
+@pytest.mark.parametrize("d,k", WIDE)
+def test_negative_indices_equal_the_exact_comparison(d, k):
+    spec = lagrange_basis(d, k)
+    reordered = exactbasis.LagrangeBasisSpec(d, k, spec.alphas[::-1], spec.integrals[::-1])
+    # the reference simplex as a one-cell mesh, for StateSpace's reordered P1 copy
+    cell = SimplexMesh(d, np.vstack([np.zeros(d), np.eye(d)]), np.arange(d + 1)[None], 1.0)
+    p1_copy = StateSpace(cell).ref
+    for basis in (spec, reordered, p1_copy):
+        assert basis.negative_indices == tuple(i for i, v in enumerate(basis.integrals) if v < 0)
 
 
 def test_audit_record_consistency():

@@ -12,7 +12,10 @@ timed runs (fewer once a case has used its time budget), each after
 ``lagrange_basis.cache_clear()`` so that no memo survives from the run
 before.  A Gram case builds the basis untimed and times one
 ``gram(spec, spec)``; a CLI case times one ``cli.main(argv)`` with stdout
-captured.  The file keeps the best time of every case over all rounds.
+captured.  Each worker reports the best time of every case, one per round;
+the file gives, per case and checkout, the best over all rounds and the
+quartiles of the rounds' bests, so a reader can see whether a row moved by
+more than the spread between rounds.
 
 The change's worker also times VARIANTS, each a design choice of the
 exact layer undone, beside the case it would replace: the d = 1 Gram by
@@ -28,6 +31,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from time import perf_counter
@@ -39,6 +43,9 @@ CLI_CASES = [
     "solve --dim 2 --degree 8 --mesh 4",
     "convergence --dim 2 --degree 4 --meshes 4,8,16",
     "certificate --dim 2 --degree 4",
+    "audit-basis --dim 3 --max-degree 6",
+    "audit-basis --dim 3 --max-degree 10",
+    "audit-basis --dim 2 --max-degree 14",
 ]
 # (case as built, the same work with one choice undone)
 VARIANTS = [
@@ -112,7 +119,7 @@ def main() -> int:
         parser.error("PARENT_SRC and CHANGE_SRC are required")
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    best: dict[str, dict[str, float]] = {"parent": {}, "change": {}}
+    rounds: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
     sides = [("parent", args.parent_src, []), ("change", args.change_src, ["--variants"])]
     for round_ in range(ROUNDS):
         for label, src, flags in sides if round_ % 2 == 0 else sides[::-1]:
@@ -120,14 +127,18 @@ def main() -> int:
             done = subprocess.run(argv, env=env, check=True, capture_output=True)
             times = json.loads(done.stdout)
             for case, seconds in times.items():
-                best[label][case] = min(seconds, best[label].get(case, seconds))
+                rounds[label].setdefault(case, []).append(seconds)
 
     import numpy
 
     def ms(seconds):
         return round(seconds * 1e3, 3)
 
+    def quartiles(label, case):
+        return [ms(q) for q in statistics.quantiles(rounds[label][case], n=4)]
+
     cases = [f"gram d={d} k={k}" for d, k in GRAM_CASES] + CLI_CASES
+    best = {label: {case: min(t) for case, t in times.items()} for label, times in rounds.items()}
     change = best["change"]
     report = {
         "command": " ".join(["python", "tools/bench_exact.py", *sys.argv[1:]]),
@@ -135,7 +146,8 @@ def main() -> int:
             f"{ROUNDS} rounds of one worker process per checkout, alternating which "
             f"runs first; in process, one BLAS thread, best of up to {REPEATS} runs "
             f"per round (at least 3, {BUDGET_S} s budget per case), lagrange_basis "
-            "memo cleared before every run"
+            "memo cleared before every run; *_ms is the best over all rounds, "
+            "*_quartiles_ms the quartiles of the rounds' bests"
         ),
         "environment": {
             "python": platform.python_version(),
@@ -150,6 +162,13 @@ def main() -> int:
                 "parent_ms": ms(best["parent"][case]),
                 "change_ms": ms(change[case]),
                 "speedup": round(best["parent"][case] / change[case], 2),
+                "parent_quartiles_ms": quartiles("parent", case),
+                "change_quartiles_ms": quartiles("change", case),
+                "median_speedup": round(
+                    statistics.median(rounds["parent"][case])
+                    / statistics.median(rounds["change"][case]),
+                    2,
+                ),
             }
             for case in cases
         ],
@@ -159,6 +178,8 @@ def main() -> int:
                 "change_ms": ms(change[case]),
                 "variant": variant,
                 "variant_ms": ms(change[variant]),
+                "change_quartiles_ms": quartiles("change", case),
+                "variant_quartiles_ms": quartiles("change", variant),
             }
             for case, variant in VARIANTS
         ],
