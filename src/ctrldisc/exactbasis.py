@@ -302,9 +302,10 @@ def gram(a: LagrangeBasisSpec, b: LagrangeBasisSpec) -> tuple[tuple[tuple[int, .
     Returned as integer numerators over one common denominator, G[i][j] =
     numerators[i][j] / denominator, with denominator = a.degree! b.degree!
     (a.degree + b.degree + d)!.  For d >= 2 the entries come by permutation
-    orbits (`_gram_by_orbits`); the row sums must then equal a's integrals and
-    the column sums b's (the basis sums to 1), an exact check against the
-    integrals that `lagrange_basis` computed by its own route.  For d = 1,
+    orbits (`_gram_by_orbits`; only the upper triangle when a and b list the
+    same nodes in the same order); the row sums must then equal a's
+    integrals and the column sums b's (the basis sums to 1), an exact check
+    against the integrals that `lagrange_basis` computed by its own route.  For d = 1,
     where the symmetry group has two elements and the orbits cost more than
     they save, the entries come as A H B^T over the monomials
     (`_gram_on_interval`), whose coefficient rows are checked for the
@@ -439,15 +440,22 @@ def _gram_by_orbits(
     # carries), and the digit's 8^power splits into a row and a column factor.
     row_codes = [[1 << 3 * (kb + 1) * m for m in row] for row in rows]
     column_codes = [[1 << 3 * n for n in column] for column in columns]
+    # One basis on both sides: G is symmetric, so only j >= i is computed, and
+    # an orbit's transpose (pairs (B_i, A_i)) is stored with it, same value.
+    symmetric = a.alphas == b.alphas
     numerators = [[0] * len(columns) for _ in rows]
     for i, row in enumerate(row_codes):
-        for j, column in enumerate(column_codes):
-            code = sum(map(operator.mul, row, column))
+        for j in range(i if symmetric else 0, len(columns)):
+            code = sum(map(operator.mul, row, column_codes[j]))
             value = orbits.get(code)
             if value is None:
                 key = tuple(sorted(zip(map(operator.add, rows[i], columns[j]), rows[i])))
                 value = orbits[code] = orbit_value(key)
+                if symmetric:
+                    orbits[sum(map(operator.mul, row_codes[j], column_codes[i]))] = value
             numerators[i][j] = value
+            if symmetric:
+                numerators[j][i] = value
     return tuple(map(tuple, numerators))
 
 

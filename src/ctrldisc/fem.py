@@ -17,21 +17,27 @@ by construction.  Results agree with per-cell loops to roundoff
 (tests/test_fem.py keeps them as oracles).
 
 The state operator A is fixed and symmetric positive definite, so
-:func:`_banded_cholesky_solver` factors it once (the vertex numbering gives
-bandwidth 1 on the interval and n + 2 on the unit square) and every state and
-adjoint solve is two triangular band solves: backward stable, with no
-iteration error.  ``ocp.Discretization`` assembles A and the other operators
-on their first use and factors A on its first solve, keeping each; a
-clean-regime solve does neither.  No solve calls :func:`cg_solve` any more;
-it stays, with its report and error types, because the benchmark's tracer
+:func:`_banded_cholesky_solver` factors it once with LAPACK dpbtrf (the vertex
+numbering gives bandwidth 1 on the interval and n + 2 on the unit square) and
+every state and adjoint solve is two triangular band solves, dpbtrs: backward
+stable, with no iteration error.  Both routines come from scipy's LAPACK
+extension, loaded alone (:func:`_flapack`), not through ``scipy.linalg``.
+``ocp.Discretization`` assembles A and the other operators on their first
+use and factors A on its first solve, keeping each; a clean-regime solve
+does neither.  No solve calls :func:`cg_solve` any more; it stays, with its
+report and error types, because the benchmark's tracer
 (``perfbench/tracer.py``) wraps it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -39,9 +45,10 @@ from .exactbasis import LagrangeBasisSpec, gram, lagrange_basis, multi_indices
 from .mesh import SimplexMesh, cell_geometry
 from .quadrature import QuadratureRule
 
-# Import rule: scipy is imported inside the functions that use it, never at
-# module level, so `import ctrldisc` and an exact audit load no scipy (fresh
-# process `import ctrldisc`: 386 ms with module-level scipy imports, 156 ms without).
+# Import rule: scipy is loaded only by `_flapack`, on the first factorization,
+# never at module level, so `import ctrldisc` and an exact audit load no scipy
+# (fresh process `import ctrldisc`: 386 ms with module-level scipy imports,
+# 156 ms without).
 
 __all__ = [
     "CellBlockOperator",
@@ -237,9 +244,9 @@ def assemble_p1_stiffness_mass(
 ) -> tuple[np.ndarray, CellBlockOperator]:
     """State operator A = K + M in upper band storage; the P1 mass M as a cell-block operator.
 
-    band[u + i - j, j] = A[i, j] for i <= j, u the bandwidth, as
-    scipy.linalg.cholesky_banded takes it: only the upper triangle is stored,
-    so A is symmetric by construction.  `geometry` is the mesh's
+    band[u + i - j, j] = A[i, j] for i <= j, u the bandwidth: LAPACK's upper
+    band storage, as dpbtrf (and scipy.linalg.cholesky_banded) take it.  Only
+    the upper triangle is stored, so A is symmetric by construction.  `geometry` is the mesh's
     :func:`~ctrldisc.mesh.cell_geometry`: (B, |det B|) per cell.
     """
     mesh = space.mesh
@@ -339,15 +346,50 @@ def l2_error(space: StateSpace, coeffs: np.ndarray, exact, rule: QuadratureRule)
     return math.sqrt(float(np.cumsum(per_cell)[-1]))
 
 
-def _banded_cholesky_solver(band: np.ndarray):
-    """Factor an SPD matrix in upper band storage once; return its solve routine."""
-    from scipy.linalg import cholesky_banded, get_lapack_funcs
+def _flapack():
+    """scipy's LAPACK extension module, loaded without running ``scipy.linalg``'s ``__init__``.
 
-    factor = cholesky_banded(band, lower=False, check_finite=False)
-    (pbtrs,) = get_lapack_funcs(("pbtrs",), (factor,))
+    The solve calls two of its routines, dpbtrf and dpbtrs, the very ones
+    that ``scipy.linalg.cholesky_banded`` and ``get_lapack_funcs`` hand out.
+    Importing ``scipy.linalg`` to reach them costs a fresh process about
+    0.2 s and 22 MiB more than this extension alone (3 ms).  So the extension file is found in scipy's ``linalg``
+    directory and loaded alone, under its own name in ``sys.modules``, where
+    a later ``import scipy.linalg`` finds and reuses it.  An entry already
+    there is reused; if the file is not found, the module comes by the
+    ordinary import.
+    """
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    import scipy  # the top-level package: about 10 ms, and no public subpackage
+
+    spec = PathFinder.find_spec(name, [os.path.join(path, "linalg") for path in scipy.__path__])
+    if spec is None:
+        from scipy.linalg import _flapack
+
+        return _flapack
+    module = module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _banded_cholesky_solver(band: np.ndarray):
+    """Factor an SPD matrix in upper band storage once (LAPACK dpbtrf); return its solve (dpbtrs).
+
+    Raises ``np.linalg.LinAlgError`` if the matrix is not positive definite,
+    as ``scipy.linalg.cholesky_banded`` does.
+    """
+    lapack = _flapack()
+    factor, info = lapack.dpbtrf(band, lower=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrf")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        x, info = pbtrs(factor, rhs, lower=0)
+        x, info = lapack.dpbtrs(factor, rhs, lower=0)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
         return x

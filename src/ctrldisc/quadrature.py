@@ -16,7 +16,8 @@ Families:
   degree 7).
 * d=2, exactness >= 8: conical-product Gauss-Legendre x Gauss-Jacobi
   (all-positive weights; Grundmann-Moller's |w|-sum grows past the guard
-  at degree 9 and above).
+  at degree 9 and above).  Its Gauss-Jacobi factor is computed here with
+  numpy (`_gauss_jacobi_1_0`), so building it loads no scipy.
 """
 
 from __future__ import annotations
@@ -156,24 +157,64 @@ def grundmann_moeller(dim: int, s: int) -> QuadratureRule:
     )
 
 
+def _jacobi_1_0(m: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P_{m-1}(t), P_m(t) and P_m'(t) for the Jacobi polynomials P_n^(1,0), m >= 1, |t| < 1.
+
+    P_n by the three-term recurrence (n + 1)(2n - 1) P_n = ((4n^2 - 1) t + 1)
+    P_{n-1} - (n - 1)(2n + 1) P_{n-2} from P_0 = 1, P_1 = (3t + 1) / 2; then
+    (2m + 1)(1 - t^2) P_m' = m (1 - (2m + 1) t) P_m + 2m (m + 1) P_{m-1}.
+    All in the precision of t.
+    """
+    previous, p = np.ones_like(t), (3 * t + 1) / 2
+    for n in range(2, m + 1):
+        s = (4 * n * n - 1) * t + 1
+        previous, p = p, (s * p - (n - 1) * (2 * n + 1) * previous) / ((n + 1) * (2 * n - 1))
+    dp = m * ((1 - (2 * m + 1) * t) * p + 2 * (m + 1) * previous) / ((2 * m + 1) * (1 - t * t))
+    return previous, p, dp
+
+
+def _gauss_jacobi_1_0(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss rule for int_{-1}^{1} (1 - t) g(t) dt: nodes ascending, weights.
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric Jacobi matrix of the weight, with diagonal -1 / ((2n + 1)
+    (2n + 3)) and off-diagonal sqrt(n (n + 1)) / (2n + 1).  One Newton step
+    on P_m^(1,0) then corrects them, and the weights are 1 / (P_{m-1} P_m')
+    at the corrected nodes (Christoffel-Darboux), scaled to sum to mu_0 = 2.
+    The Newton step and the weights are computed in numpy's long double,
+    which on x86-64 carries 11 more bits than a double; so for m <= 16 each
+    node and weight is the correctly rounded double (tests/test_quadrature.py
+    compares them with mpmath at 40 digits).  Where long double is double,
+    the rule is a few hundred ulps less accurate at m = 16 and still certified.
+    """
+    n = np.arange(m)
+    k = n[1:]
+    jacobi = np.diag(-1.0 / ((2 * n + 1) * (2 * n + 3)))
+    jacobi[k, k - 1] = np.sqrt(k * (k + 1.0)) / (2 * k + 1)  # eigvalsh reads the lower triangle
+    t = np.linalg.eigvalsh(jacobi).astype(np.longdouble)
+    _, p, dp = _jacobi_1_0(m, t)
+    t -= p / dp
+    previous, _, dp = _jacobi_1_0(m, t)
+    w = 1 / (previous * dp)
+    return t.astype(float), (w * (2 / w.sum())).astype(float)
+
+
 def conical_product_rule(exactness: int) -> QuadratureRule:
     """Conical-product rule on the unit triangle: Gauss-Legendre x Gauss-Jacobi.
 
     The collapsed coordinates (x, y) = (xi (1 - eta), eta) turn the triangle
     integral into int_0^1 int_0^1 f(xi(1-eta), eta) (1-eta) dxi deta, handled
     by an m-point Gauss-Legendre rule in xi and an m-point Gauss-Jacobi rule
-    with weight (1-eta) in eta.  All weights positive; exact for total degree
-    <= 2m - 1.
+    (`_gauss_jacobi_1_0`) with weight (1-eta) in eta.  All weights positive;
+    exact for total degree <= 2m - 1.
     """
-    from scipy.special import roots_jacobi  # deferred: see the import rule in fem
-
     if exactness < 1 or exactness > MAX_EXACTNESS:
         raise ValueError(f"unsupported exactness {exactness}")
     m = (exactness + 2) // 2
     x, u = leggauss(m)
     xi = (x + 1.0) / 2.0
     u = u / 2.0
-    t, v = roots_jacobi(m, 1.0, 0.0)
+    t, v = _gauss_jacobi_1_0(m)
     eta = (t + 1.0) / 2.0
     v = v / 4.0  # maps int_{-1}^{1} (1-t) g dt onto int_0^1 (1-eta) g deta
 

@@ -594,7 +594,8 @@ ROUTE_CASES = (
 def test_orbit_route_equals_coefficient_route(d, k):
     spec, p1, lower = lagrange_basis(d, k), lagrange_basis(d, 1), lagrange_basis(d, max(k - 1, 1))
     reordered = exactbasis.LagrangeBasisSpec(d, k, spec.alphas[::-1], spec.integrals[::-1])
-    pairs = [(spec, spec), (p1, spec), (spec, p1), (lower, spec), (spec, lower), (reordered, spec)]
+    pairs = [(spec, spec), (p1, spec), (spec, p1), (lower, spec), (spec, lower), (reordered, spec),
+             (reordered, reordered)]
     for a, b in pairs:
         expected = coefficient_gram(a, b)
         assert exactbasis._gram_by_orbits(a, b) == expected

@@ -3,6 +3,7 @@
 import math
 import re
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from ctrldisc import exactbasis
+from ctrldisc import exactbasis, fem
 from ctrldisc.exactbasis import basis_integrals, gram, lagrange_basis, multi_indices
 from ctrldisc.fem import (
     CellBlockOperator,
@@ -641,16 +642,46 @@ def test_closed_form_inverse_is_the_rounded_exact_inverse(mesh):
     assert (error <= 4 * np.finfo(float).eps * np.linalg.cond(matrices)).all()
 
 
+def state_band(maker, n):
+    mesh = maker(n)
+    return assemble_p1_stiffness_mass(StateSpace(mesh), cell_geometry(mesh))[0]
+
+
+@pytest.mark.parametrize(
+    "maker,n", [(unit_interval_mesh, 256), (unit_square_mesh, 8), (unit_square_mesh, 64)]
+)
+def test_band_factor_and_solves_equal_scipy_linalg_bitwise(maker, n):
+    # the factor and the solves call the very LAPACK routines that
+    # cholesky_banded and get_lapack_funcs hand out, kept here as the oracle
+    from scipy.linalg import cholesky_banded, get_lapack_funcs
+
+    band = state_band(maker, n)
+    oracle = cholesky_banded(band, lower=False, check_finite=False)
+    factor, info = fem._flapack().dpbtrf(band, lower=0)
+    assert info == 0 and np.array_equal(factor, oracle)
+    (pbtrs,) = get_lapack_funcs(("pbtrs",), (oracle,))
+    solve = _banded_cholesky_solver(band)
+    rng = np.random.default_rng(n)
+    for rhs in (np.ones(band.shape[1]), rng.standard_normal(band.shape[1])):
+        assert np.array_equal(solve(rhs), pbtrs(oracle, rhs, lower=0)[0])
+
+
+def test_band_factor_rejects_a_matrix_that_is_not_positive_definite():
+    band = state_band(unit_square_mesh, 2)
+    band[-1, 4] = -1.0  # a negative diagonal entry at row 4
+    with pytest.raises(np.linalg.LinAlgError, match="^5-th leading minor not positive definite$"):
+        _banded_cholesky_solver(band)
+
+
 def test_band_solve_raises_on_lapack_error(monkeypatch):
-    import scipy.linalg
+    lapack = fem._flapack()
 
     def failing_pbtrs(factor, rhs, lower):
         return rhs, -2
 
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda names, arrays: (failing_pbtrs,))
-    mesh = unit_interval_mesh(3)
-    band = assemble_p1_stiffness_mass(StateSpace(mesh), cell_geometry(mesh))[0]
-    solve = _banded_cholesky_solver(band)
+    failing = SimpleNamespace(dpbtrf=lapack.dpbtrf, dpbtrs=failing_pbtrs)
+    monkeypatch.setattr(fem, "_flapack", lambda: failing)
+    solve = _banded_cholesky_solver(state_band(unit_interval_mesh, 3))
     with pytest.raises(ValueError, match="argument 2 of LAPACK pbtrs"):
         solve(np.ones(4))
 

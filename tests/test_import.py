@@ -1,15 +1,15 @@
-"""Import cost: scipy is loaded only by the functions that use it.
+"""Import cost: a process loads only the scipy it calls.
 
-`fem` imports `scipy.linalg` inside the function that factors the state
-operator, and `quadrature` imports `scipy.special` inside
-`conical_product_rule`; no solve builds a `scipy.sparse` matrix.  So
-`import ctrldisc` loads numpy and the package but no scipy, an `audit-basis`
-or `certificate` process never loads scipy, a clean-regime solve (which
-neither factors A nor builds a quadrature rule) loads none either, and a
-negative-regime solve loads scipy when it factors A and builds the audit
-rule.  Module-level scipy imports would put about 0.23 s back on every CLI
-start-up.  Each check runs in a fresh interpreter, because this test process
-has long since loaded scipy.
+`import ctrldisc` loads numpy and the package but no scipy, and an
+`audit-basis` or `certificate` process never loads scipy.  A clean-regime
+solve neither factors A nor builds a quadrature rule, so it loads none
+either.  A negative-regime solve factors A with LAPACK dpbtrf/dpbtrs, which
+`fem._flapack` takes from scipy's `_flapack` extension alone: the top-level
+`scipy` package and `scipy.linalg._flapack` are loaded, but not the
+`scipy.linalg` package, whose import costs a fresh process about 0.2 s.  Its
+d=2 audit rule is built with numpy alone, so `scipy.special` is never loaded.
+No solve builds a `scipy.sparse` matrix.  Each check runs in a fresh
+interpreter, because this test process has long since loaded scipy.
 """
 
 import importlib.util
@@ -65,25 +65,52 @@ def test_certificate_loads_no_scipy():
     assert loaded_by_cli("certificate", "--dim", "2", "--degree", "4") == "0 []"
 
 
-def loaded_by_solve(degree: int) -> str:
-    """Exit code and the scipy modules loaded by a fresh d=2 solve of the given degree."""
+def loaded_by_solve(*argv: str) -> str:
+    """Exit code and the scipy modules loaded by a fresh `solve` with these arguments."""
     return run_fresh(
         "import io, contextlib; from ctrldisc import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main(['solve', '--dim', '2', '--degree', '{degree}', '--mesh', '4'])\n"
-        f"print(code, [m for m in ('scipy.linalg', 'scipy.special', 'scipy.sparse') "
-        f"if m in {LOADED_SCIPY}])"
+        f"    code = cli.main(['solve', *{list(argv)!r}])\n"
+        f"print(code, [m for m in ('scipy.linalg._flapack', 'scipy.linalg', 'scipy.special', "
+        f"'scipy.sparse') if m in {LOADED_SCIPY}])"
     ).strip()
 
 
 def test_solve_resolves_the_deferred_imports():
     # clean regime (k=3): lambda = 0 from the exact integrals and operators
     # from exact Gram blocks, with no factorization and no audit rule
-    assert loaded_by_solve(3) == "0 []"
-    # negative regime (k=4): the banded factor (scipy.linalg) and the conical
-    # audit rule of exactness 10 (scipy.special); the operators are cell
-    # blocks and a band, never scipy.sparse matrices
-    assert loaded_by_solve(4) == "0 ['scipy.linalg', 'scipy.special']"
+    assert loaded_by_solve("--dim", "2", "--degree", "3", "--mesh", "4") == "0 []"
+    # negative regime: the banded factor from the LAPACK extension alone, the
+    # d=2 conical audit rule from numpy, the operators as cell blocks and a band
+    for argv in (("--dim", "2", "--degree", "4", "--mesh", "8"),
+                 ("--dim", "1", "--degree", "10", "--mesh", "256")):
+        assert loaded_by_solve(*argv) == "0 ['scipy.linalg._flapack']", argv
+
+
+def test_a_later_scipy_linalg_import_reuses_the_lapack_extension():
+    out = run_fresh(
+        "import numpy as np; from ctrldisc import fem\n"
+        "module = fem._flapack()\n"
+        "print(sys.modules['scipy.linalg._flapack'] is module, 'scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg; from scipy.linalg import lapack\n"
+        "(pbtrf,) = scipy.linalg.get_lapack_funcs(('pbtrf',), (np.ones(2),))\n"
+        "print(lapack._flapack is module, pbtrf is module.dpbtrf, fem._flapack() is module)"
+    )
+    assert out.split() == ["True", "False", "True", "True", "True"]
+
+
+def test_lapack_falls_back_to_the_scipy_linalg_import():
+    # with the extension file not found, `from scipy.linalg import _flapack`
+    # gives the same module by the slower import, with scipy.linalg loaded
+    out = run_fresh(
+        "from types import SimpleNamespace; from ctrldisc import fem\n"
+        "asked = []\n"
+        "fem.PathFinder = SimpleNamespace(find_spec=lambda name, path: asked.append(name))\n"
+        "module = fem._flapack()\n"
+        "from scipy.linalg import lapack\n"
+        "print(asked, module is lapack._flapack, 'scipy.linalg' in sys.modules)"
+    )
+    assert out.strip() == "['scipy.linalg._flapack'] True True"
 
 
 def test_cli_import_loads_every_layer_module():

@@ -3,13 +3,16 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from ctrldisc.exactbasis import monomial_integral, multi_indices
 from ctrldisc.quadrature import (
+    MAX_EXACTNESS,
     QuadratureRule,
     _certify,
+    _gauss_jacobi_1_0,
     conical_product_rule,
     gauss_legendre_interval,
     grundmann_moeller,
@@ -44,7 +47,7 @@ def test_d2_exactness4_x2y2():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("exactness", range(1, 19))
+@pytest.mark.parametrize("exactness", range(1, MAX_EXACTNESS + 1))
 def test_shipped_rules_certify(d, exactness):
     rule = simplex_rule(d, exactness)
     volume = 1.0 / math.factorial(d)
@@ -89,6 +92,38 @@ def test_conical_product_weights_positive():
         rule = conical_product_rule(exactness)
         assert (rule.weights > 0).all()
         assert rule.num_points == ((exactness + 2) // 2) ** 2
+
+
+def ulps_off(values, reference):
+    """Largest distance of `values` from `reference`, in units of the reference's last place."""
+    return float(np.max(np.abs(values - reference) / np.spacing(np.abs(reference))))
+
+
+@pytest.mark.parametrize("m", range(1, (MAX_EXACTNESS + 2) // 2 + 1))
+def test_gauss_jacobi_rule_against_mpmath(m):
+    # the oracle: mpmath's Gauss-Jacobi rule for the weight (1 - t)^1 (1 + t)^0
+    # at 40 digits; the numpy rule must be no farther from it than scipy's
+    from scipy.special import roots_jacobi
+
+    with mpmath.workdps(40):
+        nodes, weights = mpmath.gauss_quadrature(m, "jacobi", 1, 0)
+        nodes = np.array([float(x) for x in list(nodes)])
+        weights = np.array([float(w) for w in list(weights)])
+    order = np.argsort(nodes)
+    nodes, weights = nodes[order], weights[order]
+    t, w = _gauss_jacobi_1_0(m)
+    scipy_t, scipy_w = roots_jacobi(m, 1.0, 0.0)
+    assert ulps_off(t, nodes) <= ulps_off(scipy_t, nodes)
+    assert ulps_off(w, weights) <= ulps_off(scipy_w, weights)
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        # the Newton step and the weights in long double: every value correctly rounded
+        assert ulps_off(t, nodes) == 0 and ulps_off(w, weights) == 0
+
+
+@pytest.mark.parametrize("exactness,scipy_error", [(10, 1.13e-15), (18, 1.68e-15)])
+def test_conical_rule_is_as_accurate_as_with_scipy_nodes(exactness, scipy_error):
+    # demo 02's worst moment errors; scipy's Gauss-Jacobi nodes gave scipy_error
+    assert certificate_error(simplex_rule(2, exactness)) <= 2 * scipy_error
 
 
 def test_families_agree_on_low_degree():

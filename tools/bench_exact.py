@@ -21,6 +21,15 @@ The change's worker also times VARIANTS, each a design choice of the
 exact layer undone, beside the case it would replace: the d = 1 Gram by
 orbits (``_gram_by_orbits`` alone, without the sum check and the memo, so a
 lower bound of that route), and CLI runs without the Gram memo.
+
+Then every FRESH_CASES command runs as a CLI process of its own, ``python -m
+ctrldisc.cli ARGS`` with the checkout's ``src`` on PYTHONPATH and one BLAS
+thread: what a user pays, imports included.  Each of FRESH_ROUNDS rounds runs
+every command once per checkout, alternating which checkout goes first, after
+one untimed process per command and checkout (which also writes the bytecode
+caches).  The file gives, per command and checkout, the median, quartiles and
+fastest of the wall times from spawn to exit, and the median and quartiles of
+each child's peak resident set size (``ru_maxrss`` from ``os.wait4``).
 """
 
 from __future__ import annotations
@@ -58,6 +67,14 @@ VARIANTS = [
 ROUNDS = 10
 REPEATS = 100
 BUDGET_S = 2.0  # per case and worker; every case still gets 3 timed runs
+FRESH_CASES = [
+    "solve --dim 2 --degree 4 --mesh 8",
+    "solve --dim 1 --degree 10 --mesh 256",
+    "convergence --dim 2 --degree 4 --meshes 4,8,16",
+    "certificate --dim 2 --degree 4",
+    "audit-basis --dim 3 --max-degree 6",
+]
+FRESH_ROUNDS = 11
 
 
 def _best(run) -> float:
@@ -105,6 +122,33 @@ def worker(src: str, variants: bool) -> dict:
     return out
 
 
+def fresh_process(src: str, command: str, env: dict) -> tuple[float, float]:
+    """Wall time (s) and peak RSS (MiB) of one CLI process running `command` from `src`."""
+    env = dict(env, PYTHONPATH=os.path.abspath(src))
+    argv = [sys.executable, "-m", "ctrldisc.cli", *command.split()]
+    start = perf_counter()
+    child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    elapsed = perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped by wait4, not by Popen
+    if child.returncode != 0:
+        raise subprocess.CalledProcessError(child.returncode, argv)
+    return elapsed, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+
+
+def fresh_rounds(sides, env: dict) -> dict[str, dict[str, list[tuple[float, float]]]]:
+    """FRESH_ROUNDS interleaved rounds of every FRESH_CASES process per checkout."""
+    for _, src, _ in sides:
+        for command in FRESH_CASES:
+            fresh_process(src, command, env)  # untimed: bytecode caches, file cache
+    runs: dict[str, dict[str, list[tuple[float, float]]]] = {"parent": {}, "change": {}}
+    for round_ in range(FRESH_ROUNDS):
+        for command in FRESH_CASES:
+            for label, src, _ in sides if round_ % 2 == 0 else sides[::-1]:
+                runs[label].setdefault(command, []).append(fresh_process(src, command, env))
+    return runs
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", nargs="?")
@@ -129,10 +173,24 @@ def main() -> int:
             for case, seconds in times.items():
                 rounds[label].setdefault(case, []).append(seconds)
 
+    fresh = fresh_rounds(sides, env)
+
     import numpy
 
     def ms(seconds):
         return round(seconds * 1e3, 3)
+
+    def fresh_row(label, command):
+        times, rss = zip(*fresh[label][command])
+        return {
+            f"{label}_median_ms": ms(statistics.median(times)),
+            f"{label}_quartiles_ms": [ms(q) for q in statistics.quantiles(times, n=4)],
+            f"{label}_fastest_ms": ms(min(times)),
+            f"{label}_maxrss_median_mib": round(statistics.median(rss), 1),
+            f"{label}_maxrss_quartiles_mib": [
+                round(q, 1) for q in statistics.quantiles(rss, n=4)
+            ],
+        }
 
     def quartiles(label, case):
         return [ms(q) for q in statistics.quantiles(rounds[label][case], n=4)]
@@ -183,6 +241,18 @@ def main() -> int:
             }
             for case, variant in VARIANTS
         ],
+        "fresh_process": {
+            "method": (
+                f"{FRESH_ROUNDS} rounds of one `python -m ctrldisc.cli` process per "
+                "command and checkout, alternating which checkout runs first, after one "
+                "untimed process each; one BLAS thread; wall time from spawn to exit, "
+                "peak RSS of the child from os.wait4"
+            ),
+            "results": [
+                {"case": command, **fresh_row("parent", command), **fresh_row("change", command)}
+                for command in FRESH_CASES
+            ],
+        },
     }
     json.dump(report, sys.stdout, indent=2)
     print()
