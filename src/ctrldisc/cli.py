@@ -26,7 +26,7 @@ from .ocp import (
     solve_qp,
 )
 
-__all__ = ["dumps", "main"]
+__all__ = ["dumps", "main", "parse_args"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,7 +82,43 @@ def _audit_csv(report_dict: dict) -> str:
     return "\n".join(lines)
 
 
+def _audit_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
+    parser.add_argument("--max-degree", type=int, required=True)
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
+    fmt.add_argument("--csv", action="store_true", help="CSV output")
+    parser.add_argument("--out", type=str, default=None, help="write report to PATH")
+
+
+def _certificate_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dim", type=int, choices=(1, 2), required=True)
+    parser.add_argument("--degree", type=int, required=True)
+    parser.add_argument("--alpha", type=float, default=0.1)
+
+
+def _solve_arguments(parser: argparse.ArgumentParser) -> None:
+    _certificate_arguments(parser)
+    parser.add_argument("--mesh", type=int, required=True)
+    parser.add_argument("--tol", type=float, default=1e-10)
+
+
+def _convergence_arguments(parser: argparse.ArgumentParser) -> None:
+    _certificate_arguments(parser)
+    parser.add_argument("--meshes", type=str, default="4,8,16", help="comma-separated ints")
+
+
+# name -> (help, add_arguments), in the order `ctrldisc -h` lists the commands
+_COMMANDS = {
+    "audit-basis": ("sign audit of basis integrals per degree", _audit_arguments),
+    "certificate": ("build the negative-direction certificate", _certificate_arguments),
+    "solve": ("solve the QP on one mesh", _solve_arguments),
+    "convergence": ("solve on a mesh family and classify", _convergence_arguments),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="ctrldisc",
         description=(
@@ -91,34 +127,32 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    audit = sub.add_parser("audit-basis", help="sign audit of basis integrals per degree")
-    audit.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
-    audit.add_argument("--max-degree", type=int, required=True)
-    fmt = audit.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output")
-    audit.add_argument("--out", type=str, default=None, help="write report to PATH")
-
-    cert = sub.add_parser("certificate", help="build the negative-direction certificate")
-    cert.add_argument("--dim", type=int, choices=(1, 2), required=True)
-    cert.add_argument("--degree", type=int, required=True)
-    cert.add_argument("--alpha", type=float, default=0.1)
-
-    solve = sub.add_parser("solve", help="solve the QP on one mesh")
-    solve.add_argument("--dim", type=int, choices=(1, 2), required=True)
-    solve.add_argument("--degree", type=int, required=True)
-    solve.add_argument("--alpha", type=float, default=0.1)
-    solve.add_argument("--mesh", type=int, required=True)
-    solve.add_argument("--tol", type=float, default=1e-10)
-
-    conv = sub.add_parser("convergence", help="solve on a mesh family and classify")
-    conv.add_argument("--dim", type=int, choices=(1, 2), required=True)
-    conv.add_argument("--degree", type=int, required=True)
-    conv.add_argument("--alpha", type=float, default=0.1)
-    conv.add_argument("--meshes", type=str, default="4,8,16", help="comma-separated ints")
-
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, building only the parser of the command it runs.
+
+    When argv names a command, that command's parser alone parses the rest,
+    as its subparser in the full tree would.  Empty argv, top-level help, an
+    unknown command, or arguments the command's parser does not recognize go
+    to the full tree, so that its usage, help and error messages come out
+    unchanged.  argv None means sys.argv[1:].  Raises SystemExit as argparse
+    does.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        _, add_arguments = _COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"ctrldisc {name}")
+        add_arguments(parser)
+        args, unrecognized = parser.parse_known_args(argv[1:])
+        if not unrecognized:
+            args.command = name
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _cmd_audit(args) -> tuple[int, str]:
@@ -193,9 +227,8 @@ def _cmd_convergence(args) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

@@ -487,12 +487,20 @@ class AuditReport:
         return tuple(r.degree for r in self.records if r.all_nonnegative)
 
     def to_json_dict(self) -> dict:
+        # Each integral object is formatted once.  The basis functions of one
+        # permutation orbit share one Fraction (`lagrange_basis`), and every
+        # object stays alive in self.records, so its id is a safe key.
+        text = {}
+        for r in self.records:
+            for v in r.integrals:
+                if id(v) not in text:
+                    text[id(v)] = f"{v.numerator}/{v.denominator}"
         return {
             "dimension": self.dim,
             "records": [
                 {
                     "k": r.degree,
-                    "integrals": [f"{v.numerator}/{v.denominator}" for v in r.integrals],
+                    "integrals": [text[id(v)] for v in r.integrals],
                     "all_nonnegative": r.all_nonnegative,
                     "negative_indices": list(r.negative_indices),
                 }

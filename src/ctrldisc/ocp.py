@@ -745,7 +745,11 @@ class ConvergenceStudy:
 
 
 def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
-    """Solve the QP on a family of meshes and classify the limit regime."""
+    """Solve the QP on a family of meshes and classify the limit regime.
+
+    The audit rule and its basis table depend only on (d, k): in the negative
+    regime they are built on the first mesh and handed to the later ones.
+    """
     ns = sorted(set(mesh_parameters))
     if len(ns) < 2:
         raise ValueError("a convergence study needs at least two mesh parameters")
@@ -756,11 +760,15 @@ def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
         certificate = build_certificate(config)
     except NoNegativeBasisError:
         certificate = None
-    runs = []
+    runs, audit_parts = [], None
     for n in map(int, ns):
         disc = Discretization(replace(config, n=n))
+        if audit_parts is not None:
+            disc.audit_rule, disc._audit_tab = audit_parts
         solution = solve_qp(disc)
         audit = feasibility_audit(disc, solution.control)
+        if certificate is not None and audit_parts is None:
+            audit_parts = disc.audit_rule, disc._audit_tab
         runs.append(
             StudyRun(
                 n=n,

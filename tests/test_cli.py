@@ -1,5 +1,6 @@
 """CLI: subcommands, report schemas, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -8,13 +9,15 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ctrldisc
+from ctrldisc import cli
 from ctrldisc.cli import dumps, main
 
 from test_ocp import exact_reference_optimum, kkt_error_bounds, solution_support
@@ -328,6 +331,134 @@ def test_unreachable_tolerance_stagnates_quickly(capsys):
     assert "stagnated" in payload["message"]
     assert int(re.search(r"of (\d+) iterations", payload["message"]).group(1)) < 5_000
     assert elapsed < 20.0
+
+
+# Argument parsing.  `main` builds only the parser of the command it runs; the
+# full tree of `build_parser` is the oracle for every outcome of every argv.
+HANDLERS = ("_cmd_audit", "_cmd_certificate", "_cmd_solve", "_cmd_convergence")
+VALID = {
+    "audit-basis": ["--dim", "3", "--max-degree", "6"],
+    "certificate": ["--dim", "2", "--degree", "4", "--alpha", "0.2"],
+    "solve": ["--dim", "2", "--degree", "3", "--mesh", "64", "--alpha", "0.1", "--tol", "1e-9"],
+    "convergence": ["--dim", "1", "--degree", "8", "--meshes", "2,4"],
+}
+ABBREVIATED = {"--max-degree": "--max", "--degree": "--deg", "--meshes": "--mesh", "--alpha": "--al"}
+
+
+def tree_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+def parse_outcome(capsys, argv, parse=cli.parse_args):
+    """main(argv) parsing through `parse`, with every command handler a recorder.
+
+    Returns the exit code, stdout, stderr and the namespace a handler received
+    as a dict (None when parsing exited).  A reference main parses through
+    `tree_parse`.
+    """
+    parsed = []
+
+    def record(args):
+        parsed.append(vars(args))
+        return cli.EXIT_OK, "parsed"
+
+    with mock.patch.multiple(cli, parse_args=parse, **dict.fromkeys(HANDLERS, record)):
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err, parsed[0] if parsed else None
+
+
+def parity_cases():
+    for name, valid in VALID.items():
+        yield [name, *valid]
+        yield [name, "-h"]
+        yield [name, *valid[2:]]  # missing the required --dim
+        yield [name, "--dim", "x", *valid[2:]]  # not an int
+        yield [name, "--dim", "5", *valid[2:]]  # not a choice
+        yield [name, *valid, "--bogus"]
+        yield [name, *valid, "stray"]
+        yield [name, *valid[:2], "--", *valid[2:]]
+        yield [name, *valid, "--", "stray"]
+        yield [name, *valid[:-2], f"{valid[-2]}={valid[-1]}"]
+        yield [name, *(ABBREVIATED.get(token, token) for token in valid)]
+        yield ["--dim", "2", name, *valid]  # an option before the command
+        yield [name[:3], *valid]  # a prefix of the command
+    yield ["audit-basis", *VALID["audit-basis"], "--json", "--csv"]
+    yield ["audit-basis", *VALID["audit-basis"], "--csv", "--out", "report.csv"]
+    yield ["solve", "--dim", "2", "--mesh", "4", "--deg", "4", "--mes", "8"]
+    yield []
+    yield ["-h"]
+    yield ["--help"]
+    yield ["no-such-command", "--dim", "2"]
+
+
+@pytest.mark.parametrize("argv", list(parity_cases()), ids=lambda argv: " ".join(argv) or "empty")
+def test_parsing_matches_the_full_tree(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # for --out
+    assert parse_outcome(capsys, argv) == parse_outcome(capsys, argv, tree_parse)
+
+
+TOKENS = [
+    *VALID, "sol", "audit", "-h", "--help", "--", "--dim", "--degree", "--deg", "--max-degree",
+    "--max", "--mesh", "--meshes", "--alpha", "--tol", "--json", "--csv", "--out", "--dim=2",
+    "--alpha=0.5", "1", "2", "3", "5", "x", "0.1", "-1", "4,8", "--bogus", "stray", "report",
+]
+tokens = st.lists(st.sampled_from(TOKENS), max_size=8)
+valid_argv = st.sampled_from(sorted(VALID)).flatmap(
+    lambda name: st.permutations(list(zip(VALID[name][::2], VALID[name][1::2]))).map(
+        lambda pairs: [name, *(token for pair in pairs for token in pair)]
+    )
+)
+argvs = st.one_of(
+    tokens,
+    st.tuples(st.sampled_from(sorted(VALID)), tokens).map(lambda t: [t[0], *t[1]]),
+    st.tuples(valid_argv, st.lists(st.sampled_from(TOKENS), max_size=3)).map(lambda t: t[0] + t[1]),
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],  # read and reset per example
+)
+@given(argv=argvs)
+def test_parsing_matches_the_full_tree_on_drawn_argv(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # for --out
+    assert parse_outcome(capsys, argv) == parse_outcome(capsys, argv, tree_parse)
+
+
+def test_main_without_argv_parses_sys_argv(capsys, monkeypatch):
+    argv = ["solve", *VALID["solve"]]
+    monkeypatch.setattr(sys, "argv", ["ctrldisc", *argv])
+    assert parse_outcome(capsys, None) == parse_outcome(capsys, None, tree_parse)
+    assert parse_outcome(capsys, None)[3] == parse_outcome(capsys, argv)[3]
+
+
+def test_a_command_builds_one_parser_and_falls_back_to_the_tree(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser()
+    tree = len(built)
+    assert tree == 1 + len(VALID)  # the top level and one subparser per command
+    for name, valid in VALID.items():
+        built.clear()
+        assert parse_outcome(capsys, [name, *valid])[0] == 0
+        assert built == [f"ctrldisc {name}"]
+        built.clear()
+        assert parse_outcome(capsys, [name, *valid, "--bogus"])[0] == 2
+        assert built[0] == f"ctrldisc {name}" and len(built) == 1 + tree  # then the tree
+    for argv in ([], ["-h"], ["no-such-command"]):
+        built.clear()
+        parse_outcome(capsys, argv)
+        assert len(built) == tree
 
 
 # Reports pinned byte for byte.  A change that moves one on purpose rewrites

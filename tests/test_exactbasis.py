@@ -13,6 +13,7 @@ import itertools
 import math
 import operator
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -763,6 +764,23 @@ def test_audit_json_schema():
             num, den = s.split("/")
             assert int(den) > 0
             Fraction(int(num), int(den))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_audit_json_formats_each_integral_as_its_own(d):
+    # to_json_dict formats each shared Fraction once; the strings must be
+    # those of per-function formatting, also when equal integrals are
+    # distinct objects
+    report = audit_degrees(d, 8)
+    payload = report.to_json_dict()
+    assert [rec["integrals"] for rec in payload["records"]] == [
+        [f"{v.numerator}/{v.denominator}" for v in record.integrals] for record in report.records
+    ]
+    copies = tuple(
+        replace(record, integrals=tuple(map(Fraction, record.integrals)))
+        for record in report.records
+    )
+    assert exactbasis.AuditReport(d, copies).to_json_dict() == payload
 
 
 # ---------------------------------------------------------------------------

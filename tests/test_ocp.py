@@ -1075,6 +1075,17 @@ def test_study_json_schema():
         assert set(run) == {"n", "J", "min_cell_avg", "neg_part_norm", "iters"}
 
 
+@pytest.mark.parametrize("degree,builds", [(4, 1), (3, 0)])
+def test_a_study_builds_the_audit_rule_once(monkeypatch, capsys, degree, builds):
+    # the rule and its table depend only on (d, k); a clean-regime study
+    # audits only zero controls, which need no quadrature
+    rules = count_calls(monkeypatch, ocp, "simplex_rule")
+    argv = ["convergence", "--dim", "2", "--degree", str(degree), "--meshes", "4,8,16"]
+    assert cli.main(argv) == 0
+    assert len(rules) == builds
+    assert len(json.loads(capsys.readouterr().out)["runs"]) == 3
+
+
 def test_study_requires_two_meshes():
     with pytest.raises(ValueError):
         convergence_study(OcpConfig(dim=1, degree=2, n=4), [4])

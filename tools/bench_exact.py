@@ -12,10 +12,13 @@ timed runs (fewer once a case has used its time budget), each after
 ``lagrange_basis.cache_clear()`` so that no memo survives from the run
 before.  A Gram case builds the basis untimed and times one
 ``gram(spec, spec)``; a CLI case times one ``cli.main(argv)`` with stdout
-captured.  Each worker reports the best time of every case, one per round;
-the file gives, per case and checkout, the best over all rounds and the
-quartiles of the rounds' bests, so a reader can see whether a row moved by
-more than the spread between rounds.
+captured; a parse case times the parse step of ``cli.main`` alone,
+``cli.parse_args(argv)`` where the checkout has it and
+``cli.build_parser().parse_args(argv)`` where it does not.  Each worker
+reports the best time of every case, one per round; the file gives, per
+case and checkout, the best over all rounds and the quartiles of the
+rounds' bests, so a reader can see whether a row moved by more than the
+spread between rounds.
 
 The change's worker also times VARIANTS, each a design choice of the
 exact layer undone, beside the case it would replace: the d = 1 Gram by
@@ -55,6 +58,11 @@ CLI_CASES = [
     "audit-basis --dim 3 --max-degree 6",
     "audit-basis --dim 3 --max-degree 10",
     "audit-basis --dim 2 --max-degree 14",
+    "solve --dim 2 --degree 3 --mesh 64 --alpha 0.1",
+]
+PARSE_CASES = [
+    "solve --dim 2 --degree 3 --mesh 64 --alpha 0.1",
+    "audit-basis --dim 3 --max-degree 6",
 ]
 # (case as built, the same work with one choice undone)
 VARIANTS = [
@@ -73,8 +81,9 @@ FRESH_CASES = [
     "convergence --dim 2 --degree 4 --meshes 4,8,16",
     "certificate --dim 2 --degree 4",
     "audit-basis --dim 3 --max-degree 6",
+    "solve --dim 2 --degree 3 --mesh 64 --alpha 0.1",
 ]
-FRESH_ROUNDS = 11
+FRESH_ROUNDS = 21
 
 
 def _best(run) -> float:
@@ -110,8 +119,19 @@ def worker(src: str, variants: bool) -> dict:
 
         return run
 
+    parse = getattr(cli, "parse_args", lambda argv: cli.build_parser().parse_args(argv))
+
+    def parse_run(argv):
+        def run():
+            start = perf_counter()
+            parse(argv)
+            return perf_counter() - start
+
+        return run
+
     out = {f"gram d={d} k={k}": _best(gram_run(d, k)) for d, k in GRAM_CASES}
     out.update({command: _best(cli_run(command.split())) for command in CLI_CASES})
+    out.update({f"parse {command}": _best(parse_run(command.split())) for command in PARSE_CASES})
     if variants:
         orbits = exactbasis._gram_by_orbits
         for k in (8, 10):
@@ -195,7 +215,11 @@ def main() -> int:
     def quartiles(label, case):
         return [ms(q) for q in statistics.quantiles(rounds[label][case], n=4)]
 
-    cases = [f"gram d={d} k={k}" for d, k in GRAM_CASES] + CLI_CASES
+    cases = (
+        [f"gram d={d} k={k}" for d, k in GRAM_CASES]
+        + CLI_CASES
+        + [f"parse {command}" for command in PARSE_CASES]
+    )
     best = {label: {case: min(t) for case, t in times.items()} for label, times in rounds.items()}
     change = best["change"]
     report = {
