@@ -16,7 +16,16 @@ quadrature : certified simplex quadrature rules
 fem        : P1 Neumann state equation, discontinuous control spaces
 ocp        : the constrained QP, certificates, feasibility audits, studies
 cli        : `ctrldisc` command-line entry point
+
+Only `exactbasis`, which is pure-Python rationals, is imported with the
+package.  `mesh`, `quadrature`, `fem` and `ocp` are registered in sys.modules
+and bound here at once, but their bodies, and numpy with them, run at the
+first read of one of their attributes or of a name they export here.  So
+`import ctrldisc` and an `audit-basis` run load no numpy.
 """
+
+import importlib.util
+import sys
 
 from .exactbasis import (
     AuditReport,
@@ -30,43 +39,57 @@ from .exactbasis import (
     monomial_integral,
     multi_indices,
 )
-from .fem import (
-    ControlSpace,
-    StateSpace,
-    assemble_control_mass,
-    assemble_coupling,
-    assemble_load,
-    assemble_p1_stiffness_mass,
-    l2_error,
-)
-from .mesh import (
-    SimplexMesh,
-    cell_geometry,
-    unit_interval_mesh,
-    unit_square_mesh,
-)
-from .ocp import (
-    ConvergenceStudy,
-    CounterexampleCertificate,
-    Discretization,
-    FeasibilityAudit,
-    NoNegativeBasisError,
-    OcpConfig,
-    QpConvergenceError,
-    QpSolution,
-    StudyRun,
-    build_certificate,
-    convergence_study,
-    feasibility_audit,
-    solve_qp,
-)
-from .quadrature import (
-    QuadratureRule,
-    conical_product_rule,
-    gauss_legendre_interval,
-    grundmann_moeller,
-    simplex_rule,
-)
+
+
+def _lazy_submodule(name: str):
+    """Register ``ctrldisc.<name>`` in sys.modules; its body runs at its first attribute access.
+
+    The lazy-import recipe of the importlib documentation.  Code that reads
+    the module's attributes, or imports from it, loads it as an import would.
+    """
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+mesh = _lazy_submodule("mesh")
+quadrature = _lazy_submodule("quadrature")
+fem = _lazy_submodule("fem")
+ocp = _lazy_submodule("ocp")
+
+# the float layers' public names, each served by its module on first read
+_FLOAT_LAYER_NAMES = {
+    name: module
+    for module, names in (
+        (mesh, ("SimplexMesh", "cell_geometry", "unit_interval_mesh", "unit_square_mesh")),
+        (quadrature, ("QuadratureRule", "conical_product_rule", "gauss_legendre_interval",
+                      "grundmann_moeller", "simplex_rule")),
+        (fem, ("ControlSpace", "StateSpace", "assemble_control_mass", "assemble_coupling",
+               "assemble_load", "assemble_p1_stiffness_mass", "l2_error")),
+        (ocp, ("ConvergenceStudy", "CounterexampleCertificate", "Discretization",
+               "FeasibilityAudit", "NoNegativeBasisError", "OcpConfig", "QpConvergenceError",
+               "QpSolution", "StudyRun", "build_certificate", "convergence_study",
+               "feasibility_audit", "solve_qp")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _FLOAT_LAYER_NAMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_FLOAT_LAYER_NAMES})
+
 
 __version__ = "0.1.0"
 

@@ -9,22 +9,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
+from . import ocp  # loaded on first use: an audit loads no numpy
 from .exactbasis import audit_degrees
-from .ocp import (
-    Discretization,
-    NoNegativeBasisError,
-    OcpConfig,
-    QpConvergenceError,
-    build_certificate,
-    convergence_study,
-    feasibility_audit,
-    solve_qp,
-)
 
 __all__ = ["dumps", "main", "parse_args"]
 
@@ -33,39 +23,49 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-def _render(obj, indent: int) -> str:
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)  # what json.dumps does with a str
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite value {value!r} in report")
-        return format(value, ".17g")
-    if isinstance(obj, dict):
-        brackets = "{}"
-        items = [
-            f"{encode_basestring_ascii(str(k))}: {_render(v, indent + 1)}" for k, v in obj.items()
-        ]
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        brackets = "[]"
-        items = [_render(v, indent + 1) for v in obj]
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    if not items:
-        return brackets
-    pad = "\n" + "  " * indent
-    return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
-
-
 def dumps(obj) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    return _render(obj, 0)
+    """Deterministic JSON with 17-significant-digit floats.
+
+    numpy integers, floats and arrays are written as their Python values.  A
+    process that has not loaded numpy holds none, so numpy is not loaded here.
+    """
+    np = sys.modules.get("numpy")
+    if np is None:
+        ints, floats, sequences = int, float, (list, tuple)
+    else:
+        ints, floats, sequences = (int, np.integer), (float, np.floating), (list, tuple, np.ndarray)
+
+    def render(obj, indent: int) -> str:
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)  # what json.dumps does with a str
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, ints):
+            return str(int(obj))
+        if isinstance(obj, floats):
+            value = float(obj)
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value {value!r} in report")
+            return format(value, ".17g")
+        if isinstance(obj, dict):
+            brackets = "{}"
+            items = [
+                f"{encode_basestring_ascii(str(k))}: {render(v, indent + 1)}"
+                for k, v in obj.items()
+            ]
+        elif isinstance(obj, sequences):
+            brackets = "[]"
+            items = [render(v, indent + 1) for v in obj]
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        if not items:
+            return brackets
+        pad = "\n" + "  " * indent
+        return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
+
+    return render(obj, 0)
 
 
 def _audit_csv(report_dict: dict) -> str:
@@ -165,10 +165,10 @@ def _cmd_audit(args) -> tuple[int, str]:
 
 def _cmd_certificate(args) -> tuple[int, str]:
     # the certificate reads no mesh; OcpConfig validates dim, degree and alpha
-    config = OcpConfig(dim=args.dim, degree=args.degree, n=1, alpha=args.alpha)
+    config = ocp.OcpConfig(dim=args.dim, degree=args.degree, n=1, alpha=args.alpha)
     try:
-        cert = build_certificate(config)
-    except NoNegativeBasisError as err:
+        cert = ocp.build_certificate(config)
+    except ocp.NoNegativeBasisError as err:
         payload = {
             "error": "NoNegativeBasis",
             "dim": err.dim,
@@ -190,12 +190,12 @@ def _cmd_certificate(args) -> tuple[int, str]:
 
 
 def _cmd_solve(args) -> tuple[int, str]:
-    config = OcpConfig(
+    config = ocp.OcpConfig(
         dim=args.dim, degree=args.degree, n=args.mesh, alpha=args.alpha, qp_tol=args.tol
     )
-    disc = Discretization(config)
-    solution = solve_qp(disc)
-    audit = feasibility_audit(disc, solution.control)
+    disc = ocp.Discretization(config)
+    solution = ocp.solve_qp(disc)
+    audit = ocp.feasibility_audit(disc, solution.control)
     payload = {
         "config": {
             "dim": config.dim,
@@ -207,7 +207,8 @@ def _cmd_solve(args) -> tuple[int, str]:
         "J": solution.objective,
         "iterations": solution.iterations,
         "kkt_residual": solution.kkt_residual,
-        "control_norm": float(np.linalg.norm(solution.control)),
+        # np.linalg.norm of a real vector is sqrt(u.dot(u)), bit for bit
+        "control_norm": math.sqrt(solution.control.dot(solution.control)),
         "min_cell_avg": audit.min_cell_average,
         "neg_part_norm": audit.negative_part_norm,
     }
@@ -221,8 +222,8 @@ def _cmd_convergence(args) -> tuple[int, str]:
         raise ValueError(f"--meshes must be comma-separated integers: {err}") from err
     if not meshes:
         raise ValueError(f"--meshes must be comma-separated integers, got {args.meshes!r}")
-    config = OcpConfig(dim=args.dim, degree=args.degree, n=max(meshes), alpha=args.alpha)
-    study = convergence_study(config, meshes)
+    config = ocp.OcpConfig(dim=args.dim, degree=args.degree, n=max(meshes), alpha=args.alpha)
+    study = ocp.convergence_study(config, meshes)
     return EXIT_OK, dumps(study.to_json_dict())
 
 
@@ -243,7 +244,11 @@ def main(argv=None) -> int:
     except ValueError as err:
         sys.stdout.write(dumps({"error": "usage", "message": str(err)}) + "\n")
         return EXIT_USAGE
-    except QpConvergenceError as err:
+    except ImportError:
+        # a float layer that cannot load (no numpy) must not be looked at
+        # again by the clause below, which would mask this error
+        raise
+    except ocp.QpConvergenceError as err:
         sys.stdout.write(dumps({"error": type(err).__name__, "message": str(err)}) + "\n")
         return EXIT_NUMERICAL
 

@@ -207,14 +207,15 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_3(capsys, monkeypatch):
-    import ctrldisc.cli as cli_module
+    from ctrldisc import ocp
     from ctrldisc.ocp import OcpConfig as RealConfig
 
     def tiny_cap_config(**kwargs):
         kwargs["max_qp_iterations"] = 2
         return RealConfig(**kwargs)
 
-    monkeypatch.setattr(cli_module, "OcpConfig", tiny_cap_config)
+    # cli reads ocp.OcpConfig at call time
+    monkeypatch.setattr(ocp, "OcpConfig", tiny_cap_config)
     code, out = run_cli(
         capsys,
         ["solve", "--dim", "1", "--degree", "8", "--alpha", "0.1", "--mesh", "2", "--tol", "1e-10"],

@@ -1,6 +1,10 @@
-"""Import cost: a process loads only the scipy it calls.
+"""Import cost: a process loads only the numpy and scipy it calls.
 
-`import ctrldisc` loads numpy and the package but no scipy, and an
+`import ctrldisc` and `import ctrldisc.cli` load the exact layer alone: the
+float layers (`mesh`, `quadrature`, `fem`, `ocp`) are registered but run,
+and load numpy, only on first use.  So an `audit-basis` process loads no
+numpy, runs where numpy is not installed, and prints the same bytes; without
+numpy, a command that needs it fails with numpy's own ImportError.  An
 `audit-basis` or `certificate` process never loads scipy.  A clean-regime
 solve neither factors A nor builds a quadrature rule, so it loads none
 either.  A negative-regime solve factors A with LAPACK dpbtrf/dpbtrs, which
@@ -16,10 +20,15 @@ import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import ctrldisc
+from ctrldisc import cli
 
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(ctrldisc.__file__)))
+GOLDEN = Path(__file__).parent / "golden"
 TRACER = os.path.join(os.path.dirname(PACKAGE_ROOT), "perfbench", "tracer.py")
 
 LOADED_SCIPY = (
@@ -27,22 +36,120 @@ LOADED_SCIPY = (
 )
 
 
-def run_fresh(code: str) -> str:
-    """Run `code` in a new interpreter that finds this ctrldisc first; return stdout."""
-    proc = subprocess.run(
+def fresh_process(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter that finds this ctrldisc first, args in sys.argv[2:]."""
+    return subprocess.run(
         [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); " + code,
-         PACKAGE_ROOT],
+         PACKAGE_ROOT, *args],
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def run_fresh(code: str) -> str:
+    """Run `code` in a new interpreter that finds this ctrldisc first; return stdout."""
+    proc = fresh_process(code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+# as if numpy were not installed: any import of it raises ModuleNotFoundError
+BLOCK_NUMPY = "sys.modules['numpy'] = None; "
+CLI_WITHOUT_NUMPY = (
+    BLOCK_NUMPY + "from ctrldisc.cli import main; raise SystemExit(main(sys.argv[2:]))"
+)
 
 
 def test_import_loads_no_scipy():
     out = run_fresh(f"import ctrldisc; print({LOADED_SCIPY})")
     assert out.strip() == "[]"
+
+
+def test_import_needs_no_numpy():
+    out = run_fresh(BLOCK_NUMPY + "import ctrldisc, ctrldisc.cli; print(ctrldisc.cli.__name__)")
+    assert out.strip() == "ctrldisc.cli"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["audit-basis", "--dim", "3", "--max-degree", "6"], "audit_basis_d3_k6.json"),
+        (["audit-basis", "--dim", "1", "--max-degree", "10", "--csv"],
+         "audit_basis_d1_k10_csv.csv"),
+    ],
+)
+def test_audit_basis_without_numpy_prints_the_golden(argv, golden):
+    proc = fresh_process(CLI_WITHOUT_NUMPY, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_text()
+
+
+def test_audit_basis_out_without_numpy_writes_the_golden(tmp_path):
+    target = tmp_path / "report.json"
+    argv = ["audit-basis", "--dim", "3", "--max-degree", "6", "--out", str(target)]
+    proc = fresh_process(CLI_WITHOUT_NUMPY, *argv)
+    assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+    assert target.read_text() == (GOLDEN / "audit_basis_d3_k6.json").read_text()
+
+
+def test_audit_basis_usage_error_without_numpy(capsys):
+    argv = ["audit-basis", "--dim", "2", "--max-degree", "0"]
+    proc = fresh_process(CLI_WITHOUT_NUMPY, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert cli.main(argv) == 2
+    assert proc.stdout == capsys.readouterr().out  # the same bytes with numpy loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "--dim", "2", "--degree", "4"],
+        ["solve", "--dim", "2", "--degree", "4", "--mesh", "2"],
+        ["convergence", "--dim", "1", "--degree", "10", "--meshes", "2,4"],
+    ],
+)
+def test_a_command_that_needs_numpy_raises_its_import_error(argv):
+    # not an AttributeError from a half-loaded float layer
+    out = run_fresh(
+        BLOCK_NUMPY + "from ctrldisc import cli\n"
+        "try:\n"
+        f"    cli.main({argv!r})\n"
+        "except ImportError as err:\n"
+        "    print(type(err).__name__, err.name)"
+    )
+    assert out.strip() == "ModuleNotFoundError numpy"
+
+
+def test_without_numpy_a_solve_exits_as_an_uncaught_exception():
+    proc = fresh_process(CLI_WITHOUT_NUMPY, "solve", "--dim", "2", "--degree", "4", "--mesh", "2")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].startswith("ModuleNotFoundError: ")
+    assert "numpy" in proc.stderr.splitlines()[-1]
+
+
+def test_audit_basis_loads_no_numpy():
+    out = run_fresh(
+        "import io, contextlib; from ctrldisc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['audit-basis', '--dim', '3', '--max-degree', '6'])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert out.strip() == "0 False"
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    namespace = {}
+    exec("from ctrldisc import *", namespace)
+    for name in ctrldisc.__all__:
+        obj = getattr(ctrldisc, name)
+        assert obj.__module__.startswith("ctrldisc."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+        assert namespace[name] is obj, name
+    assert set(ctrldisc.__all__) <= set(dir(ctrldisc))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ctrldisc.no_such_name  # noqa: B018
 
 
 def loaded_by_cli(*argv: str) -> str:
@@ -115,13 +222,14 @@ def test_lapack_falls_back_to_the_scipy_linalg_import():
 
 def test_cli_import_loads_every_layer_module():
     # tools that instrument a CLI process look the layer modules up in
-    # sys.modules right after `import ctrldisc.cli`, so they must be loaded
+    # sys.modules right after `import ctrldisc.cli`, so they must be there,
+    # though the float layers' bodies (and numpy) have not run yet
     out = run_fresh(
         "import ctrldisc.cli; "
         "print(sorted(m for m in ('exactbasis', 'mesh', 'quadrature', 'fem', 'ocp') "
-        "if 'ctrldisc.' + m in sys.modules))"
+        "if 'ctrldisc.' + m in sys.modules), 'numpy' in sys.modules)"
     )
-    assert out.strip() == str(sorted(["exactbasis", "mesh", "quadrature", "fem", "ocp"]))
+    assert out.strip() == f"{sorted(['exactbasis', 'mesh', 'quadrature', 'fem', 'ocp'])} False"
 
 
 def load_tracer(monkeypatch):
