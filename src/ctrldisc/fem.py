@@ -20,8 +20,12 @@ The state operator A is fixed and symmetric positive definite, so
 :func:`_banded_cholesky_solver` factors it once with LAPACK dpbtrf (the vertex
 numbering gives bandwidth 1 on the interval and n + 2 on the unit square) and
 every state and adjoint solve is two triangular band solves, dpbtrs: backward
-stable, with no iteration error.  Both routines come from scipy's LAPACK
-extension, loaded alone (:func:`_flapack`), not through ``scipy.linalg``.
+stable, with no iteration error.  Both routines are called in numpy's own
+LAPACK, the scipy-openblas64 library that a numpy wheel bundles and has
+already mapped (:func:`_numpy_lapack`), so a solve loads no scipy and maps
+one OpenBLAS.  Where numpy ships no such library (conda or distro builds,
+numpy < 2), they come from scipy's LAPACK extension, loaded alone
+(:func:`_flapack`), not through ``scipy.linalg``.
 ``ocp.Discretization`` assembles A and the other operators on their first
 use and factors A on its first solve, keeping each; a clean-regime solve
 does neither.  No solve calls :func:`cg_solve` any more; it stays, with its
@@ -31,11 +35,12 @@ report and error types, because the benchmark's tracer
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 
@@ -47,10 +52,11 @@ from .quadrature import QuadratureRule
 
 # Import rule: the package registers this module lazily (`ctrldisc/__init__.py`),
 # so its body, and numpy with it, runs on its first use; scipy is loaded only
-# by `_flapack`, on the first factorization, never at module level.  So
-# `import ctrldisc` and an exact audit load neither numpy nor scipy (a fresh
-# `import ctrldisc`: 386 ms with module-level scipy imports, about 72 ms with
-# numpy alone, about 13 ms with neither).
+# by `_flapack`, the fallback of the first factorization where numpy bundles
+# no LAPACK of its own, never at module level.  So `import ctrldisc` and an
+# exact audit load neither numpy nor scipy (a fresh `import ctrldisc`: 386 ms
+# with module-level scipy imports, about 72 ms with numpy alone, about 13 ms
+# with neither), and with a numpy wheel no process loads scipy.
 
 __all__ = [
     "CellBlockOperator",
@@ -348,11 +354,112 @@ def l2_error(space: StateSpace, coeffs: np.ndarray, exact, rule: QuadratureRule)
     return math.sqrt(float(np.cumsum(per_cell)[-1]))
 
 
+_Int = ctypes.c_int64  # ILP64: every LAPACK integer is 64-bit, passed by reference
+_IntRef = ctypes.POINTER(_Int)
+
+
+class _NumpyLapack:
+    """dpbtrf and dpbtrs of numpy's bundled scipy-openblas64 library, called through ctypes.
+
+    The methods take and return what :func:`_flapack`'s do for upper band
+    storage, ``dpbtrf(ab) -> (c, info)`` and ``dpbtrs(c, b) -> (x, info)``,
+    so :func:`_banded_cholesky_solver` calls either route alike.  A bad pointer
+    handed to native code crashes the process instead of raising, so every
+    buffer LAPACK sees is allocated or checked here first, and every
+    argument LAPACK checks is made legal: the band is copied as a
+    Fortran-ordered float64 array with at least one row, and the right-hand
+    side is copied as a float64 vector of exactly n entries.  Anything else
+    raises ``ValueError`` before the call.
+    """
+
+    def __init__(self, library: ctypes.CDLL):
+        # the trailing size_t is the hidden length of the UPLO string
+        self._pbtrf = library.scipy_dpbtrf_64_
+        self._pbtrf.argtypes = [ctypes.c_char_p, *[_IntRef] * 2, ctypes.c_void_p, *[_IntRef] * 2,
+                                ctypes.c_size_t]
+        self._pbtrf.restype = None
+        self._pbtrs = library.scipy_dpbtrs_64_
+        self._pbtrs.argtypes = [ctypes.c_char_p, *[_IntRef] * 3, ctypes.c_void_p, _IntRef,
+                                ctypes.c_void_p, *[_IntRef] * 2, ctypes.c_size_t]
+        self._pbtrs.restype = None
+
+    def dpbtrf(self, ab):
+        c = _float64_copy(ab, "band")
+        if c.ndim != 2 or c.shape[0] == 0:
+            raise ValueError(f"band must be 2-D with at least one row, got shape {c.shape}")
+        rows, n = c.shape
+        info = _Int()
+        self._pbtrf(b"U", _Int(n), _Int(rows - 1), c.ctypes.data, _Int(rows), info, 1)
+        return c, info.value
+
+    def dpbtrs(self, c, b):
+        if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 2
+                and c.shape[0] > 0 and c.flags.f_contiguous):
+            raise ValueError("factor must be dpbtrf's Fortran-ordered 2-D float64 band")
+        rows, n = c.shape
+        x = _float64_copy(b, "right-hand side")
+        if x.shape != (n,):
+            raise ValueError(f"right-hand side must have shape ({n},), got {x.shape}")
+        info = _Int()
+        self._pbtrs(b"U", _Int(n), _Int(rows - 1), _Int(1), c.ctypes.data, _Int(rows),
+                    x.ctypes.data, _Int(max(1, n)), info, 1)
+        return x, info.value
+
+
+def _float64_copy(array, name: str) -> np.ndarray:
+    """A fresh Fortran-ordered float64 copy of `array`; ValueError unless it is real."""
+    array = np.asarray(array)
+    if array.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be real, got dtype {array.dtype}")
+    return np.array(array, dtype=np.float64, order="F")
+
+
+def _numpy_lapack_path() -> str | None:
+    """The ``libscipy_openblas64_*`` file in numpy's wheel library directory, or None.
+
+    A numpy wheel bundles it (``numpy.libs/`` on Linux and Windows,
+    ``numpy/.dylibs/`` on macOS), and ``import numpy`` has already mapped it;
+    conda and distro builds, and numpy < 2, do not ship it.
+    """
+    package = os.path.dirname(np.__file__)
+    for directory in (os.path.join(os.path.dirname(package), "numpy.libs"),
+                      os.path.join(package, ".dylibs")):
+        try:
+            names = sorted(os.listdir(directory))
+        except OSError:
+            continue
+        for name in names:
+            if name.startswith("libscipy_openblas64_"):
+                return os.path.join(directory, name)
+    return None
+
+
+@cache
+def _numpy_lapack() -> _NumpyLapack | None:
+    """numpy's own dpbtrf and dpbtrs, bound once per process; None where numpy lacks them.
+
+    The library exports them as ``scipy_dpbtrf_64_`` and ``scipy_dpbtrs_64_``:
+    the reference LAPACK routines that scipy's extension wraps, in the
+    OpenBLAS numpy already uses, so a solve maps no second OpenBLAS and
+    loads no scipy.  Without the file, or without either symbol, this is
+    None and :func:`_banded_cholesky_solver` falls back to :func:`_flapack`.
+    """
+    path = _numpy_lapack_path()
+    if path is None:
+        return None
+    try:
+        return _NumpyLapack(ctypes.CDLL(path))
+    except (OSError, AttributeError):  # not loadable, or without the two symbols
+        return None
+
+
 def _flapack():
     """scipy's LAPACK extension module, loaded without running ``scipy.linalg``'s ``__init__``.
 
-    The solve calls two of its routines, dpbtrf and dpbtrs, the very ones
-    that ``scipy.linalg.cholesky_banded`` and ``get_lapack_funcs`` hand out.
+    The fallback route of :func:`_banded_cholesky_solver`, taken only where
+    numpy bundles no LAPACK of its own (:func:`_numpy_lapack` is None).  The
+    solve calls two of its routines, dpbtrf and dpbtrs, the very ones that
+    ``scipy.linalg.cholesky_banded`` and ``get_lapack_funcs`` hand out.
     Importing ``scipy.linalg`` to reach them costs a fresh process about
     0.2 s and 22 MiB more than this extension alone (3 ms).  So the extension file is found in scipy's ``linalg``
     directory and loaded alone, under its own name in ``sys.modules``, where
@@ -380,18 +487,20 @@ def _flapack():
 def _banded_cholesky_solver(band: np.ndarray):
     """Factor an SPD matrix in upper band storage once (LAPACK dpbtrf); return its solve (dpbtrs).
 
-    Raises ``np.linalg.LinAlgError`` if the matrix is not positive definite,
-    as ``scipy.linalg.cholesky_banded`` does.
+    The routines are numpy's own (:func:`_numpy_lapack`) where numpy bundles
+    them, scipy's (:func:`_flapack`) otherwise.  Raises
+    ``np.linalg.LinAlgError`` if the matrix is not positive definite, as
+    ``scipy.linalg.cholesky_banded`` does.
     """
-    lapack = _flapack()
-    factor, info = lapack.dpbtrf(band, lower=0)
+    lapack = _numpy_lapack() or _flapack()
+    factor, info = lapack.dpbtrf(band)  # upper band storage, both routes' default
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrf")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.dpbtrs(factor, rhs, lower=0)
+        x, info = lapack.dpbtrs(factor, rhs)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
         return x

@@ -3,7 +3,6 @@
 import math
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -647,43 +646,119 @@ def state_band(maker, n):
     return assemble_p1_stiffness_mass(StateSpace(mesh), cell_geometry(mesh))[0]
 
 
+@pytest.fixture
+def lapack_routes(monkeypatch):
+    """A generator function over the LAPACK routes a factorization can take.
+
+    Each route is made the one `_banded_cholesky_solver` calls, and is
+    yielded: numpy's bundled library (where this numpy ships it), then
+    scipy's `_flapack`, the fallback, with the library lookup made to find
+    nothing.
+    """
+
+    def routes():
+        fem._numpy_lapack.cache_clear()
+        bundled = fem._numpy_lapack()
+        if bundled is not None:
+            yield bundled
+        monkeypatch.setattr(fem, "_numpy_lapack_path", lambda: None)
+        fem._numpy_lapack.cache_clear()
+        assert fem._numpy_lapack() is None
+        yield fem._flapack()
+
+    yield routes
+    fem._numpy_lapack.cache_clear()
+
+
+@pytest.fixture
+def numpy_lapack():
+    """numpy's bundled dpbtrf/dpbtrs binding, the route `_banded_cholesky_solver` takes."""
+    lapack = fem._numpy_lapack()
+    if lapack is None:
+        pytest.skip("this numpy bundles no LAPACK of its own")
+    return lapack
+
+
 @pytest.mark.parametrize(
     "maker,n", [(unit_interval_mesh, 256), (unit_square_mesh, 8), (unit_square_mesh, 64)]
 )
-def test_band_factor_and_solves_equal_scipy_linalg_bitwise(maker, n):
-    # the factor and the solves call the very LAPACK routines that
-    # cholesky_banded and get_lapack_funcs hand out, kept here as the oracle
+def test_band_factor_and_solves_equal_scipy_linalg_bitwise(lapack_routes, maker, n):
+    # either route calls the LAPACK routines that cholesky_banded and
+    # get_lapack_funcs hand out, kept here as the oracle
     from scipy.linalg import cholesky_banded, get_lapack_funcs
 
     band = state_band(maker, n)
     oracle = cholesky_banded(band, lower=False, check_finite=False)
-    factor, info = fem._flapack().dpbtrf(band, lower=0)
-    assert info == 0 and np.array_equal(factor, oracle)
     (pbtrs,) = get_lapack_funcs(("pbtrs",), (oracle,))
-    solve = _banded_cholesky_solver(band)
     rng = np.random.default_rng(n)
-    for rhs in (np.ones(band.shape[1]), rng.standard_normal(band.shape[1])):
-        assert np.array_equal(solve(rhs), pbtrs(oracle, rhs, lower=0)[0])
+    rhs_list = (np.ones(band.shape[1]), rng.standard_normal(band.shape[1]))
+    for lapack in lapack_routes():
+        factor, info = lapack.dpbtrf(band)
+        assert info == 0 and np.array_equal(factor, oracle)
+        solve = _banded_cholesky_solver(band)
+        for rhs in rhs_list:
+            assert np.array_equal(solve(rhs), pbtrs(oracle, rhs, lower=0)[0])
 
 
-def test_band_factor_rejects_a_matrix_that_is_not_positive_definite():
+def test_band_factor_rejects_a_matrix_that_is_not_positive_definite(lapack_routes):
     band = state_band(unit_square_mesh, 2)
     band[-1, 4] = -1.0  # a negative diagonal entry at row 4
-    with pytest.raises(np.linalg.LinAlgError, match="^5-th leading minor not positive definite$"):
-        _banded_cholesky_solver(band)
+    for _ in lapack_routes():
+        with pytest.raises(
+            np.linalg.LinAlgError, match="^5-th leading minor not positive definite$"
+        ):
+            _banded_cholesky_solver(band)
 
 
-def test_band_solve_raises_on_lapack_error(monkeypatch):
-    lapack = fem._flapack()
-
-    def failing_pbtrs(factor, rhs, lower):
+def test_band_solve_raises_on_lapack_error(lapack_routes, monkeypatch):
+    def failing_pbtrs(factor, rhs):
         return rhs, -2
 
-    failing = SimpleNamespace(dpbtrf=lapack.dpbtrf, dpbtrs=failing_pbtrs)
-    monkeypatch.setattr(fem, "_flapack", lambda: failing)
-    solve = _banded_cholesky_solver(state_band(unit_interval_mesh, 3))
-    with pytest.raises(ValueError, match="argument 2 of LAPACK pbtrs"):
-        solve(np.ones(4))
+    for lapack in lapack_routes():
+        monkeypatch.setattr(lapack, "dpbtrs", failing_pbtrs)
+        solve = _banded_cholesky_solver(state_band(unit_interval_mesh, 3))
+        with pytest.raises(ValueError, match="argument 2 of LAPACK pbtrs"):
+            solve(np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "rhs",
+    [
+        np.ones(3),
+        np.ones(5),
+        np.ones((4, 1)),
+        np.ones(()),
+        np.ones(4, dtype=complex),
+        np.ones(4, dtype=object),
+        np.array(["1"] * 4),
+    ],
+    ids=["short", "long", "column", "scalar", "complex", "object", "str"],
+)
+def test_numpy_lapack_rejects_a_bad_right_hand_side(numpy_lapack, rhs):
+    # a bad buffer handed to native code through ctypes would crash the
+    # process, so the binding raises ValueError before the call
+    solve = _banded_cholesky_solver(state_band(unit_interval_mesh, 3))  # n = 4
+    with pytest.raises(ValueError, match="^right-hand side must"):
+        solve(rhs)
+    assert np.array_equal(solve(np.arange(4)), solve(np.arange(4.0)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lapack, band: lapack.dpbtrf(band[0]),
+        lambda lapack, band: lapack.dpbtrf(band[:0]),
+        lambda lapack, band: lapack.dpbtrf(band.astype(complex)),
+        lambda lapack, band: lapack.dpbtrs(np.ascontiguousarray(band), np.ones(4)),
+        lambda lapack, band: lapack.dpbtrs(np.asfortranarray(band, np.float32), np.ones(4)),
+        lambda lapack, band: lapack.dpbtrs(np.asfortranarray(band)[:0], np.ones(4)),
+        lambda lapack, band: lapack.dpbtrs(band.tolist(), np.ones(4)),
+    ],
+    ids=["1-d", "no-rows", "complex", "c-order", "float32", "factor-no-rows", "list"],
+)
+def test_numpy_lapack_rejects_a_bad_band(numpy_lapack, call):
+    with pytest.raises(ValueError, match="^(band|factor) must"):
+        call(numpy_lapack, state_band(unit_interval_mesh, 3))
 
 
 def test_assembly_makes_no_per_cell_affine_maps(monkeypatch):

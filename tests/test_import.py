@@ -7,13 +7,15 @@ numpy, runs where numpy is not installed, and prints the same bytes; without
 numpy, a command that needs it fails with numpy's own ImportError.  An
 `audit-basis` or `certificate` process never loads scipy.  A clean-regime
 solve neither factors A nor builds a quadrature rule, so it loads none
-either.  A negative-regime solve factors A with LAPACK dpbtrf/dpbtrs, which
-`fem._flapack` takes from scipy's `_flapack` extension alone: the top-level
-`scipy` package and `scipy.linalg._flapack` are loaded, but not the
-`scipy.linalg` package, whose import costs a fresh process about 0.2 s.  Its
-d=2 audit rule is built with numpy alone, so `scipy.special` is never loaded.
-No solve builds a `scipy.sparse` matrix.  Each check runs in a fresh
-interpreter, because this test process has long since loaded scipy.
+either.  A negative-regime solve factors A with LAPACK dpbtrf/dpbtrs, called
+in numpy's own bundled OpenBLAS (`fem._numpy_lapack`), so it loads no scipy
+either, and on Linux maps one OpenBLAS.  Where numpy bundles none, the
+fallback `fem._flapack` takes them from scipy's `_flapack` extension alone:
+the top-level `scipy` package and `scipy.linalg._flapack` are loaded, but
+not the `scipy.linalg` package, whose import costs a fresh process about
+0.2 s.  Its d=2 audit rule is built with numpy alone, so `scipy.special` is
+never loaded.  No solve builds a `scipy.sparse` matrix.  Each check runs in
+a fresh interpreter, because this test process has long since loaded scipy.
 """
 
 import importlib.util
@@ -172,26 +174,60 @@ def test_certificate_loads_no_scipy():
     assert loaded_by_cli("certificate", "--dim", "2", "--degree", "4") == "0 []"
 
 
-def loaded_by_solve(*argv: str) -> str:
-    """Exit code and the scipy modules loaded by a fresh `solve` with these arguments."""
+def loaded_by_solve(*argv: str, before: str = "") -> str:
+    """Exit code and the scipy modules loaded by a fresh `solve` run after `before`."""
     return run_fresh(
-        "import io, contextlib; from ctrldisc import cli\n"
+        before + "import io, contextlib; from ctrldisc import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main(['solve', *{list(argv)!r}])\n"
-        f"print(code, [m for m in ('scipy.linalg._flapack', 'scipy.linalg', 'scipy.special', "
-        f"'scipy.sparse') if m in {LOADED_SCIPY}])"
+        f"print(code, {LOADED_SCIPY})"
     ).strip()
+
+
+NEGATIVE_SOLVES = [("--dim", "2", "--degree", "4", "--mesh", "8"),
+                   ("--dim", "1", "--degree", "10", "--mesh", "256")]
 
 
 def test_solve_resolves_the_deferred_imports():
     # clean regime (k=3): lambda = 0 from the exact integrals and operators
     # from exact Gram blocks, with no factorization and no audit rule
     assert loaded_by_solve("--dim", "2", "--degree", "3", "--mesh", "4") == "0 []"
-    # negative regime: the banded factor from the LAPACK extension alone, the
-    # d=2 conical audit rule from numpy, the operators as cell blocks and a band
-    for argv in (("--dim", "2", "--degree", "4", "--mesh", "8"),
-                 ("--dim", "1", "--degree", "10", "--mesh", "256")):
-        assert loaded_by_solve(*argv) == "0 ['scipy.linalg._flapack']", argv
+    # negative regime: the banded factor from numpy's own LAPACK, the d=2
+    # conical audit rule from numpy, the operators as cell blocks and a band
+    for argv in NEGATIVE_SOLVES:
+        assert loaded_by_solve(*argv) == "0 []", argv
+
+
+def test_without_numpys_lapack_a_solve_loads_the_lapack_extension_alone():
+    # the library lookup finds nothing, as with a conda or distro numpy: the
+    # factor comes from scipy's `_flapack`, without the scipy.linalg package
+    for argv in NEGATIVE_SOLVES:
+        out = loaded_by_solve(*argv, before="from ctrldisc import fem; "
+                                            "fem._numpy_lapack_path = lambda: None\n")
+        code, loaded = out.split(" ", 1)
+        assert code == "0" and "'scipy.linalg._flapack'" in loaded, argv
+        for name in ("scipy.linalg", "scipy.special", "scipy.sparse"):
+            assert f"'{name}'" not in loaded, (argv, name)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
+def test_a_negative_solve_maps_one_openblas():
+    from ctrldisc import fem
+
+    if fem._numpy_lapack_path() is None:
+        pytest.skip("this numpy bundles no OpenBLAS of its own")
+    out = run_fresh(
+        "import io, contextlib, os; from ctrldisc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['solve', '--dim', '2', '--degree', '4', '--mesh', '8'])\n"
+        "with open('/proc/self/maps') as maps:\n"
+        "    paths = {line.split(maxsplit=5)[-1].strip() for line in maps\n"
+        "             if len(line.split()) >= 6}\n"
+        "print(code, sorted(os.path.basename(path) for path in paths if 'openblas' in path))"
+    )
+    code, libraries = out.strip().split(" ", 1)
+    assert code == "0"
+    assert libraries == repr([os.path.basename(fem._numpy_lapack_path())])
 
 
 def test_a_later_scipy_linalg_import_reuses_the_lapack_extension():

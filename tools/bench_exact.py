@@ -32,7 +32,12 @@ every command once per checkout, alternating which checkout goes first, after
 one untimed process per command and checkout (which also writes the bytecode
 caches).  The file gives, per command and checkout, the median, quartiles and
 fastest of the wall times from spawn to exit, and the median and quartiles of
-each child's peak resident set size (``ru_maxrss`` from ``os.wait4``).
+each child's peak resident set size (``ru_maxrss`` from ``os.wait4``).  The
+two checkouts' processes of one round ran back to back, so it also gives,
+per command, the median and quartiles of the rounds' paired differences
+(change - parent) of wall time and of peak RSS: drift that moves both
+processes of a round cancels there, so a change of a few ms that the
+per-checkout medians cannot resolve still shows.
 """
 
 from __future__ import annotations
@@ -212,6 +217,19 @@ def main() -> int:
             ],
         }
 
+    def paired_row(command):
+        parent, change = fresh["parent"][command], fresh["change"][command]
+        wall = [(c[0] - p[0]) * 1e3 for p, c in zip(parent, change)]
+        rss = [c[1] - p[1] for p, c in zip(parent, change)]
+        return {
+            "paired_delta_median_ms": round(statistics.median(wall), 3),
+            "paired_delta_quartiles_ms": [round(q, 3) for q in statistics.quantiles(wall, n=4)],
+            "paired_delta_maxrss_median_mib": round(statistics.median(rss), 2),
+            "paired_delta_maxrss_quartiles_mib": [
+                round(q, 2) for q in statistics.quantiles(rss, n=4)
+            ],
+        }
+
     def quartiles(label, case):
         return [ms(q) for q in statistics.quantiles(rounds[label][case], n=4)]
 
@@ -270,10 +288,16 @@ def main() -> int:
                 f"{FRESH_ROUNDS} rounds of one `python -m ctrldisc.cli` process per "
                 "command and checkout, alternating which checkout runs first, after one "
                 "untimed process each; one BLAS thread; wall time from spawn to exit, "
-                "peak RSS of the child from os.wait4"
+                "peak RSS of the child from os.wait4; paired_delta_* are the median and "
+                "quartiles of the per-round differences change - parent"
             ),
             "results": [
-                {"case": command, **fresh_row("parent", command), **fresh_row("change", command)}
+                {
+                    "case": command,
+                    **fresh_row("parent", command),
+                    **fresh_row("change", command),
+                    **paired_row(command),
+                }
                 for command in FRESH_CASES
             ],
         },
