@@ -6,8 +6,6 @@ byte-identical output.  Exit codes: 0 success, 2 usage error, 3 numerical
 failure.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys

@@ -24,11 +24,9 @@ unique, so the closed form gives exactly the rationals of the generalized
 Vandermonde solve, which the tests keep as an oracle (`solve_rational_system`).
 """
 
-from __future__ import annotations
-
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -162,8 +160,7 @@ def solve_rational_system(matrix, rhs):
     return solution
 
 
-@dataclass(frozen=True)
-class LagrangeBasisSpec:
+class LagrangeBasisSpec(namedtuple("LagrangeBasisSpec", "dim degree alphas integrals")):
     """Degree-k Lagrange basis on the d-dimensional reference simplex.
 
     Basis function i is the one of node alphas[i] / degree: phi_i(nodes[j])
@@ -171,12 +168,14 @@ class LagrangeBasisSpec:
     constant 1.  integrals[i] is the exact integral of phi_i over the
     reference simplex.  The functions themselves are Silvester's product form
     (`lagrange_basis`); no monomial coefficients are kept.
-    """
 
-    dim: int
-    degree: int
-    alphas: tuple[tuple[int, ...], ...]
-    integrals: tuple[Fraction, ...]
+    Fields: dim (int), degree (int), alphas (tuple of int tuples) and
+    integrals (tuple of Fractions).  A named tuple, so the fields are
+    immutable and equality and hash go by them; the exact layer's three
+    records are named tuples because ``dataclasses`` would double the cost of
+    ``import ctrldisc``.  No ``__slots__``: the cached properties below keep
+    their values in the instance ``__dict__``.
+    """
 
     @property
     def node_count(self) -> int:
@@ -466,22 +465,26 @@ def integral_of_square(spec: LagrangeBasisSpec, indices) -> Fraction:
     return Fraction(sum(numerators[i][j] for i in indices for j in indices), denominator)
 
 
-@dataclass(frozen=True)
-class DegreeRecord:
-    """Audit result for a single polynomial degree."""
+class DegreeRecord(
+    namedtuple("DegreeRecord", "degree integrals all_nonnegative negative_indices")
+):
+    """Audit result for a single polynomial degree.
 
-    degree: int
-    integrals: tuple[Fraction, ...]
-    all_nonnegative: bool
-    negative_indices: tuple[int, ...]
+    Fields: degree (int), integrals (tuple of Fractions), all_nonnegative
+    (bool) and negative_indices (tuple of ints); immutable, as a named tuple.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    """Per-degree sign audit of Lagrange basis integrals in one dimension."""
+class AuditReport(namedtuple("AuditReport", "dim records")):
+    """Per-degree sign audit of Lagrange basis integrals in one dimension.
 
-    dim: int
-    records: tuple[DegreeRecord, ...]
+    Fields: dim (int) and records (tuple of `DegreeRecord`); immutable, as a
+    named tuple.
+    """
+
+    __slots__ = ()
 
     def nonnegative_degrees(self) -> tuple[int, ...]:
         return tuple(r.degree for r in self.records if r.all_nonnegative)

@@ -40,7 +40,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
 
@@ -56,7 +56,8 @@ from .quadrature import QuadratureRule
 # no LAPACK of its own, never at module level.  So `import ctrldisc` and an
 # exact audit load neither numpy nor scipy (a fresh `import ctrldisc`: 386 ms
 # with module-level scipy imports, about 72 ms with numpy alone, about 13 ms
-# with neither), and with a numpy wheel no process loads scipy.
+# with neither, about 7 ms once the exact layer loaded no dataclasses), and
+# with a numpy wheel no process loads scipy.
 
 __all__ = [
     "CellBlockOperator",
@@ -361,15 +362,16 @@ _IntRef = ctypes.POINTER(_Int)
 class _NumpyLapack:
     """dpbtrf and dpbtrs of numpy's bundled scipy-openblas64 library, called through ctypes.
 
-    The methods take and return what :func:`_flapack`'s do for upper band
-    storage, ``dpbtrf(ab) -> (c, info)`` and ``dpbtrs(c, b) -> (x, info)``,
-    so :func:`_banded_cholesky_solver` calls either route alike.  A bad pointer
+    ``dpbtrf(ab) -> (c, info)`` takes and returns what :func:`_flapack`'s
+    does for upper band storage.  ``bind_dpbtrs(c)`` checks a factor once and
+    returns its solve, ``b -> (x, info)`` as ``_flapack``'s ``dpbtrs(c, b)``,
+    with every argument but the right-hand side built once.  A bad pointer
     handed to native code crashes the process instead of raising, so every
     buffer LAPACK sees is allocated or checked here first, and every
     argument LAPACK checks is made legal: the band is copied as a
-    Fortran-ordered float64 array with at least one row, and the right-hand
-    side is copied as a float64 vector of exactly n entries.  Anything else
-    raises ``ValueError`` before the call.
+    Fortran-ordered float64 array with at least one row, the factor must be
+    such an array, and the right-hand side is copied as a float64 vector of
+    exactly n entries.  Anything else raises ``ValueError`` before the call.
     """
 
     def __init__(self, library: ctypes.CDLL):
@@ -392,18 +394,26 @@ class _NumpyLapack:
         self._pbtrf(b"U", _Int(n), _Int(rows - 1), c.ctypes.data, _Int(rows), info, 1)
         return c, info.value
 
-    def dpbtrs(self, c, b):
+    def bind_dpbtrs(self, c):
         if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 2
                 and c.shape[0] > 0 and c.flags.f_contiguous):
             raise ValueError("factor must be dpbtrf's Fortran-ordered 2-D float64 band")
         rows, n = c.shape
-        x = _float64_copy(b, "right-hand side")
-        if x.shape != (n,):
-            raise ValueError(f"right-hand side must have shape ({n},), got {x.shape}")
-        info = _Int()
-        self._pbtrs(b"U", _Int(n), _Int(rows - 1), _Int(1), c.ctypes.data, _Int(rows),
-                    x.ctypes.data, _Int(max(1, n)), info, 1)
-        return x, info.value
+        pbtrs, shape = self._pbtrs, (n,)
+        # data_as's pointer keeps c, and so the buffer it points to, alive
+        head = (b"U", _Int(n), _Int(rows - 1), _Int(1), c.ctypes.data_as(ctypes.c_void_p),
+                _Int(rows))
+        ldb = _Int(max(1, n))
+
+        def dpbtrs(b):
+            x = _float64_copy(b, "right-hand side")
+            if x.shape != shape:
+                raise ValueError(f"right-hand side must have shape ({n},), got {x.shape}")
+            info = _Int()
+            pbtrs(*head, x.ctypes.data, ldb, info, 1)
+            return x, info.value
+
+        return dpbtrs
 
 
 def _float64_copy(array, name: str) -> np.ndarray:
@@ -498,9 +508,13 @@ def _banded_cholesky_solver(band: np.ndarray):
         raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrf")
+    if isinstance(lapack, _NumpyLapack):
+        pbtrs = lapack.bind_dpbtrs(factor)
+    else:
+        pbtrs = partial(lapack.dpbtrs, factor)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.dpbtrs(factor, rhs)
+        x, info = pbtrs(rhs)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
         return x

@@ -13,7 +13,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -766,6 +765,35 @@ def test_audit_json_schema():
             Fraction(int(num), int(den))
 
 
+def test_exact_records_are_immutable_and_compare_by_fields():
+    # the memoized spec is shared by every caller, so no field may change
+    spec = lagrange_basis(2, 3)
+    report = audit_degrees(2, 3)
+    for record in (spec, report.records[2], report):
+        cls = type(record)
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        twin = cls(**dict(zip(record._fields, record)))
+        assert twin is not record and twin == record and hash(twin) == hash(record)
+        assert twin != cls(record[0] + 1, *record[1:])  # dim or degree
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, record))
+        assert repr(record) == f"{cls.__name__}({fields})"
+    # the two audit records take no other attributes either
+    for record in (report.records[2], report):
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    # the spec keeps its cached nodes and Gram memo, which its equal copy does not share
+    assert spec.nodes == tuple(lattice_nodes(2, 3)) and spec.nodes is spec.nodes
+    grams = gram(spec, spec)
+    assert gram(spec, spec) is grams and spec._grams[spec.alphas, spec.alphas] is grams
+    copy = exactbasis.LagrangeBasisSpec(*spec)
+    assert copy.nodes == spec.nodes and copy._grams is not spec._grams
+    assert gram(copy, copy) is grams  # kept on the memoized spec
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_audit_json_formats_each_integral_as_its_own(d):
     # to_json_dict formats each shared Fraction once; the strings must be
@@ -777,7 +805,7 @@ def test_audit_json_formats_each_integral_as_its_own(d):
         [f"{v.numerator}/{v.denominator}" for v in record.integrals] for record in report.records
     ]
     copies = tuple(
-        replace(record, integrals=tuple(map(Fraction, record.integrals)))
+        record._replace(integrals=tuple(map(Fraction, record.integrals)))
         for record in report.records
     )
     assert exactbasis.AuditReport(d, copies).to_json_dict() == payload

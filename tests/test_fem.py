@@ -3,6 +3,7 @@
 import math
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -715,7 +716,10 @@ def test_band_solve_raises_on_lapack_error(lapack_routes, monkeypatch):
         return rhs, -2
 
     for lapack in lapack_routes():
-        monkeypatch.setattr(lapack, "dpbtrs", failing_pbtrs)
+        if isinstance(lapack, fem._NumpyLapack):  # binds the factor once, then solves
+            monkeypatch.setattr(lapack, "bind_dpbtrs", lambda c: partial(failing_pbtrs, c))
+        else:
+            monkeypatch.setattr(lapack, "dpbtrs", failing_pbtrs)
         solve = _banded_cholesky_solver(state_band(unit_interval_mesh, 3))
         with pytest.raises(ValueError, match="argument 2 of LAPACK pbtrs"):
             solve(np.ones(4))
@@ -749,10 +753,10 @@ def test_numpy_lapack_rejects_a_bad_right_hand_side(numpy_lapack, rhs):
         lambda lapack, band: lapack.dpbtrf(band[0]),
         lambda lapack, band: lapack.dpbtrf(band[:0]),
         lambda lapack, band: lapack.dpbtrf(band.astype(complex)),
-        lambda lapack, band: lapack.dpbtrs(np.ascontiguousarray(band), np.ones(4)),
-        lambda lapack, band: lapack.dpbtrs(np.asfortranarray(band, np.float32), np.ones(4)),
-        lambda lapack, band: lapack.dpbtrs(np.asfortranarray(band)[:0], np.ones(4)),
-        lambda lapack, band: lapack.dpbtrs(band.tolist(), np.ones(4)),
+        lambda lapack, band: lapack.bind_dpbtrs(np.ascontiguousarray(band)),
+        lambda lapack, band: lapack.bind_dpbtrs(np.asfortranarray(band, np.float32)),
+        lambda lapack, band: lapack.bind_dpbtrs(np.asfortranarray(band)[:0]),
+        lambda lapack, band: lapack.bind_dpbtrs(band.tolist()),
     ],
     ids=["1-d", "no-rows", "complex", "c-order", "float32", "factor-no-rows", "list"],
 )

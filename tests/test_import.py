@@ -4,18 +4,21 @@
 float layers (`mesh`, `quadrature`, `fem`, `ocp`) are registered but run,
 and load numpy, only on first use.  So an `audit-basis` process loads no
 numpy, runs where numpy is not installed, and prints the same bytes; without
-numpy, a command that needs it fails with numpy's own ImportError.  An
-`audit-basis` or `certificate` process never loads scipy.  A clean-regime
-solve neither factors A nor builds a quadrature rule, so it loads none
-either.  A negative-regime solve factors A with LAPACK dpbtrf/dpbtrs, called
-in numpy's own bundled OpenBLAS (`fem._numpy_lapack`), so it loads no scipy
-either, and on Linux maps one OpenBLAS.  Where numpy bundles none, the
-fallback `fem._flapack` takes them from scipy's `_flapack` extension alone:
-the top-level `scipy` package and `scipy.linalg._flapack` are loaded, but
-not the `scipy.linalg` package, whose import costs a fresh process about
-0.2 s.  Its d=2 audit rule is built with numpy alone, so `scipy.special` is
-never loaded.  No solve builds a `scipy.sparse` matrix.  Each check runs in
-a fresh interpreter, because this test process has long since loaded scipy.
+numpy, a command that needs it fails with numpy's own ImportError.  The exact
+layer's records are named tuples, so that process loads no `dataclasses`
+either, nor the `inspect` it imports, nor `__future__`: about half of what
+a bare `import ctrldisc` cost before.  An `audit-basis` or `certificate`
+process never loads scipy.  A clean-regime solve neither factors A nor
+builds a quadrature rule, so it loads none either.  A negative-regime solve
+factors A with LAPACK dpbtrf/dpbtrs, called in numpy's own bundled OpenBLAS
+(`fem._numpy_lapack`), so it loads no scipy either, and on Linux maps one
+OpenBLAS.  Where numpy bundles none, the fallback `fem._flapack` takes them
+from scipy's `_flapack` extension alone: the top-level `scipy` package and
+`scipy.linalg._flapack` are loaded, but not the `scipy.linalg` package,
+whose import costs a fresh process about 0.2 s.  Its d=2 audit rule is
+built with numpy alone, so `scipy.special` is never loaded.  No solve builds
+a `scipy.sparse` matrix.  Each check runs in a fresh interpreter, because
+this test process has long since loaded scipy.
 """
 
 import importlib.util
@@ -131,14 +134,27 @@ def test_without_numpy_a_solve_exits_as_an_uncaught_exception():
     assert "numpy" in proc.stderr.splitlines()[-1]
 
 
+# besides numpy, the exact path loads no dataclasses, whose import brings
+# inspect, ast, dis and tokenize, and no __future__
+EXACT_PATH_UNLOADED = ("numpy", "dataclasses", "inspect", "__future__")
+
+
 def test_audit_basis_loads_no_numpy():
+    loaded = f"sorted(m for m in {EXACT_PATH_UNLOADED!r} if m in sys.modules)"
     out = run_fresh(
         "import io, contextlib; from ctrldisc import cli\n"
+        f"print({loaded})\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['audit-basis', '--dim', '3', '--max-degree', '6'])\n"
-        "print(code, 'numpy' in sys.modules)"
+        f"print(code, {loaded})"
     )
-    assert out.strip() == "0 False"
+    assert out.splitlines() == ["[]", "0 []"]
+    # and runs where none of them can be imported, printing the same bytes
+    blocked = "".join(f"sys.modules[{name!r}] = None; " for name in EXACT_PATH_UNLOADED[1:])
+    proc = fresh_process(blocked + CLI_WITHOUT_NUMPY, "audit-basis", "--dim", "3",
+                         "--max-degree", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "audit_basis_d3_k6.json").read_text()
 
 
 def test_every_public_name_is_its_defining_modules_object():

@@ -25,19 +25,24 @@ exact layer undone, beside the case it would replace: the d = 1 Gram by
 orbits (``_gram_by_orbits`` alone, without the sum check and the memo, so a
 lower bound of that route), and CLI runs without the Gram memo.
 
-Then every FRESH_CASES command runs as a CLI process of its own, ``python -m
-ctrldisc.cli ARGS`` with the checkout's ``src`` on PYTHONPATH and one BLAS
-thread: what a user pays, imports included.  Each of FRESH_ROUNDS rounds runs
-every command once per checkout, alternating which checkout goes first, after
-one untimed process per command and checkout (which also writes the bytecode
-caches).  The file gives, per command and checkout, the median, quartiles and
-fastest of the wall times from spawn to exit, and the median and quartiles of
-each child's peak resident set size (``ru_maxrss`` from ``os.wait4``).  The
-two checkouts' processes of one round ran back to back, so it also gives,
-per command, the median and quartiles of the rounds' paired differences
-(change - parent) of wall time and of peak RSS: drift that moves both
-processes of a round cancels there, so a change of a few ms that the
-per-checkout medians cannot resolve still shows.
+Then every FRESH_CASES case runs as a process of its own, with the
+checkout's ``src`` on PYTHONPATH and one BLAS thread: a bare ``python -c
+"import ctrldisc"``, the process whose import perfbench's ``setup_s`` times,
+and CLI commands, ``python -m ctrldisc.cli ARGS``, what a user pays, imports
+included.  Each of FRESH_ROUNDS rounds runs every case once per checkout,
+alternating which checkout goes first, after one untimed process per case
+and checkout (which also writes the bytecode caches, unless
+PYTHONDONTWRITEBYTECODE is set).  perfbench times its imports in a fresh
+checkout with no bytecode cache of the package; to time the same, run this
+on two ``git archive`` checkouts with PYTHONDONTWRITEBYTECODE=1, which every
+child inherits (the file records the setting).  The file gives, per case
+and checkout, the median, quartiles and fastest of the wall times from spawn
+to exit, and the median and quartiles of each child's peak resident set size
+(``ru_maxrss`` from ``os.wait4``).  The two checkouts' processes of one round
+ran back to back, so it also gives, per case, the median and quartiles of
+the rounds' paired differences (change - parent) of wall time and of peak
+RSS: drift that moves both processes of a round cancels there, so a change
+of a few ms that the per-checkout medians cannot resolve still shows.
 """
 
 from __future__ import annotations
@@ -80,7 +85,9 @@ VARIANTS = [
 ROUNDS = 10
 REPEATS = 100
 BUDGET_S = 2.0  # per case and worker; every case still gets 3 timed runs
+# `import ...` runs as `python -c`, anything else as `python -m ctrldisc.cli`
 FRESH_CASES = [
+    "import ctrldisc",
     "solve --dim 2 --degree 4 --mesh 8",
     "solve --dim 1 --degree 10 --mesh 256",
     "convergence --dim 2 --degree 4 --meshes 4,8,16",
@@ -147,10 +154,13 @@ def worker(src: str, variants: bool) -> dict:
     return out
 
 
-def fresh_process(src: str, command: str, env: dict) -> tuple[float, float]:
-    """Wall time (s) and peak RSS (MiB) of one CLI process running `command` from `src`."""
+def fresh_process(src: str, case: str, env: dict) -> tuple[float, float]:
+    """Wall time (s) and peak RSS (MiB) of one process running the FRESH_CASES `case` from `src`."""
     env = dict(env, PYTHONPATH=os.path.abspath(src))
-    argv = [sys.executable, "-m", "ctrldisc.cli", *command.split()]
+    if case.startswith("import "):
+        argv = [sys.executable, "-c", case]
+    else:
+        argv = [sys.executable, "-m", "ctrldisc.cli", *case.split()]
     start = perf_counter()
     child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
@@ -164,13 +174,13 @@ def fresh_process(src: str, command: str, env: dict) -> tuple[float, float]:
 def fresh_rounds(sides, env: dict) -> dict[str, dict[str, list[tuple[float, float]]]]:
     """FRESH_ROUNDS interleaved rounds of every FRESH_CASES process per checkout."""
     for _, src, _ in sides:
-        for command in FRESH_CASES:
-            fresh_process(src, command, env)  # untimed: bytecode caches, file cache
+        for case in FRESH_CASES:
+            fresh_process(src, case, env)  # untimed: bytecode caches, file cache
     runs: dict[str, dict[str, list[tuple[float, float]]]] = {"parent": {}, "change": {}}
     for round_ in range(FRESH_ROUNDS):
-        for command in FRESH_CASES:
+        for case in FRESH_CASES:
             for label, src, _ in sides if round_ % 2 == 0 else sides[::-1]:
-                runs[label].setdefault(command, []).append(fresh_process(src, command, env))
+                runs[label].setdefault(case, []).append(fresh_process(src, case, env))
     return runs
 
 
@@ -205,8 +215,8 @@ def main() -> int:
     def ms(seconds):
         return round(seconds * 1e3, 3)
 
-    def fresh_row(label, command):
-        times, rss = zip(*fresh[label][command])
+    def fresh_row(label, case):
+        times, rss = zip(*fresh[label][case])
         return {
             f"{label}_median_ms": ms(statistics.median(times)),
             f"{label}_quartiles_ms": [ms(q) for q in statistics.quantiles(times, n=4)],
@@ -217,8 +227,8 @@ def main() -> int:
             ],
         }
 
-    def paired_row(command):
-        parent, change = fresh["parent"][command], fresh["change"][command]
+    def paired_row(case):
+        parent, change = fresh["parent"][case], fresh["change"][case]
         wall = [(c[0] - p[0]) * 1e3 for p, c in zip(parent, change)]
         rss = [c[1] - p[1] for p, c in zip(parent, change)]
         return {
@@ -254,6 +264,7 @@ def main() -> int:
             "numpy": numpy.__version__,
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
         },
         "unit": "ms",
         "results": [
@@ -285,20 +296,21 @@ def main() -> int:
         ],
         "fresh_process": {
             "method": (
-                f"{FRESH_ROUNDS} rounds of one `python -m ctrldisc.cli` process per "
-                "command and checkout, alternating which checkout runs first, after one "
-                "untimed process each; one BLAS thread; wall time from spawn to exit, "
+                f"{FRESH_ROUNDS} rounds of one process per case and checkout (`python -c` "
+                "for an import, `python -m ctrldisc.cli` for a command), alternating which "
+                "checkout runs first, after one untimed process each; one BLAS thread; "
+                "environment.PYTHONDONTWRITEBYTECODE as given; wall time from spawn to exit, "
                 "peak RSS of the child from os.wait4; paired_delta_* are the median and "
                 "quartiles of the per-round differences change - parent"
             ),
             "results": [
                 {
-                    "case": command,
-                    **fresh_row("parent", command),
-                    **fresh_row("change", command),
-                    **paired_row(command),
+                    "case": case,
+                    **fresh_row("parent", case),
+                    **fresh_row("change", case),
+                    **paired_row(case),
                 }
-                for command in FRESH_CASES
+                for case in FRESH_CASES
             ],
         },
     }
