@@ -9,6 +9,7 @@ failure.
 import argparse
 import math
 import sys
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from . import ocp  # loaded on first use: an audit loads no numpy
@@ -80,43 +81,58 @@ def _audit_csv(report_dict: dict) -> str:
     return "\n".join(lines)
 
 
-def _audit_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, choices=(1, 2, 3), required=True)
-    parser.add_argument("--max-degree", type=int, required=True)
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output")
-    parser.add_argument("--out", type=str, default=None, help="write report to PATH")
+# One row per option of a command, in the order its help lists them.  type
+# None is a store-true flag; default is the value of an absent option, as
+# parsed; exclusive marks the --json/--csv mutually exclusive group.
+_Option = namedtuple(
+    "_Option",
+    "flag type choices default required help exclusive",
+    defaults=(None, None, None, False, None, False),
+)
 
+_CERTIFICATE_OPTIONS = (
+    _Option("--dim", int, (1, 2), required=True),
+    _Option("--degree", int, required=True),
+    _Option("--alpha", float, default=0.1),
+)
 
-def _certificate_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dim", type=int, choices=(1, 2), required=True)
-    parser.add_argument("--degree", type=int, required=True)
-    parser.add_argument("--alpha", type=float, default=0.1)
-
-
-def _solve_arguments(parser: argparse.ArgumentParser) -> None:
-    _certificate_arguments(parser)
-    parser.add_argument("--mesh", type=int, required=True)
-    parser.add_argument("--tol", type=float, default=1e-10)
-
-
-def _convergence_arguments(parser: argparse.ArgumentParser) -> None:
-    _certificate_arguments(parser)
-    parser.add_argument("--meshes", type=str, default="4,8,16", help="comma-separated ints")
-
-
-# name -> (help, add_arguments), in the order `ctrldisc -h` lists the commands
+# name -> (help, options), in the order `ctrldisc -h` lists the commands
 _COMMANDS = {
-    "audit-basis": ("sign audit of basis integrals per degree", _audit_arguments),
-    "certificate": ("build the negative-direction certificate", _certificate_arguments),
-    "solve": ("solve the QP on one mesh", _solve_arguments),
-    "convergence": ("solve on a mesh family and classify", _convergence_arguments),
+    "audit-basis": (
+        "sign audit of basis integrals per degree",
+        (
+            _Option("--dim", int, (1, 2, 3), required=True),
+            _Option("--max-degree", int, required=True),
+            _Option("--json", default=False, help="JSON output (default)", exclusive=True),
+            _Option("--csv", default=False, help="CSV output", exclusive=True),
+            _Option("--out", str, help="write report to PATH"),
+        ),
+    ),
+    "certificate": ("build the negative-direction certificate", _CERTIFICATE_OPTIONS),
+    "solve": (
+        "solve the QP on one mesh",
+        (
+            *_CERTIFICATE_OPTIONS,
+            _Option("--mesh", int, required=True),
+            _Option("--tol", float, default=1e-10),
+        ),
+    ),
+    "convergence": (
+        "solve on a mesh family and classify",
+        (
+            *_CERTIFICATE_OPTIONS,
+            _Option("--meshes", str, default="4,8,16", help="comma-separated ints"),
+        ),
+    ),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full parser: one subparser per command."""
+    """The full parser, one subparser per command, built from `_COMMANDS`.
+
+    It parses every command line that `parse_args` does not parse itself,
+    and its usage, help and error messages are the CLI's.
+    """
     parser = argparse.ArgumentParser(
         prog="ctrldisc",
         description=(
@@ -125,30 +141,69 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        group = None
+        for opt in options:
+            if opt.exclusive:
+                group = group or command.add_mutually_exclusive_group()
+            if opt.type is None:
+                kwargs = {"action": "store_true"}
+            else:
+                kwargs = {"type": opt.type, "choices": opt.choices, "required": opt.required}
+            target = group if opt.exclusive else command
+            target.add_argument(opt.flag, default=opt.default, help=opt.help, **kwargs)
     return parser
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, building only the parser of the command it runs.
+def _parse_well_formed(name: str, tokens: list) -> argparse.Namespace | None:
+    """The tree's namespace for a well-formed `[name, *tokens]` (see `parse_args`), else None."""
+    options = _COMMANDS[name][1]
+    by_flag = {opt.flag: opt for opt in options}
+    given = {}
+    tokens = iter(tokens)
+    for flag in tokens:
+        opt = by_flag.get(flag)
+        if opt is None or flag in given:
+            return None
+        if opt.type is None:
+            given[flag] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as an option
+        if value.startswith("-"):
+            return None
+        try:
+            value = opt.type(value)
+        except (TypeError, ValueError):
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        given[flag] = value
+    if sum(by_flag[flag].exclusive for flag in given) > 1:
+        return None
+    args = argparse.Namespace(command=name)
+    for opt in options:
+        if opt.flag not in given and opt.required:
+            return None
+        setattr(args, opt.flag[2:].replace("-", "_"), given.get(opt.flag, opt.default))
+    return args
 
-    When argv names a command, that command's parser alone parses the rest,
-    as its subparser in the full tree would.  Empty argv, top-level help, an
-    unknown command, or arguments the command's parser does not recognize go
-    to the full tree, so that its usage, help and error messages come out
-    unchanged.  argv None means sys.argv[1:].  Raises SystemExit as argparse
-    does.
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, without building a parser for a well-formed argv.
+
+    A command followed by its own full option names, each once with a valid
+    value, the required ones present and at most one of --json/--csv, is
+    parsed here from `_COMMANDS`.  Anything else (help, errors,
+    abbreviations, `--opt=value`, `--`, values that start with "-",
+    repeated options) goes to the full tree, so every usage, help and error
+    message is the tree's.  argv None means sys.argv[1:].  Raises SystemExit
+    as argparse does.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in _COMMANDS:
-        name = argv[0]
-        _, add_arguments = _COMMANDS[name]
-        parser = argparse.ArgumentParser(prog=f"ctrldisc {name}")
-        add_arguments(parser)
-        args, unrecognized = parser.parse_known_args(argv[1:])
-        if not unrecognized:
-            args.command = name
+        args = _parse_well_formed(argv[0], argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 

@@ -1,6 +1,7 @@
 """CLI: subcommands, report schemas, exit codes, determinism."""
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -334,8 +335,10 @@ def test_unreachable_tolerance_stagnates_quickly(capsys):
     assert elapsed < 20.0
 
 
-# Argument parsing.  `main` builds only the parser of the command it runs; the
-# full tree of `build_parser` is the oracle for every outcome of every argv.
+# Argument parsing.  `parse_args` parses a well-formed argv from the option
+# table `cli._COMMANDS` without building a parser, and hands any other argv to
+# the full tree of `build_parser`, which is the oracle for every outcome of
+# every argv.
 HANDLERS = ("_cmd_audit", "_cmd_certificate", "_cmd_solve", "_cmd_convergence")
 VALID = {
     "audit-basis": ["--dim", "3", "--max-degree", "6"],
@@ -354,13 +357,13 @@ def parse_outcome(capsys, argv, parse=cli.parse_args):
     """main(argv) parsing through `parse`, with every command handler a recorder.
 
     Returns the exit code, stdout, stderr and the namespace a handler received
-    as a dict (None when parsing exited).  A reference main parses through
-    `tree_parse`.
+    as a dict of reprs, which tell 3 from 3.0 and hold nan equal to nan (None
+    when parsing exited).  A reference main parses through `tree_parse`.
     """
     parsed = []
 
     def record(args):
-        parsed.append(vars(args))
+        parsed.append({key: repr(value) for key, value in vars(args).items()})
         return cli.EXIT_OK, "parsed"
 
     with mock.patch.multiple(cli, parse_args=parse, **dict.fromkeys(HANDLERS, record)):
@@ -369,9 +372,20 @@ def parse_outcome(capsys, argv, parse=cli.parse_args):
     return code, out, err, parsed[0] if parsed else None
 
 
-def parity_cases():
+def well_formed_cases():
     for name, valid in VALID.items():
         yield [name, *valid]
+    yield ["audit-basis", *VALID["audit-basis"], "--csv", "--out", "report.csv"]
+    # values the table converts itself, with the tree's int and float
+    yield ["audit-basis", "--dim", "\u0663", "--max-degree", "1_0"]  # ARABIC-INDIC DIGIT THREE
+    yield ["solve", "--dim", "2", "--degree", "3", "--mesh", " 8", "--alpha", "1_0"]
+    yield ["certificate", "--dim", "2", "--degree", "4", "--alpha", "nan"]
+    yield ["certificate", "--dim", "2", "--degree", "4", "--alpha", "inf"]
+    yield ["audit-basis", *VALID["audit-basis"], "--out", ""]
+
+
+def malformed_cases():
+    for name, valid in VALID.items():
         yield [name, "-h"]
         yield [name, *valid[2:]]  # missing the required --dim
         yield [name, "--dim", "x", *valid[2:]]  # not an int
@@ -385,15 +399,21 @@ def parity_cases():
         yield ["--dim", "2", name, *valid]  # an option before the command
         yield [name[:3], *valid]  # a prefix of the command
     yield ["audit-basis", *VALID["audit-basis"], "--json", "--csv"]
-    yield ["audit-basis", *VALID["audit-basis"], "--csv", "--out", "report.csv"]
+    yield ["audit-basis", *VALID["audit-basis"], "--json", "--json"]
+    yield ["audit-basis", "--dim", "", "--max-degree", "6"]
+    yield ["solve", *VALID["solve"], "--dim", "1"]  # a repeated option
     yield ["solve", "--dim", "2", "--mesh", "4", "--deg", "4", "--mes", "8"]
+    yield ["certificate", "--dim", "2", "--degree", "4", "--alpha", "-1e-3"]
+    yield ["certificate", "--dim", "2", "--degree", "4", "--alpha"]  # no value
     yield []
     yield ["-h"]
     yield ["--help"]
     yield ["no-such-command", "--dim", "2"]
 
 
-@pytest.mark.parametrize("argv", list(parity_cases()), ids=lambda argv: " ".join(argv) or "empty")
+@pytest.mark.parametrize(
+    "argv", [*well_formed_cases(), *malformed_cases()], ids=lambda argv: " ".join(argv) or "empty"
+)
 def test_parsing_matches_the_full_tree(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)  # for --out
     assert parse_outcome(capsys, argv) == parse_outcome(capsys, argv, tree_parse)
@@ -403,6 +423,7 @@ TOKENS = [
     *VALID, "sol", "audit", "-h", "--help", "--", "--dim", "--degree", "--deg", "--max-degree",
     "--max", "--mesh", "--meshes", "--alpha", "--tol", "--json", "--csv", "--out", "--dim=2",
     "--alpha=0.5", "1", "2", "3", "5", "x", "0.1", "-1", "4,8", "--bogus", "stray", "report",
+    " 8", "1_0", "\u0663", "nan", "inf", "-1e-3", "",
 ]
 tokens = st.lists(st.sampled_from(TOKENS), max_size=8)
 valid_argv = st.sampled_from(sorted(VALID)).flatmap(
@@ -437,7 +458,8 @@ def test_main_without_argv_parses_sys_argv(capsys, monkeypatch):
     assert parse_outcome(capsys, None)[3] == parse_outcome(capsys, argv)[3]
 
 
-def test_a_command_builds_one_parser_and_falls_back_to_the_tree(capsys, monkeypatch):
+def count_parsers(monkeypatch):
+    """A list to which every `ArgumentParser` built from now on appends its prog."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -446,20 +468,114 @@ def test_a_command_builds_one_parser_and_falls_back_to_the_tree(capsys, monkeypa
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_a_well_formed_command_builds_no_parser_and_any_other_the_tree(
+    capsys, monkeypatch, tmp_path
+):
+    monkeypatch.chdir(tmp_path)  # for --out
+    built = count_parsers(monkeypatch)
     cli.build_parser()
     tree = len(built)
     assert tree == 1 + len(VALID)  # the top level and one subparser per command
-    for name, valid in VALID.items():
+    for argv in well_formed_cases():
         built.clear()
-        assert parse_outcome(capsys, [name, *valid])[0] == 0
-        assert built == [f"ctrldisc {name}"]
-        built.clear()
-        assert parse_outcome(capsys, [name, *valid, "--bogus"])[0] == 2
-        assert built[0] == f"ctrldisc {name}" and len(built) == 1 + tree  # then the tree
-    for argv in ([], ["-h"], ["no-such-command"]):
+        assert parse_outcome(capsys, argv)[0] == 0
+        assert built == []
+    for argv in malformed_cases():
         built.clear()
         parse_outcome(capsys, argv)
         assert len(built) == tree
+
+
+def test_the_benchmark_argvs_build_no_parser(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ is only read
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    built = count_parsers(monkeypatch)
+    for template in workloads.WORKLOADS.values():
+        for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
+            for argv in workloads.op_sequence(template, seed):
+                assert parse_outcome(capsys, argv)[0] == 0
+                assert built == []
+                assert parse_outcome(capsys, argv) == parse_outcome(capsys, argv, tree_parse)
+                built.clear()
+
+
+# The tree written out literally, so that an edit of the option table that
+# moves it fails here.  Per command: its help and, per action, (option
+# strings, dest, type, nargs, choices, required, default, help, index of its
+# mutually exclusive group or None).
+HELP_ACTION = (
+    ["-h", "--help"], "help", None, 0, None, False, argparse.SUPPRESS,
+    "show this help message and exit", None,
+)
+CERTIFICATE_ACTIONS = [
+    HELP_ACTION,
+    (["--dim"], "dim", int, None, (1, 2), True, None, None, None),
+    (["--degree"], "degree", int, None, None, True, None, None, None),
+    (["--alpha"], "alpha", float, None, None, False, 0.1, None, None),
+]
+TREE = {
+    "audit-basis": (
+        "sign audit of basis integrals per degree",
+        [
+            HELP_ACTION,
+            (["--dim"], "dim", int, None, (1, 2, 3), True, None, None, None),
+            (["--max-degree"], "max_degree", int, None, None, True, None, None, None),
+            (["--json"], "json", None, 0, None, False, False, "JSON output (default)", 0),
+            (["--csv"], "csv", None, 0, None, False, False, "CSV output", 0),
+            (["--out"], "out", str, None, None, False, None, "write report to PATH", None),
+        ],
+    ),
+    "certificate": ("build the negative-direction certificate", CERTIFICATE_ACTIONS),
+    "solve": (
+        "solve the QP on one mesh",
+        [
+            *CERTIFICATE_ACTIONS,
+            (["--mesh"], "mesh", int, None, None, True, None, None, None),
+            (["--tol"], "tol", float, None, None, False, 1e-10, None, None),
+        ],
+    ),
+    "convergence": (
+        "solve on a mesh family and classify",
+        [
+            *CERTIFICATE_ACTIONS,
+            (
+                ["--meshes"], "meshes", str, None, None, False, "4,8,16", "comma-separated ints",
+                None,
+            ),
+        ],
+    ),
+}
+
+
+def test_the_tree_built_from_the_table_holds_the_same_actions():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+
+    def group_of(command, action):
+        groups = command._mutually_exclusive_groups
+        return next((i for i, group in enumerate(groups) if action in group._group_actions), None)
+
+    tree = {
+        name: (
+            helps[name],
+            [
+                (
+                    a.option_strings, a.dest, a.type, a.nargs, a.choices, a.required, a.default,
+                    a.help, group_of(command, a),
+                )
+                for a in command._actions
+            ],
+        )
+        for name, command in sub.choices.items()
+    }
+    assert tree == TREE
+    assert list(tree) == list(TREE)  # the order `ctrldisc -h` lists them in
 
 
 # Reports pinned byte for byte.  A change that moves one on purpose rewrites

@@ -18,7 +18,11 @@ captured; a parse case times the parse step of ``cli.main`` alone,
 reports the best time of every case, one per round; the file gives, per
 case and checkout, the best over all rounds and the quartiles of the
 rounds' bests, so a reader can see whether a row moved by more than the
-spread between rounds.
+spread between rounds.  The two checkouts' workers of one round ran back to
+back, so it also gives, per case, the median and quartiles of the rounds'
+paired differences (change - parent) of the bests: a machine that switches
+between a fast and a slow state from one process to the next moves both
+sides' medians, and mostly cancels in the pairs.
 
 The change's worker also times VARIANTS, each a design choice of the
 exact layer undone, beside the case it would replace: the d = 1 Gram by
@@ -243,6 +247,13 @@ def main() -> int:
     def quartiles(label, case):
         return [ms(q) for q in statistics.quantiles(rounds[label][case], n=4)]
 
+    def paired_delta(case):
+        deltas = [c - p for p, c in zip(rounds["parent"][case], rounds["change"][case])]
+        return {
+            "paired_delta_median_ms": ms(statistics.median(deltas)),
+            "paired_delta_quartiles_ms": [ms(q) for q in statistics.quantiles(deltas, n=4)],
+        }
+
     cases = (
         [f"gram d={d} k={k}" for d, k in GRAM_CASES]
         + CLI_CASES
@@ -257,7 +268,8 @@ def main() -> int:
             f"runs first; in process, one BLAS thread, best of up to {REPEATS} runs "
             f"per round (at least 3, {BUDGET_S} s budget per case), lagrange_basis "
             "memo cleared before every run; *_ms is the best over all rounds, "
-            "*_quartiles_ms the quartiles of the rounds' bests"
+            "*_quartiles_ms the quartiles of the rounds' bests, paired_delta_* the "
+            "median and quartiles of the per-round differences change - parent"
         ),
         "environment": {
             "python": platform.python_version(),
@@ -280,6 +292,7 @@ def main() -> int:
                     / statistics.median(rounds["change"][case]),
                     2,
                 ),
+                **paired_delta(case),
             }
             for case in cases
         ],
