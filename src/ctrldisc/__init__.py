@@ -17,28 +17,19 @@ fem        : P1 Neumann state equation, discontinuous control spaces
 ocp        : the constrained QP, certificates, feasibility audits, studies
 cli        : `ctrldisc` command-line entry point
 
+Each public name is listed once, in `_PUBLIC` with its defining module, and
+served from there by `__getattr__`; `__all__` and `dir()` are derived from it.
 Only `exactbasis`, which is pure-Python rationals, is imported with the
 package.  `mesh`, `quadrature`, `fem` and `ocp` are registered in sys.modules
 and bound here at once, but their bodies, and numpy with them, run at the
-first read of one of their attributes or of a name they export here.  So
+first read of one of their attributes or of a public name they define.  So
 `import ctrldisc` and an `audit-basis` run load no numpy.
 """
 
 import importlib.util
 import sys
 
-from .exactbasis import (
-    AuditReport,
-    DegreeRecord,
-    LagrangeBasisSpec,
-    audit_degrees,
-    basis_integrals,
-    integral_of_square,
-    lagrange_basis,
-    lattice_nodes,
-    monomial_integral,
-    multi_indices,
-)
+from . import exactbasis
 
 
 def _lazy_submodule(name: str):
@@ -61,10 +52,13 @@ quadrature = _lazy_submodule("quadrature")
 fem = _lazy_submodule("fem")
 ocp = _lazy_submodule("ocp")
 
-# the float layers' public names, each served by its module on first read
-_FLOAT_LAYER_NAMES = {
+# every public name, with the module that defines it and serves it on each read
+_PUBLIC = {
     name: module
     for module, names in (
+        (exactbasis, ("AuditReport", "DegreeRecord", "LagrangeBasisSpec", "audit_degrees",
+                      "basis_integrals", "integral_of_square", "lagrange_basis",
+                      "lattice_nodes", "monomial_integral", "multi_indices")),
         (mesh, ("SimplexMesh", "cell_geometry", "unit_interval_mesh", "unit_square_mesh")),
         (quadrature, ("QuadratureRule", "conical_product_rule", "gauss_legendre_interval",
                       "grundmann_moeller", "simplex_rule")),
@@ -78,59 +72,18 @@ _FLOAT_LAYER_NAMES = {
     for name in names
 }
 
+__version__ = "0.1.0"
+
+__all__ = sorted(_PUBLIC)
+
 
 def __getattr__(name: str):
     try:
-        module = _FLOAT_LAYER_NAMES[name]
+        module = _PUBLIC[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     return getattr(module, name)
 
 
 def __dir__():
-    return sorted({*globals(), *_FLOAT_LAYER_NAMES})
-
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AuditReport",
-    "ControlSpace",
-    "ConvergenceStudy",
-    "CounterexampleCertificate",
-    "DegreeRecord",
-    "Discretization",
-    "FeasibilityAudit",
-    "LagrangeBasisSpec",
-    "NoNegativeBasisError",
-    "OcpConfig",
-    "QpConvergenceError",
-    "QpSolution",
-    "QuadratureRule",
-    "SimplexMesh",
-    "StateSpace",
-    "StudyRun",
-    "audit_degrees",
-    "assemble_control_mass",
-    "assemble_coupling",
-    "assemble_load",
-    "assemble_p1_stiffness_mass",
-    "basis_integrals",
-    "build_certificate",
-    "cell_geometry",
-    "conical_product_rule",
-    "convergence_study",
-    "feasibility_audit",
-    "gauss_legendre_interval",
-    "grundmann_moeller",
-    "integral_of_square",
-    "l2_error",
-    "lagrange_basis",
-    "lattice_nodes",
-    "monomial_integral",
-    "multi_indices",
-    "simplex_rule",
-    "solve_qp",
-    "unit_interval_mesh",
-    "unit_square_mesh",
-]
+    return sorted({*globals(), *_PUBLIC})

@@ -13,7 +13,7 @@ from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from . import ocp  # loaded on first use: an audit loads no numpy
-from .exactbasis import audit_degrees
+from .exactbasis import SUPPORTED_DIMENSIONS, audit_degrees
 
 __all__ = ["dumps", "main", "parse_args"]
 
@@ -101,7 +101,7 @@ _COMMANDS = {
     "audit-basis": (
         "sign audit of basis integrals per degree",
         (
-            _Option("--dim", int, (1, 2, 3), required=True),
+            _Option("--dim", int, SUPPORTED_DIMENSIONS, required=True),
             _Option("--max-degree", int, required=True),
             _Option("--json", default=False, help="JSON output (default)", exclusive=True),
             _Option("--csv", default=False, help="CSV output", exclusive=True),
@@ -208,15 +208,14 @@ def parse_args(argv=None) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _cmd_audit(args) -> tuple[int, str]:
+def _cmd_audit(args) -> str:
     if args.max_degree < 1:
         raise ValueError("--max-degree must be >= 1")
     report = audit_degrees(args.dim, args.max_degree).to_json_dict()
-    text = _audit_csv(report) if args.csv else dumps(report)
-    return EXIT_OK, text
+    return _audit_csv(report) if args.csv else dumps(report)
 
 
-def _cmd_certificate(args) -> tuple[int, str]:
+def _cmd_certificate(args) -> str:
     # the certificate reads no mesh; OcpConfig validates dim, degree and alpha
     config = ocp.OcpConfig(dim=args.dim, degree=args.degree, n=1, alpha=args.alpha)
     try:
@@ -228,7 +227,7 @@ def _cmd_certificate(args) -> tuple[int, str]:
             "degree": err.degree,
             "message": str(err),
         }
-        return EXIT_OK, dumps(payload)  # documented success-with-finding
+        return dumps(payload)  # documented success-with-finding
     payload = {
         "dim": cert.config.dim,
         "degree": cert.config.degree,
@@ -239,10 +238,10 @@ def _cmd_certificate(args) -> tuple[int, str]:
         "objective_bound": cert.objective_bound,
         "measured_objective": cert.measured_objective,
     }
-    return EXIT_OK, dumps(payload)
+    return dumps(payload)
 
 
-def _cmd_solve(args) -> tuple[int, str]:
+def _cmd_solve(args) -> str:
     config = ocp.OcpConfig(
         dim=args.dim, degree=args.degree, n=args.mesh, alpha=args.alpha, qp_tol=args.tol
     )
@@ -265,10 +264,10 @@ def _cmd_solve(args) -> tuple[int, str]:
         "min_cell_avg": audit.min_cell_average,
         "neg_part_norm": audit.negative_part_norm,
     }
-    return EXIT_OK, dumps(payload)
+    return dumps(payload)
 
 
-def _cmd_convergence(args) -> tuple[int, str]:
+def _cmd_convergence(args) -> str:
     try:
         meshes = [int(tok) for tok in args.meshes.split(",") if tok.strip()]
     except ValueError as err:
@@ -277,10 +276,11 @@ def _cmd_convergence(args) -> tuple[int, str]:
         raise ValueError(f"--meshes must be comma-separated integers, got {args.meshes!r}")
     config = ocp.OcpConfig(dim=args.dim, degree=args.degree, n=max(meshes), alpha=args.alpha)
     study = ocp.convergence_study(config, meshes)
-    return EXIT_OK, dumps(study.to_json_dict())
+    return dumps(study.to_json_dict())
 
 
 def main(argv=None) -> int:
+    """Run one command and print or write its report; the exit code is chosen here alone."""
     try:
         args = parse_args(argv)
     except SystemExit as exc:
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
         "convergence": _cmd_convergence,
     }
     try:
-        code, text = handlers[args.command](args)
+        text = handlers[args.command](args)
     except ValueError as err:
         sys.stdout.write(dumps({"error": "usage", "message": str(err)}) + "\n")
         return EXIT_USAGE
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
     else:
         sys.stdout.write(text + "\n")
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

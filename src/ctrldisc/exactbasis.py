@@ -25,6 +25,7 @@ Vandermonde solve, which the tests keep as an oracle (`solve_rational_system`).
 """
 
 import math
+import numbers
 import operator
 from collections import namedtuple
 from fractions import Fraction
@@ -49,9 +50,20 @@ __all__ = [
 SUPPORTED_DIMENSIONS = (1, 2, 3)
 
 
-def _check_dimension(d: int) -> None:
+def _check_sizes(d: int, k: int, k_name: str = "degree") -> None:
+    """ValueError unless d is a supported dimension and k an integer >= 1.
+
+    True == 1 and 2.0 == 2, but neither is a size.  An int passes on its type
+    alone: every basis build runs this, and the Integral check, which admits
+    numpy integers, is an ABC lookup that costs ten times the type test.
+    """
+    for n in (d, k):
+        if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
+            raise ValueError(f"sizes must be integers, got dimension {d!r} and {k_name} {k!r}")
     if d not in SUPPORTED_DIMENSIONS:
         raise ValueError(f"unsupported dimension {d}; expected one of {SUPPORTED_DIMENSIONS}")
+    if k < 1:
+        raise ValueError(f"{k_name} must be >= 1, got {k}")
 
 
 def _graded_exponents(d: int, k: int) -> list[list[tuple[int, ...]]]:
@@ -89,9 +101,7 @@ def lattice_nodes(d: int, k: int) -> list[tuple[Fraction, ...]]:
     Returned in graded-lexicographic order of the defining multi-index alpha;
     there are binomial(d+k, d) of them.
     """
-    _check_dimension(d)
-    if k < 1:
-        raise ValueError(f"degree must be >= 1, got {k}")
+    _check_sizes(d, k)
     return [tuple(Fraction(a, k) for a in alpha) for alpha in multi_indices(d, k)]
 
 
@@ -232,7 +242,7 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit the entries of 1 and 2
 def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
     """Construct the degree-k Lagrange basis on the reference simplex, exactly.
 
@@ -257,9 +267,7 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
     spec also keeps every Gram computed from it (`gram`), and is immutable
     otherwise.
     """
-    _check_dimension(d)
-    if k < 1:
-        raise ValueError(f"degree must be >= 1, got {k}")
+    _check_sizes(d, k)
     alphas = tuple(multi_indices(d, k))
     # w_a, a = 0..k: q_a(lambda) = sum_b f_a[b] k^b lambda^b / a!, times b!
     weights = [
@@ -518,9 +526,7 @@ def audit_degrees(d: int, k_max: int) -> AuditReport:
     An integral equal to exactly 0 counts as non-negative.  All sign tests read
     exact numerators.
     """
-    _check_dimension(d)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    _check_sizes(d, k_max, "k_max")
     records = []
     for k in range(1, k_max + 1):
         spec = lagrange_basis(d, k)

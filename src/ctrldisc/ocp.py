@@ -70,6 +70,9 @@ MAX_CONTROL_DEGREE = (MAX_EXACTNESS - 2) // 2
 # whenever a basis integral goes negative.
 DESIRED_STATE = -1.0
 
+# Cap on the QP core's gradient evaluations in `solve_qp`.
+MAX_QP_ITERATIONS = 200_000
+
 
 class NoNegativeBasisError(Exception):
     """All reference basis integrals are >= 0: no counterexample direction exists."""
@@ -103,12 +106,12 @@ class OcpConfig:
     n: int
     alpha: float = 0.1
     qp_tol: float = 1e-10
-    max_qp_iterations: int = 200_000
 
     def __post_init__(self):
-        for name in ("dim", "degree", "n", "max_qp_iterations"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("dim", "degree", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim not in (1, 2):
             raise ValueError(f"solves are supported for dim in {{1, 2}}, got {self.dim}")
         if not 1 <= self.degree <= MAX_CONTROL_DEGREE:
@@ -117,12 +120,10 @@ class OcpConfig:
             )
         if self.n < 1:
             raise ValueError(f"mesh parameter must be >= 1, got {self.n}")
-        if not 0 < self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not 0 < self.qp_tol < math.inf:
-            raise ValueError(f"qp_tol must be finite and > 0, got {self.qp_tol}")
-        if self.max_qp_iterations < 1:
-            raise ValueError("max_qp_iterations must be >= 1")
+        for name in ("alpha", "qp_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 class Discretization:
@@ -539,9 +540,9 @@ def solve_qp(disc: Discretization) -> QpSolution:
     comparison of J values decides a step, so the iteration count does not
     follow roundoff in J.  The reported kkt_residual, ||min(z, grad_z J)||_2
     = ||min(D^-1 lam, D grad J)||_2, is a mesh-independent L2-type KKT
-    measure.  The config's qp_tol and max_qp_iterations set the tolerance
-    and the cap on the core's gradient evaluations, which the returned
-    iterations counts (the gradient at 0 is not among them).
+    measure.  The config's qp_tol sets the tolerance and MAX_QP_ITERATIONS
+    caps the core's gradient evaluations, which the returned iterations
+    counts (the gradient at 0 is not among them).
 
     The clean regime is decided exactly, before any floating-point work.
     K 1 = 0 makes the adjoint at lam = 0 the constant 1, so grad J(0) = 2 C'1
@@ -565,7 +566,7 @@ def solve_qp(disc: Discretization) -> QpSolution:
     g0 = grad(np.zeros(n))
     j0 = DESIRED_STATE**2 * disc.domain_volume  # y(0) = 0
     z, _, j, res, iterations, failure = minimize_nonneg_quadratic(
-        grad, g0, j0, disc.config.qp_tol, disc.config.max_qp_iterations
+        grad, g0, j0, disc.config.qp_tol, MAX_QP_ITERATIONS
     )
     lam = disc.control_scale * z
     result = QpSolution(lam, disc.solve_state(lam), j, res, iterations)
@@ -753,7 +754,7 @@ def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
     ns = sorted(set(mesh_parameters))
     if len(ns) < 2:
         raise ValueError("a convergence study needs at least two mesh parameters")
-    if any(not isinstance(n, numbers.Integral) or n < 1 for n in ns):
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1 for n in ns):
         raise ValueError(f"mesh parameters must be integers >= 1, got {ns}")
 
     try:

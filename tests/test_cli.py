@@ -209,14 +209,9 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
 
 def test_numerical_failure_exit_3(capsys, monkeypatch):
     from ctrldisc import ocp
-    from ctrldisc.ocp import OcpConfig as RealConfig
 
-    def tiny_cap_config(**kwargs):
-        kwargs["max_qp_iterations"] = 2
-        return RealConfig(**kwargs)
-
-    # cli reads ocp.OcpConfig at call time
-    monkeypatch.setattr(ocp, "OcpConfig", tiny_cap_config)
+    # solve_qp reads the cap at call time
+    monkeypatch.setattr(ocp, "MAX_QP_ITERATIONS", 2)
     code, out = run_cli(
         capsys,
         ["solve", "--dim", "1", "--degree", "8", "--alpha", "0.1", "--mesh", "2", "--tol", "1e-10"],
@@ -364,7 +359,7 @@ def parse_outcome(capsys, argv, parse=cli.parse_args):
 
     def record(args):
         parsed.append({key: repr(value) for key, value in vars(args).items()})
-        return cli.EXIT_OK, "parsed"
+        return "parsed"
 
     with mock.patch.multiple(cli, parse_args=parse, **dict.fromkeys(HANDLERS, record)):
         code = cli.main(argv)

@@ -272,6 +272,20 @@ def test_lattice_nodes_rejects_bad_input():
         lattice_nodes(2, 0)
 
 
+@pytest.mark.parametrize("build", [lattice_nodes, lagrange_basis, audit_degrees])
+@pytest.mark.parametrize(
+    "d, k", [(True, 2), (2.0, 2), (3.0, 2), (2, True), (2, 2.0)], ids=repr
+)
+def test_sizes_must_be_integers_not_bools(build, d, k):
+    # True == 1 and 2.0 == 2, so without a type check a bool or a float would
+    # pass the range checks, or hit the memo of the int it equals
+    lagrange_basis(1, 2)  # the memo entries that True and 2.0 equal
+    lagrange_basis(2, 2)
+    with pytest.raises(ValueError, match="sizes must be integers"):
+        build(d, k)
+    assert build(np.int64(2), np.int64(2)) == build(2, 2)
+
+
 # ---------------------------------------------------------------------------
 # basis construction
 

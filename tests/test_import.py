@@ -170,6 +170,45 @@ def test_every_public_name_is_its_defining_modules_object():
         ctrldisc.no_such_name  # noqa: B018
 
 
+# the package root's public names, as a literal: the root derives `__all__`
+# and `dir()` from its one table, so a name dropped there must fail here
+PUBLIC_NAMES = {
+    "AuditReport", "ControlSpace", "ConvergenceStudy", "CounterexampleCertificate",
+    "DegreeRecord", "Discretization", "FeasibilityAudit", "LagrangeBasisSpec",
+    "NoNegativeBasisError", "OcpConfig", "QpConvergenceError", "QpSolution", "QuadratureRule",
+    "SimplexMesh", "StateSpace", "StudyRun", "assemble_control_mass", "assemble_coupling",
+    "assemble_load", "assemble_p1_stiffness_mass", "audit_degrees", "basis_integrals",
+    "build_certificate", "cell_geometry", "conical_product_rule", "convergence_study",
+    "feasibility_audit", "gauss_legendre_interval", "grundmann_moeller", "integral_of_square",
+    "l2_error", "lagrange_basis", "lattice_nodes", "monomial_integral", "multi_indices",
+    "simplex_rule", "solve_qp", "unit_interval_mesh", "unit_square_mesh",
+}
+SUBMODULES = {"cli", "exactbasis", "fem", "mesh", "ocp", "quadrature"}
+
+
+def test_the_package_root_exports_its_public_names():
+    assert sorted(ctrldisc.__all__) == sorted(PUBLIC_NAMES)
+    public_dir = {name for name in dir(ctrldisc) if not name.startswith("_")}
+    assert public_dir == PUBLIC_NAMES | SUBMODULES | {"importlib", "sys"}
+
+
+def test_the_package_root_resolves_without_the_float_layers():
+    # with numpy blocked, a float layer's body could not run; each float
+    # layer must still be the lazy module registered at import
+    out = run_fresh(
+        BLOCK_NUMPY + "import types, ctrldisc; from ctrldisc import exactbasis\n"
+        "names = sorted(set(ctrldisc.__all__) & set(exactbasis.__all__))\n"
+        "print(len(ctrldisc.__all__), set(ctrldisc.__all__) <= set(dir(ctrldisc)))\n"
+        "print(names, all(getattr(ctrldisc, n) is getattr(exactbasis, n) for n in names))\n"
+        "print([m for m in ('mesh', 'quadrature', 'fem', 'ocp')\n"
+        "       if type(sys.modules['ctrldisc.' + m]) is types.ModuleType])"
+    )
+    exact = sorted(["AuditReport", "DegreeRecord", "LagrangeBasisSpec", "audit_degrees",
+                    "basis_integrals", "integral_of_square", "lagrange_basis", "lattice_nodes",
+                    "monomial_integral", "multi_indices"])
+    assert out.splitlines() == [f"{len(PUBLIC_NAMES)} True", f"{exact} True", "[]"]
+
+
 def loaded_by_cli(*argv: str) -> str:
     """Exit code and the scipy modules loaded by a fresh `main(argv)`."""
     return run_fresh(

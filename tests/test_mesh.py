@@ -136,8 +136,9 @@ def test_mesh_inputs_validated():
 
 @pytest.mark.parametrize("maker", [unit_interval_mesh, unit_square_mesh])
 def test_mesh_sizes_must_be_integers(maker):
-    # a float size passes n >= 1, and then np.arange(n + 1) / n reaches past 1
-    for n in (3.7, 2.5, 4.0):
+    # a float size passes n >= 1, and then np.arange(n + 1) / n reaches past 1;
+    # True, an Integral, would pass as 1
+    for n in (3.7, 2.5, 4.0, True):
         with pytest.raises(ValueError, match="must be an integer"):
             maker(n)
     mesh = maker(np.int64(3))

@@ -844,8 +844,9 @@ def test_exact_discrete_optimum_d2k4_at_one_tenth():
     assert (j, c) == (Fraction(9259, 11737), Fraction(-2478, 11737))
 
 
-def test_solve_qp_iteration_cap_carries_best():
-    disc = Discretization(OcpConfig(dim=1, degree=8, n=2, max_qp_iterations=3))
+def test_solve_qp_iteration_cap_carries_best(monkeypatch):
+    monkeypatch.setattr(ocp, "MAX_QP_ITERATIONS", 3)
+    disc = Discretization(OcpConfig(dim=1, degree=8, n=2))
     with pytest.raises(QpConvergenceError) as excinfo:
         solve_qp(disc)
     best = excinfo.value.best
@@ -1093,8 +1094,9 @@ def test_study_requires_two_meshes():
 
 def test_study_rejects_non_integral_mesh_parameters():
     config = OcpConfig(dim=1, degree=2, n=4)
-    with pytest.raises(ValueError, match="mesh parameters must be integers"):
-        convergence_study(config, [2, 4.9])
+    for meshes in ([2, 4.9], [True, 4]):
+        with pytest.raises(ValueError, match="mesh parameters must be integers"):
+            convergence_study(config, meshes)
     study = convergence_study(config, np.array([4, 2]))
     assert [type(run.n) for run in study.runs] == [int, int]
     assert [run.n for run in study.runs] == [2, 4]
@@ -1115,18 +1117,19 @@ def test_config_validation():
         OcpConfig(dim=2, degree=1, n=2, alpha=0.0)
     with pytest.raises(ValueError):
         OcpConfig(dim=2, degree=1, n=2, qp_tol=0.0)
-    for value in (math.inf, math.nan):
+    for value in (math.inf, math.nan, True):
         with pytest.raises(ValueError, match="alpha"):
             OcpConfig(dim=2, degree=1, n=2, alpha=value)
         with pytest.raises(ValueError, match="qp_tol"):
             OcpConfig(dim=2, degree=1, n=2, qp_tol=value)
 
 
-@pytest.mark.parametrize("name", ["dim", "degree", "n", "max_qp_iterations"])
+@pytest.mark.parametrize("name", ["dim", "degree", "n"])
 def test_config_sizes_must_be_integers(name):
-    # a float passes every range check, then misbuilds the mesh or lifts the iteration cap
-    base = {"dim": 2, "degree": 4, "n": 2, "max_qp_iterations": 3}
-    for value in (base[name] + 0.5, float(base[name])):
+    # a float passes every range check, then misbuilds the mesh; True, an
+    # Integral, would pass as 1
+    base = {"dim": 2, "degree": 4, "n": 2}
+    for value in (base[name] + 0.5, float(base[name]), True):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             OcpConfig(**{**base, name: value})
     assert OcpConfig(**{**base, name: np.int64(base[name])}) == OcpConfig(**base)
