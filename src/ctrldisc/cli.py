@@ -13,7 +13,7 @@ from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from . import ocp  # loaded on first use: an audit loads no numpy
-from .exactbasis import SUPPORTED_DIMENSIONS, audit_degrees
+from .exactbasis import SOLVE_DIMENSIONS, SUPPORTED_DIMENSIONS, audit_degrees
 
 __all__ = ["dumps", "main", "parse_args"]
 
@@ -91,7 +91,7 @@ _Option = namedtuple(
 )
 
 _CERTIFICATE_OPTIONS = (
-    _Option("--dim", int, (1, 2), required=True),
+    _Option("--dim", int, SOLVE_DIMENSIONS, required=True),
     _Option("--degree", int, required=True),
     _Option("--alpha", float, default=0.1),
 )
@@ -209,8 +209,6 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _cmd_audit(args) -> str:
-    if args.max_degree < 1:
-        raise ValueError("--max-degree must be >= 1")
     report = audit_degrees(args.dim, args.max_degree).to_json_dict()
     return _audit_csv(report) if args.csv else dumps(report)
 

@@ -25,11 +25,11 @@ Vandermonde solve, which the tests keep as an oracle (`solve_rational_system`).
 """
 
 import math
-import numbers
 import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from numbers import Integral
 
 __all__ = [
     "AuditReport",
@@ -48,30 +48,37 @@ __all__ = [
 ]
 
 SUPPORTED_DIMENSIONS = (1, 2, 3)
+# The dimensions with a mesh builder and a quadrature family, which a solve
+# accepts: always 1..n, since the checks read only the last one
+SOLVE_DIMENSIONS = (1, 2)
 
 
-def _check_sizes(d: int, k: int, k_name: str = "degree") -> None:
-    """ValueError unless d is a supported dimension and k an integer >= 1.
+def _check_size(name: str, value, low: int, high: int | None = None) -> None:
+    """ValueError unless `value` is an integer in low..high (high None: no upper bound).
 
-    True == 1 and 2.0 == 2, but neither is a size.  An int passes on its type
+    The package's one size rule.  A size is an int or a numpy integer, never
+    a bool or a float: True == 1 and 2.0 == 2, so either would pass the range
+    check and answer the question of another size.  An int passes on its type
     alone: every basis build runs this, and the Integral check, which admits
     numpy integers, is an ABC lookup that costs ten times the type test.
     """
-    for n in (d, k):
-        if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
-            raise ValueError(f"sizes must be integers, got dimension {d!r} and {k_name} {k!r}")
-    if d not in SUPPORTED_DIMENSIONS:
-        raise ValueError(f"unsupported dimension {d}; expected one of {SUPPORTED_DIMENSIONS}")
-    if k < 1:
-        raise ValueError(f"{k_name} must be >= 1, got {k}")
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or high is not None and value > high:
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
+def _check_sizes(d: int, k: int, k_name: str = "degree") -> None:
+    """ValueError unless d is a supported dimension and k an integer >= 1."""
+    _check_size("dimension", d, 1, SUPPORTED_DIMENSIONS[-1])
+    _check_size(k_name, k, 1)
 
 
 def _graded_exponents(d: int, k: int) -> list[list[tuple[int, ...]]]:
     """The length-d tuples of non-negative ints by sum t = 0..k, lexicographic, built bottom up."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if k < 0:
-        raise ValueError(f"total degree must be >= 0, got {k}")
+    _check_size("dimension", d, 1)
+    _check_size("total degree", k, 0)
     by_total = [[(t,)] for t in range(k + 1)]
     for _ in range(d - 1):
         by_total = [
@@ -109,13 +116,13 @@ def monomial_integral(alpha, dim: int | None = None) -> Fraction:
     """Exact integral of x^alpha over the unit simplex: (prod alpha_i!) / (|alpha| + d)!.
 
     The moment oracle for the whole package: every other integral (exact or
-    floating) is checked against it.
+    floating) is checked against it.  Each exponent must be an integer >= 0.
     """
-    alpha = tuple(int(a) for a in alpha)
+    alpha = tuple(alpha)
+    for a in alpha:
+        _check_size("exponent", a, 0)
     if dim is not None and dim != len(alpha):
-        raise ValueError(f"multi-index {alpha} does not have length {dim}")
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"negative exponent in {alpha}")
+        raise ValueError(f"multi-index {tuple(map(int, alpha))} does not have length {dim}")
     d = len(alpha)
     num = 1
     for a in alpha:

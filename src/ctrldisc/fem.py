@@ -112,8 +112,6 @@ class ControlSpace:
     """
 
     def __init__(self, mesh: SimplexMesh, degree: int):
-        if degree < 1:
-            raise ValueError(f"degree must be >= 1, got {degree}")
         self.mesh = mesh
         self.degree = degree
         self.ref = lagrange_basis(mesh.dim, degree)

@@ -7,10 +7,11 @@ confined to :mod:`ctrldisc.exactbasis`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .exactbasis import _check_size
 
 __all__ = [
     "AffineMap",
@@ -71,8 +72,7 @@ class AffineMap:
 
 def unit_interval_mesh(n: int) -> SimplexMesh:
     """n equal cells covering [0, 1]; h = 1/n."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"cell count must be an integer >= 1, got {n!r}")
+    _check_size("cell count", n, 1)
     vertices = (np.arange(n + 1, dtype=float) / n).reshape(-1, 1)
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     return SimplexMesh(dim=1, vertices=vertices, cells=cells, h=1.0 / n)
@@ -85,8 +85,7 @@ def unit_square_mesh(n: int) -> SimplexMesh:
     meshes are deterministic and reports reproducible.  Vertex (i, j) has index
     j*(n+1) + i; there are 2 n^2 cells and h = sqrt(2)/n.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ValueError(f"subdivision count must be an integer >= 1, got {n!r}")
+    _check_size("subdivision count", n, 1)
     side = np.arange(n + 1, dtype=float) / n
     xs, ys = np.meshgrid(side, side, indexing="xy")
     vertices = np.column_stack([xs.ravel(), ys.ravel()])

@@ -16,14 +16,20 @@ acquire a persistent negative part.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
-from .exactbasis import basis_integrals, integral_of_square, lagrange_basis
+from .exactbasis import (
+    SOLVE_DIMENSIONS,
+    _check_size,
+    basis_integrals,
+    integral_of_square,
+    lagrange_basis,
+)
 # cg_solve and cell_affine_map are not called here; perfbench's tracer test
 # checks that ocp.cg_solve is fem.cg_solve and ocp.cell_affine_map is mesh's
 from .fem import (
@@ -108,22 +114,13 @@ class OcpConfig:
     qp_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("dim", "degree", "n"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.dim not in (1, 2):
-            raise ValueError(f"solves are supported for dim in {{1, 2}}, got {self.dim}")
-        if not 1 <= self.degree <= MAX_CONTROL_DEGREE:
-            raise ValueError(
-                f"control degree must be in 1..{MAX_CONTROL_DEGREE}, got {self.degree}"
-            )
-        if self.n < 1:
-            raise ValueError(f"mesh parameter must be >= 1, got {self.n}")
+        _check_size("dim", self.dim, 1, SOLVE_DIMENSIONS[-1])
+        _check_size("control degree", self.degree, 1, MAX_CONTROL_DEGREE)
+        _check_size("mesh parameter", self.n, 1)
         for name in ("alpha", "qp_tol"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 class Discretization:
@@ -754,8 +751,8 @@ def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
     ns = sorted(set(mesh_parameters))
     if len(ns) < 2:
         raise ValueError("a convergence study needs at least two mesh parameters")
-    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1 for n in ns):
-        raise ValueError(f"mesh parameters must be integers >= 1, got {ns}")
+    for n in ns:
+        _check_size("mesh parameter", n, 1)
 
     try:
         certificate = build_certificate(config)

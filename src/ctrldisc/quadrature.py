@@ -29,7 +29,13 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .exactbasis import _moment_scales, exponents_of_degree, multi_indices
+from .exactbasis import (
+    SOLVE_DIMENSIONS,
+    _check_size,
+    _moment_scales,
+    exponents_of_degree,
+    multi_indices,
+)
 
 __all__ = [
     "MAX_EXACTNESS",
@@ -111,8 +117,7 @@ def _certify(rule: QuadratureRule) -> QuadratureRule:
 
 def gauss_legendre_interval(exactness: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1], exact for polynomials of degree <= exactness."""
-    if exactness < 1 or exactness > MAX_EXACTNESS:
-        raise ValueError(f"unsupported exactness {exactness}")
+    _check_size("exactness", exactness, 1, MAX_EXACTNESS)
     m = (exactness + 2) // 2  # 2m - 1 >= exactness
     x, w = leggauss(m)
     return _certify(
@@ -131,10 +136,8 @@ def grundmann_moeller(dim: int, s: int) -> QuadratureRule:
     Weights are computed as exact rationals from the closed formula and only
     then converted to float.  Weights alternate in sign for s >= 1.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    if s < 0:
-        raise ValueError(f"index must be >= 0, got {s}")
+    _check_size("dimension", dim, 1)
+    _check_size("index", s, 0)
     degree = 2 * s + 1
     points = []
     weights = []
@@ -208,8 +211,7 @@ def conical_product_rule(exactness: int) -> QuadratureRule:
     (`_gauss_jacobi_1_0`) with weight (1-eta) in eta.  All weights positive;
     exact for total degree <= 2m - 1.
     """
-    if exactness < 1 or exactness > MAX_EXACTNESS:
-        raise ValueError(f"unsupported exactness {exactness}")
+    _check_size("exactness", exactness, 1, MAX_EXACTNESS)
     m = (exactness + 2) // 2
     x, u = leggauss(m)
     xi = (x + 1.0) / 2.0
@@ -241,12 +243,10 @@ def simplex_rule(dim: int, exactness: int) -> QuadratureRule:
     of total degree <= exactness integrates to within 1e-13 relative error of
     the exact moment.
     """
+    _check_size("dimension", dim, 1, SOLVE_DIMENSIONS[-1])
     if dim == 1:
         return gauss_legendre_interval(exactness)
-    if dim == 2:
-        if exactness < 1 or exactness > MAX_EXACTNESS:
-            raise ValueError(f"unsupported exactness {exactness}")
-        if exactness <= 7:
-            return grundmann_moeller(2, exactness // 2)  # degree 2s+1 >= exactness
-        return conical_product_rule(exactness)
-    raise ValueError(f"unsupported dimension {dim}; rules exist for d in {{1, 2}}")
+    _check_size("exactness", exactness, 1, MAX_EXACTNESS)
+    if exactness <= 7:
+        return grundmann_moeller(2, exactness // 2)  # degree 2s+1 >= exactness
+    return conical_product_rule(exactness)

@@ -168,6 +168,11 @@ CONVERGENCE = ["convergence", "--dim", "1", "--degree", "2"]
             "control degree must be in 1..14, got 15",
             id="convergence-degree-15",
         ),
+        pytest.param(
+            ["audit-basis", "--dim", "2", "--max-degree", "0"],
+            "k_max must be >= 1, got 0",
+            id="audit-max-degree-0",
+        ),
     ],
 )
 def test_invalid_values_are_usage_errors_that_name_the_option(capsys, argv, named):

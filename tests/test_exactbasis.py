@@ -9,9 +9,11 @@ d = 1 only), a Fraction-per-product double sum for the exact Gram matrix, and
 a float Gram matrix built here by certified quadrature for exact squares.
 """
 
+import dataclasses
 import itertools
 import math
 import operator
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +38,7 @@ from ctrldisc.exactbasis import (
     solve_rational_system,
 )
 from ctrldisc.fem import ControlSpace, StateSpace
-from ctrldisc.mesh import SimplexMesh
+from ctrldisc.mesh import SimplexMesh, unit_interval_mesh, unit_square_mesh
 from ctrldisc.ocp import (
     Discretization,
     OcpConfig,
@@ -45,7 +47,12 @@ from ctrldisc.ocp import (
     feasibility_audit,
     solve_qp,
 )
-from ctrldisc.quadrature import grundmann_moeller, simplex_rule
+from ctrldisc.quadrature import (
+    conical_product_rule,
+    gauss_legendre_interval,
+    grundmann_moeller,
+    simplex_rule,
+)
 
 SUPPORTED = (
     [(1, k) for k in range(1, 12)]
@@ -176,6 +183,12 @@ def test_monomial_integral_dimension_check():
         monomial_integral((1, 2), dim=3)
     with pytest.raises(ValueError):
         monomial_integral((1, -1))
+    # an exponent is an integer: truncating 1.5 or reading True as 1 would
+    # answer for x y^2
+    for alpha, bad in (((1.5, 2), "1.5"), ((True, 2), "True"), ((2, 2.0), "2.0")):
+        with pytest.raises(ValueError, match=f"^exponent must be an integer, got {bad}$"):
+            monomial_integral(alpha)
+    assert monomial_integral((np.int64(1), 2)) == monomial_integral((1, 2)) == Fraction(1, 60)
 
 
 @pytest.mark.parametrize("d,top", [(1, 30), (2, 30), (3, 14)])
@@ -272,18 +285,48 @@ def test_lattice_nodes_rejects_bad_input():
         lattice_nodes(2, 0)
 
 
-@pytest.mark.parametrize("build", [lattice_nodes, lagrange_basis, audit_degrees])
+# every builder that takes sizes, with the names its errors give them
+SIZED_BUILDERS = [
+    (lattice_nodes, ("dimension", "degree")),
+    (lagrange_basis, ("dimension", "degree")),
+    (audit_degrees, ("dimension", "k_max")),
+    (multi_indices, ("dimension", "total degree")),
+    (exponents_of_degree, ("dimension", "total degree")),
+    (grundmann_moeller, ("dimension", "index")),
+    (simplex_rule, ("dimension", "exactness")),
+    (gauss_legendre_interval, ("exactness",)),
+    (conical_product_rule, ("exactness",)),
+    (unit_interval_mesh, ("cell count",)),
+    (unit_square_mesh, ("subdivision count",)),
+]
+
+
+def _fields(result):
+    """A result as nested tuples that np.testing.assert_equal can compare, arrays included."""
+    return dataclasses.astuple(result) if dataclasses.is_dataclass(result) else result
+
+
+@pytest.mark.parametrize(
+    "build, names", [pytest.param(b, names, id=b.__name__) for b, names in SIZED_BUILDERS]
+)
 @pytest.mark.parametrize(
     "d, k", [(True, 2), (2.0, 2), (3.0, 2), (2, True), (2, 2.0)], ids=repr
 )
-def test_sizes_must_be_integers_not_bools(build, d, k):
+def test_sizes_must_be_integers_not_bools(build, names, d, k):
     # True == 1 and 2.0 == 2, so without a type check a bool or a float would
-    # pass the range checks, or hit the memo of the int it equals
+    # pass the range checks, or hit the memo of the int it equals; a builder
+    # of one size is given the one of d, k that is not an int
     lagrange_basis(1, 2)  # the memo entries that True and 2.0 equal
     lagrange_basis(2, 2)
-    with pytest.raises(ValueError, match="sizes must be integers"):
-        build(d, k)
-    assert build(np.int64(2), np.int64(2)) == build(2, 2)
+    position = 1 if type(d) is int else 0
+    bad = (d, k)[position]
+    name = names[position] if len(names) == 2 else names[0]
+    message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        build(*((d, k) if len(names) == 2 else (bad,)))
+    np.testing.assert_equal(
+        _fields(build(*[np.int64(2)] * len(names))), _fields(build(*[2] * len(names)))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1094,8 +1094,8 @@ def test_study_requires_two_meshes():
 
 def test_study_rejects_non_integral_mesh_parameters():
     config = OcpConfig(dim=1, degree=2, n=4)
-    for meshes in ([2, 4.9], [True, 4]):
-        with pytest.raises(ValueError, match="mesh parameters must be integers"):
+    for meshes, bad in (([2, 4.9], "4.9"), ([True, 4], "True")):
+        with pytest.raises(ValueError, match=f"mesh parameter must be an integer, got {bad}"):
             convergence_study(config, meshes)
     study = convergence_study(config, np.array([4, 2]))
     assert [type(run.n) for run in study.runs] == [int, int]
@@ -1117,7 +1117,8 @@ def test_config_validation():
         OcpConfig(dim=2, degree=1, n=2, alpha=0.0)
     with pytest.raises(ValueError):
         OcpConfig(dim=2, degree=1, n=2, qp_tol=0.0)
-    for value in (math.inf, math.nan, True):
+    # np.True_ is no bool and no Real; a str or None is no number at all
+    for value in (math.inf, math.nan, True, np.True_, "0.1", None):
         with pytest.raises(ValueError, match="alpha"):
             OcpConfig(dim=2, degree=1, n=2, alpha=value)
         with pytest.raises(ValueError, match="qp_tol"):
@@ -1129,8 +1130,9 @@ def test_config_sizes_must_be_integers(name):
     # a float passes every range check, then misbuilds the mesh; True, an
     # Integral, would pass as 1
     base = {"dim": 2, "degree": 4, "n": 2}
+    named = {"dim": "dim", "degree": "control degree", "n": "mesh parameter"}[name]
     for value in (base[name] + 0.5, float(base[name]), True):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(ValueError, match=f"{named} must be an integer, got {value!r}"):
             OcpConfig(**{**base, name: value})
     assert OcpConfig(**{**base, name: np.int64(base[name])}) == OcpConfig(**base)
 
