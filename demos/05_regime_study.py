@@ -14,7 +14,7 @@ two regimes side by side:
 """
 
 from ctrldisc import OcpConfig, convergence_study
-from ctrldisc.cli import dumps
+from ctrldisc.cli import main
 
 MESHES = (4, 8, 16)
 
@@ -32,7 +32,6 @@ for degree in (7, 8):
             f"({run.iterations} iterations)"
         )
 
-# The same study as machine-readable JSON (what `ctrldisc convergence` emits).
-study = convergence_study(OcpConfig(dim=1, degree=8, alpha=0.1, n=8), (4, 8))
+# The same study as machine-readable JSON: what `ctrldisc convergence` emits.
 print("\nJSON report for degree 8, meshes 4 and 8:")
-print(dumps(study.to_json_dict()))
+main(["convergence", "--dim", "1", "--degree", "8", "--alpha", "0.1", "--meshes", "4,8"])

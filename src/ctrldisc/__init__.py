@@ -65,9 +65,9 @@ _PUBLIC = {
         (fem, ("ControlSpace", "StateSpace", "assemble_control_mass", "assemble_coupling",
                "assemble_load", "assemble_p1_stiffness_mass", "l2_error")),
         (ocp, ("ConvergenceStudy", "CounterexampleCertificate", "Discretization",
-               "FeasibilityAudit", "NoNegativeBasisError", "OcpConfig", "QpConvergenceError",
-               "QpSolution", "StudyRun", "build_certificate", "convergence_study",
-               "feasibility_audit", "solve_qp")),
+               "FeasibilityAudit", "OcpConfig", "QpConvergenceError", "QpSolution",
+               "StudyRun", "build_certificate", "convergence_study", "feasibility_audit",
+               "solve_qp")),
     )
     for name in names
 }

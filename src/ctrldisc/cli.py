@@ -1,9 +1,12 @@
 """Command-line interface: basis audits, certificates, solves, convergence studies.
 
-All reports are machine-readable.  JSON is the default; floats are serialized
-with fixed 17-significant-digit formatting so identical invocations produce
-byte-identical output.  Exit codes: 0 success, 2 usage error, 3 numerical
-failure.
+All reports are machine-readable, and their format is stated here alone: the
+exact and float layers return records, which each command turns into its
+report.  JSON is the default; floats are serialized with fixed
+17-significant-digit formatting so identical invocations produce
+byte-identical output.  The clean regime, where `ocp.build_certificate`
+returns None, is a `NoNegativeBasis` finding with exit code 0.  Exit codes:
+0 success, 2 usage error, 3 numerical failure.
 """
 
 import argparse
@@ -65,6 +68,35 @@ def dumps(obj) -> str:
         return brackets[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + brackets[1]
 
     return render(obj, 0)
+
+
+def _audit_report(report) -> dict:
+    """The audit JSON of an `exactbasis.AuditReport`: integrals as "numerator/denominator"."""
+    # Each integral object is formatted once.  The basis functions of one
+    # permutation orbit share one Fraction (`lagrange_basis`), and every
+    # object stays alive in report.records, so its id is a safe key.
+    text = {}
+    for r in report.records:
+        for v in r.integrals:
+            if id(v) not in text:
+                text[id(v)] = f"{v.numerator}/{v.denominator}"
+    return {
+        "dimension": report.dim,
+        "records": [
+            {
+                "k": r.degree,
+                "integrals": [text[id(v)] for v in r.integrals],
+                "all_nonnegative": r.all_nonnegative,
+                "negative_indices": list(r.negative_indices),
+            }
+            for r in report.records
+        ],
+    }
+
+
+def _certificate_fields(cert) -> dict:
+    """The certificate's invariants, as both the certificate and the study report give them."""
+    return {"beta": cert.beta, "M2": cert.m_squared, "t_hat": cert.step, "delta": cert.margin}
 
 
 def _audit_csv(report_dict: dict) -> str:
@@ -209,29 +241,31 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def _cmd_audit(args) -> str:
-    report = audit_degrees(args.dim, args.max_degree).to_json_dict()
+    report = _audit_report(audit_degrees(args.dim, args.max_degree))
     return _audit_csv(report) if args.csv else dumps(report)
 
 
 def _cmd_certificate(args) -> str:
     # the certificate reads no mesh; OcpConfig validates dim, degree and alpha
     config = ocp.OcpConfig(dim=args.dim, degree=args.degree, n=1, alpha=args.alpha)
-    try:
-        cert = ocp.build_certificate(config)
-    except ocp.NoNegativeBasisError as err:
+    cert = ocp.build_certificate(config)
+    if cert is None:  # the clean regime: a documented finding, not a failure
         payload = {
             "error": "NoNegativeBasis",
-            "dim": err.dim,
-            "degree": err.degree,
-            "message": str(err),
+            "dim": config.dim,
+            "degree": config.degree,
+            "message": (
+                f"all reference basis integrals are non-negative for d={config.dim}, "
+                f"k={config.degree}; discrete optima converge to the feasible optimum"
+            ),
         }
-        return dumps(payload)  # documented success-with-finding
+        return dumps(payload)
     payload = {
-        "dim": cert.config.dim,
-        "degree": cert.config.degree,
-        "alpha": cert.config.alpha,
+        "dim": config.dim,
+        "degree": config.degree,
+        "alpha": config.alpha,
         "negative_local_indices": list(cert.ref_negative_indices),
-        **cert.to_json_dict(),
+        **_certificate_fields(cert),
         "L_n": cert.beta,  # ||y(w)||: y(w) is the constant -beta on every mesh
         "objective_bound": cert.objective_bound,
         "measured_objective": cert.measured_objective,
@@ -274,7 +308,28 @@ def _cmd_convergence(args) -> str:
         raise ValueError(f"--meshes must be comma-separated integers, got {args.meshes!r}")
     config = ocp.OcpConfig(dim=args.dim, degree=args.degree, n=max(meshes), alpha=args.alpha)
     study = ocp.convergence_study(config, meshes)
-    return dumps(study.to_json_dict())
+    cert = study.certificate
+    payload = {
+        "config": {
+            "dim": config.dim,
+            "degree": config.degree,
+            "alpha": config.alpha,
+            "tol": config.qp_tol,
+        },
+        "regime": study.regime,
+        "certificate": None if cert is None else _certificate_fields(cert),
+        "runs": [
+            {
+                "n": r.n,
+                "J": r.objective,
+                "min_cell_avg": r.min_cell_average,
+                "neg_part_norm": r.negative_part_norm,
+                "iters": r.iterations,
+            }
+            for r in study.runs
+        ],
+    }
+    return dumps(payload)
 
 
 def main(argv=None) -> int:

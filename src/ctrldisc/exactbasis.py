@@ -53,26 +53,28 @@ SUPPORTED_DIMENSIONS = (1, 2, 3)
 SOLVE_DIMENSIONS = (1, 2)
 
 
-def _check_size(name: str, value, low: int, high: int | None = None) -> None:
-    """ValueError unless `value` is an integer in low..high (high None: no upper bound).
+def _check_size(name: str, value, low: int, high: int | None = None) -> int:
+    """`value` as an int; ValueError unless it is an integer in low..high (high None: no bound).
 
     The package's one size rule.  A size is an int or a numpy integer, never
     a bool or a float: True == 1 and 2.0 == 2, so either would pass the range
     check and answer the question of another size.  An int passes on its type
     alone: every basis build runs this, and the Integral check, which admits
-    numpy integers, is an ABC lookup that costs ten times the type test.
+    numpy integers, is an ABC lookup that costs ten times the type test.  A
+    numpy integer is returned as the int it equals, so a builder that keeps
+    the returned size puts no numpy integer in its result.
     """
     if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low or high is not None and value > high:
         bounds = f">= {low}" if high is None else f"in {low}..{high}"
         raise ValueError(f"{name} must be {bounds}, got {value}")
+    return int(value)
 
 
-def _check_sizes(d: int, k: int, k_name: str = "degree") -> None:
-    """ValueError unless d is a supported dimension and k an integer >= 1."""
-    _check_size("dimension", d, 1, SUPPORTED_DIMENSIONS[-1])
-    _check_size(k_name, k, 1)
+def _check_sizes(d: int, k: int, k_name: str = "degree") -> tuple[int, int]:
+    """(d, k) as ints; ValueError unless d is a supported dimension and k an integer >= 1."""
+    return _check_size("dimension", d, 1, SUPPORTED_DIMENSIONS[-1]), _check_size(k_name, k, 1)
 
 
 def _graded_exponents(d: int, k: int) -> list[list[tuple[int, ...]]]:
@@ -108,7 +110,7 @@ def lattice_nodes(d: int, k: int) -> list[tuple[Fraction, ...]]:
     Returned in graded-lexicographic order of the defining multi-index alpha;
     there are binomial(d+k, d) of them.
     """
-    _check_sizes(d, k)
+    d, k = _check_sizes(d, k)
     return [tuple(Fraction(a, k) for a in alpha) for alpha in multi_indices(d, k)]
 
 
@@ -228,17 +230,6 @@ def _moment_scales(d: int, top: int) -> list[int]:
     return scales
 
 
-def _falling_factorial(m: int) -> list[int]:
-    """Integer coefficients of t (t - 1) ... (t - m + 1), lowest power of t first."""
-    coeffs = [1]
-    for j in range(m):
-        nxt = [-j * c for c in coeffs] + [0]
-        for p, c in enumerate(coeffs):
-            nxt[p + 1] += c
-        coeffs = nxt
-    return coeffs
-
-
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     """Product of two univariate integer polynomials, lowest power first."""
     out = [0] * (len(a) + len(b) - 1)
@@ -247,6 +238,18 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
+
+
+def _silvester_factors(k: int) -> list[list[int]]:
+    """Coefficients of (k t) (k t - 1) ... (k t - m + 1) for m = 0..k, lowest power of t first.
+
+    Entry m is m! q_m(t) of Silvester's product form (see `lagrange_basis`),
+    built one linear factor at a time.
+    """
+    factors = [[1]]
+    for j in range(k):
+        factors.append(_convolve(factors[-1], [-j, k]))
+    return factors
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 must not hit the entries of 1 and 2
@@ -261,10 +264,11 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
                     = sum_b f_a[b] k^b lambda^b / a!,
 
     a product of univariate polynomials in distinct barycentric coordinates
-    (f_a the coefficients of the falling factorial t (t - 1) ... (t - a + 1)).
-    Dirichlet's formula, int prod lambda_i^b_i = prod(b!) / (|b| + d)!, then
-    makes each integral one univariate convolution: with w_a[b] = f_a[b] k^b
-    b! and u the convolution of the w_{alpha_i}, i = 0..d,
+    (f_a the coefficients of the falling factorial t (t - 1) ... (t - a + 1),
+    so that f_a[b] k^b are those of `_silvester_factors`).  Dirichlet's
+    formula, int prod lambda_i^b_i = prod(b!) / (|b| + d)!, then makes each
+    integral one univariate convolution: with w_a[b] = f_a[b] k^b b! and u the
+    convolution of the w_{alpha_i}, i = 0..d,
 
         int phi_alpha = sum_s u[s] (k + d)! / (s + d)! / ((k + d)! prod_i alpha_i!).
 
@@ -272,14 +276,15 @@ def lagrange_basis(d: int, k: int) -> LagrangeBasisSpec:
     per permutation orbit.  The integrals sum exactly to 1/d! (checked on the
     integer numerators; `audit_degrees` relies on this check).  Memoized; the
     spec also keeps every Gram computed from it (`gram`), and is immutable
-    otherwise.
+    otherwise; a numpy-integer call returns the spec of the int call.
     """
-    _check_sizes(d, k)
+    sizes = _check_sizes(d, k)
+    if type(d) is not int or type(k) is not int:
+        return lagrange_basis(*sizes)
     alphas = tuple(multi_indices(d, k))
     # w_a, a = 0..k: q_a(lambda) = sum_b f_a[b] k^b lambda^b / a!, times b!
     weights = [
-        [f * k**b * math.factorial(b) for b, f in enumerate(_falling_factorial(a))]
-        for a in range(k + 1)
+        [f * math.factorial(b) for b, f in enumerate(factors)] for factors in _silvester_factors(k)
     ]
     scales = _moment_scales(d, k)
     top, k_factorial = math.factorial(k + d), math.factorial(k)
@@ -368,9 +373,8 @@ def _interval_rows(k: int, alphas) -> list[list[int]]:
     unity is checked exactly.
     """
     # right[a] = y (y - 1) ... (y - a + 1) and left[a] = (k - y) ... (k - a + 1 - y)
-    right, left = [[1]], [[1]]
+    right, left = _silvester_factors(k), [[1]]
     for a in range(k):
-        right.append(_convolve(right[-1], [-a, k]))
         left.append(_convolve(left[-1], [k - a, -k]))
     rows = [[math.comb(k, a) * c for c in _convolve(left[k - a], right[a])] for (a,) in alphas]
     # sum_a phi_a = 1: the columns of k! phi sum to k!, 0, ..., 0
@@ -423,10 +427,7 @@ def _gram_by_orbits(
     for c in range(1, top + 1):
         factorials.append(factorials[-1] * c)
     # q_m(lambda) = sum_c v[k][m][c] lambda^c / m!, per degree k and order m
-    v = {
-        k: [[f * k**c for c, f in enumerate(_falling_factorial(m))] for m in range(k + 1)]
-        for k in {ka, kb}
-    }
+    v = {k: _silvester_factors(k) for k in {ka, kb}}
     weights, divisors = {}, {}  # per pair (A_i + B_i, A_i): w, and A_i! B_i!
     for m in range(ka + 1):
         for n in range(kb + 1):
@@ -504,28 +505,6 @@ class AuditReport(namedtuple("AuditReport", "dim records")):
     def nonnegative_degrees(self) -> tuple[int, ...]:
         return tuple(r.degree for r in self.records if r.all_nonnegative)
 
-    def to_json_dict(self) -> dict:
-        # Each integral object is formatted once.  The basis functions of one
-        # permutation orbit share one Fraction (`lagrange_basis`), and every
-        # object stays alive in self.records, so its id is a safe key.
-        text = {}
-        for r in self.records:
-            for v in r.integrals:
-                if id(v) not in text:
-                    text[id(v)] = f"{v.numerator}/{v.denominator}"
-        return {
-            "dimension": self.dim,
-            "records": [
-                {
-                    "k": r.degree,
-                    "integrals": [text[id(v)] for v in r.integrals],
-                    "all_nonnegative": r.all_nonnegative,
-                    "negative_indices": list(r.negative_indices),
-                }
-                for r in self.records
-            ],
-        }
-
 
 def audit_degrees(d: int, k_max: int) -> AuditReport:
     """Audit the sign of every basis integral for k = 1..k_max in dimension d.
@@ -533,7 +512,7 @@ def audit_degrees(d: int, k_max: int) -> AuditReport:
     An integral equal to exactly 0 counts as non-negative.  All sign tests read
     exact numerators.
     """
-    _check_sizes(d, k_max, "k_max")
+    d, k_max = _check_sizes(d, k_max, "k_max")
     records = []
     for k in range(1, k_max + 1):
         spec = lagrange_basis(d, k)

@@ -55,7 +55,6 @@ __all__ = [
     "CounterexampleCertificate",
     "Discretization",
     "FeasibilityAudit",
-    "NoNegativeBasisError",
     "OcpConfig",
     "QpConvergenceError",
     "QpSolution",
@@ -80,18 +79,6 @@ DESIRED_STATE = -1.0
 MAX_QP_ITERATIONS = 200_000
 
 
-class NoNegativeBasisError(Exception):
-    """All reference basis integrals are >= 0: no counterexample direction exists."""
-
-    def __init__(self, dim: int, degree: int):
-        super().__init__(
-            f"all reference basis integrals are non-negative for d={dim}, k={degree}; "
-            "discrete optima converge to the feasible optimum"
-        )
-        self.dim = dim
-        self.degree = degree
-
-
 class QpConvergenceError(RuntimeError):
     """The QP core failed: cap, stagnation, or an unbounded or non-finite objective.
 
@@ -114,9 +101,13 @@ class OcpConfig:
     qp_tol: float = 1e-10
 
     def __post_init__(self):
-        _check_size("dim", self.dim, 1, SOLVE_DIMENSIONS[-1])
-        _check_size("control degree", self.degree, 1, MAX_CONTROL_DEGREE)
-        _check_size("mesh parameter", self.n, 1)
+        sizes = {
+            "dim": _check_size("dim", self.dim, 1, SOLVE_DIMENSIONS[-1]),
+            "degree": _check_size("control degree", self.degree, 1, MAX_CONTROL_DEGREE),
+            "n": _check_size("mesh parameter", self.n, 1),
+        }
+        for name, value in sizes.items():  # a numpy integer is kept as the int it equals
+            object.__setattr__(self, name, value)
         for name in ("alpha", "qp_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < math.inf):
@@ -599,30 +590,22 @@ class CounterexampleCertificate:
     objective_bound: float
     measured_objective: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "M2": self.m_squared,
-            "t_hat": self.step,
-            "delta": self.margin,
-        }
 
-
-def build_certificate(config: OcpConfig) -> CounterexampleCertificate:
-    """Build the negative-direction certificate for a config.
+def build_certificate(config: OcpConfig) -> CounterexampleCertificate | None:
+    """Build the negative-direction certificate for a config, or None in the clean regime.
 
     Reads only the exact reference basis of the config's dimension and
-    degree: no mesh, no assembly and no solve.  Raises NoNegativeBasisError
-    when every reference basis integral is >= 0 (the regime in which
-    coefficient-wise non-negativity is preserved in the limit).  Cell-local
-    signs equal reference signs because the push-forward only scales
-    integrals by |det B| > 0.
+    degree: no mesh, no assembly and no solve.  Returns None when every
+    reference basis integral is >= 0: no counterexample direction exists, and
+    coefficient-wise non-negativity is preserved in the limit.  That is a
+    finding, not a failure.  Cell-local signs equal reference signs because
+    the push-forward only scales integrals by |det B| > 0.
     """
     ref = lagrange_basis(config.dim, config.degree)
     ref_ints = basis_integrals(ref)
     neg_local = ref.negative_indices
     if not neg_local:
-        raise NoNegativeBasisError(config.dim, config.degree)
+        return None
 
     # Exact reference quantities; volume * |That|^{-1} = d! for the unit domains.
     fact = Fraction(math.factorial(config.dim))
@@ -719,47 +702,23 @@ class ConvergenceStudy:
     certificate: CounterexampleCertificate | None
     runs: tuple[StudyRun, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "config": {
-                "dim": self.config.dim,
-                "degree": self.config.degree,
-                "alpha": self.config.alpha,
-                "tol": self.config.qp_tol,
-            },
-            "regime": self.regime,
-            "certificate": None if self.certificate is None else self.certificate.to_json_dict(),
-            "runs": [
-                {
-                    "n": r.n,
-                    "J": r.objective,
-                    "min_cell_avg": r.min_cell_average,
-                    "neg_part_norm": r.negative_part_norm,
-                    "iters": r.iterations,
-                }
-                for r in self.runs
-            ],
-        }
-
 
 def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
     """Solve the QP on a family of meshes and classify the limit regime.
 
-    The audit rule and its basis table depend only on (d, k): in the negative
-    regime they are built on the first mesh and handed to the later ones.
+    The regime is FEASIBLE_LIMIT, with no certificate, exactly when
+    `build_certificate` returns None.  The audit rule and its basis table
+    depend only on (d, k): in the negative regime they are built on the first
+    mesh and handed to the later ones.
     """
     ns = sorted(set(mesh_parameters))
     if len(ns) < 2:
         raise ValueError("a convergence study needs at least two mesh parameters")
-    for n in ns:
-        _check_size("mesh parameter", n, 1)
+    ns = [_check_size("mesh parameter", n, 1) for n in ns]
 
-    try:
-        certificate = build_certificate(config)
-    except NoNegativeBasisError:
-        certificate = None
+    certificate = build_certificate(config)
     runs, audit_parts = [], None
-    for n in map(int, ns):
+    for n in ns:
         disc = Discretization(replace(config, n=n))
         if audit_parts is not None:
             disc.audit_rule, disc._audit_tab = audit_parts

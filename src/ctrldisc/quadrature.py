@@ -117,7 +117,7 @@ def _certify(rule: QuadratureRule) -> QuadratureRule:
 
 def gauss_legendre_interval(exactness: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1], exact for polynomials of degree <= exactness."""
-    _check_size("exactness", exactness, 1, MAX_EXACTNESS)
+    exactness = _check_size("exactness", exactness, 1, MAX_EXACTNESS)
     m = (exactness + 2) // 2  # 2m - 1 >= exactness
     x, w = leggauss(m)
     return _certify(
@@ -136,8 +136,8 @@ def grundmann_moeller(dim: int, s: int) -> QuadratureRule:
     Weights are computed as exact rationals from the closed formula and only
     then converted to float.  Weights alternate in sign for s >= 1.
     """
-    _check_size("dimension", dim, 1)
-    _check_size("index", s, 0)
+    dim = _check_size("dimension", dim, 1)
+    s = _check_size("index", s, 0)
     degree = 2 * s + 1
     points = []
     weights = []
@@ -211,7 +211,7 @@ def conical_product_rule(exactness: int) -> QuadratureRule:
     (`_gauss_jacobi_1_0`) with weight (1-eta) in eta.  All weights positive;
     exact for total degree <= 2m - 1.
     """
-    _check_size("exactness", exactness, 1, MAX_EXACTNESS)
+    exactness = _check_size("exactness", exactness, 1, MAX_EXACTNESS)
     m = (exactness + 2) // 2
     x, u = leggauss(m)
     xi = (x + 1.0) / 2.0

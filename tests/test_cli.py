@@ -109,6 +109,54 @@ def test_convergence_study_d1(capsys):
     assert all(r["J"] <= bound + 1e-8 for r in payload["runs"])
 
 
+def test_audit_json_schema():
+    payload = cli._audit_report(ctrldisc.audit_degrees(2, 3))
+    assert payload["dimension"] == 2
+    assert [r["k"] for r in payload["records"]] == [1, 2, 3]
+    for rec in payload["records"]:
+        assert isinstance(rec["all_nonnegative"], bool)
+        assert all(isinstance(i, int) for i in rec["negative_indices"])
+        for s in rec["integrals"]:
+            num, den = s.split("/")
+            assert int(den) > 0
+            Fraction(int(num), int(den))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_audit_json_formats_each_integral_as_its_own(d):
+    # _audit_report formats each shared Fraction once; the strings must be
+    # those of per-function formatting, also when equal integrals are
+    # distinct objects
+    report = ctrldisc.audit_degrees(d, 8)
+    payload = cli._audit_report(report)
+    assert [rec["integrals"] for rec in payload["records"]] == [
+        [f"{v.numerator}/{v.denominator}" for v in record.integrals] for record in report.records
+    ]
+    copies = tuple(
+        record._replace(integrals=tuple(map(Fraction, record.integrals)))
+        for record in report.records
+    )
+    assert cli._audit_report(ctrldisc.AuditReport(d, copies)) == payload
+
+
+def test_study_json_schema(capsys):
+    argv = ["--dim", "1", "--degree", "8", "--alpha", "0.1"]
+    code, out = run_cli(capsys, ["convergence", *argv, "--meshes", "2,4"])
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"config", "regime", "certificate", "runs"}
+    assert set(payload["config"]) == {"dim", "degree", "alpha", "tol"}
+    assert payload["regime"] in ("FEASIBLE_LIMIT", "INFEASIBLE_LIMIT")
+    assert set(payload["certificate"]) == {"beta", "M2", "t_hat", "delta"}
+    assert [r["n"] for r in payload["runs"]] == [2, 4]
+    for run in payload["runs"]:
+        assert set(run) == {"n", "J", "min_cell_avg", "neg_part_norm", "iters"}
+    # the study's certificate is the certificate report's four invariants
+    _, out = run_cli(capsys, ["certificate", *argv])
+    certificate = json.loads(out)
+    assert payload["certificate"] == {key: certificate[key] for key in payload["certificate"]}
+
+
 def test_meshes_order_is_ascending(capsys):
     code, out = run_cli(
         capsys,
@@ -591,9 +639,12 @@ GOLDEN_ARGV = {
     "solve_d1_k10_n256": ["solve", "--dim", "1", "--degree", "10", "--mesh", "256"],
     "certificate_d2_k4": ["certificate", "--dim", "2", "--degree", "4"],
     "certificate_d1_k10": ["certificate", "--dim", "1", "--degree", "10"],
+    # the clean regime: the NoNegativeBasis finding and a study with no certificate
+    "certificate_d2_k3": ["certificate", "--dim", "2", "--degree", "3"],
     "convergence_d2_k4_m4_8_16": [
         "convergence", "--dim", "2", "--degree", "4", "--meshes", "4,8,16"
     ],
+    "convergence_d1_k7_m2_4": ["convergence", "--dim", "1", "--degree", "7", "--meshes", "2,4"],
     "audit_basis_d3_k6": ["audit-basis", "--dim", "3", "--max-degree", "6"],
     "audit_basis_d2_k8": ["audit-basis", "--dim", "2", "--max-degree", "8"],
     "audit_basis_d1_k10_csv": ["audit-basis", "--dim", "1", "--max-degree", "10", "--csv"],

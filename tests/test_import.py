@@ -175,7 +175,7 @@ def test_every_public_name_is_its_defining_modules_object():
 PUBLIC_NAMES = {
     "AuditReport", "ControlSpace", "ConvergenceStudy", "CounterexampleCertificate",
     "DegreeRecord", "Discretization", "FeasibilityAudit", "LagrangeBasisSpec",
-    "NoNegativeBasisError", "OcpConfig", "QpConvergenceError", "QpSolution", "QuadratureRule",
+    "OcpConfig", "QpConvergenceError", "QpSolution", "QuadratureRule",
     "SimplexMesh", "StateSpace", "StudyRun", "assemble_control_mass", "assemble_coupling",
     "assemble_load", "assemble_p1_stiffness_mass", "audit_degrees", "basis_integrals",
     "build_certificate", "cell_geometry", "conical_product_rule", "convergence_study",

@@ -27,7 +27,6 @@ from ctrldisc.mesh import cell_geometry
 from ctrldisc.ocp import (
     MAX_CONTROL_DEGREE,
     Discretization,
-    NoNegativeBasisError,
     OcpConfig,
     QpConvergenceError,
     build_certificate,
@@ -643,8 +642,7 @@ def test_regime_label_certificate_and_origin_share_one_test():
         if negative:
             assert build_certificate(disc.config).ref_negative_indices == negative
         else:
-            with pytest.raises(NoNegativeBasisError):
-                build_certificate(disc.config)
+            assert build_certificate(disc.config) is None
 
 
 def test_counterexample_solution_beats_certificate_bound():
@@ -861,8 +859,7 @@ def test_solve_qp_iteration_cap_carries_best(monkeypatch):
 
 def test_certificate_refused_when_all_integrals_nonnegative():
     for degree in (1, 2, 3, 5):
-        with pytest.raises(NoNegativeBasisError):
-            build_certificate(OcpConfig(dim=2, degree=degree, n=2))
+        assert build_certificate(OcpConfig(dim=2, degree=degree, n=2)) is None
 
 
 def test_certificate_exists_for_d1_k8():
@@ -879,8 +876,7 @@ def test_certificate_existence_matches_audit_d1():
     for record in report.records:
         config = OcpConfig(dim=1, degree=record.degree, n=2)
         if record.all_nonnegative:
-            with pytest.raises(NoNegativeBasisError):
-                build_certificate(config)
+            assert build_certificate(config) is None
         else:
             certificate = build_certificate(config)
             assert certificate.ref_negative_indices == record.negative_indices
@@ -1064,18 +1060,6 @@ def test_study_infeasible_regime_d1():
         assert run.negative_part_norm > 0
 
 
-def test_study_json_schema():
-    study = convergence_study(OcpConfig(dim=1, degree=8, n=4), [2, 4])
-    payload = study.to_json_dict()
-    assert set(payload) == {"config", "regime", "certificate", "runs"}
-    assert set(payload["config"]) == {"dim", "degree", "alpha", "tol"}
-    assert payload["regime"] in ("FEASIBLE_LIMIT", "INFEASIBLE_LIMIT")
-    assert set(payload["certificate"]) == {"beta", "M2", "t_hat", "delta"}
-    assert [r["n"] for r in payload["runs"]] == [2, 4]
-    for run in payload["runs"]:
-        assert set(run) == {"n", "J", "min_cell_avg", "neg_part_norm", "iters"}
-
-
 @pytest.mark.parametrize("degree,builds", [(4, 1), (3, 0)])
 def test_a_study_builds_the_audit_rule_once(monkeypatch, capsys, degree, builds):
     # the rule and its table depend only on (d, k); a clean-regime study
@@ -1134,7 +1118,8 @@ def test_config_sizes_must_be_integers(name):
     for value in (base[name] + 0.5, float(base[name]), True):
         with pytest.raises(ValueError, match=f"{named} must be an integer, got {value!r}"):
             OcpConfig(**{**base, name: value})
-    assert OcpConfig(**{**base, name: np.int64(base[name])}) == OcpConfig(**base)
+    config = OcpConfig(**{**base, name: np.int64(base[name])})
+    assert config == OcpConfig(**base) and type(getattr(config, name)) is int
 
 
 def test_monotonicity_objective_never_above_volume():
