@@ -33,7 +33,7 @@ from ctrldisc import Discretization, OcpConfig, build_certificate, feasibility_a
 config = OcpConfig(dim=2, degree=4, alpha=0.1, n=8)
 disc = Discretization(config)
 
-cert = build_certificate(config)
+cert = build_certificate(config.dim, config.degree, config.alpha)
 print("certificate (mesh-independent parts are exact rationals):")
 print(f"  negative reference indices : {cert.ref_negative_indices}")
 print(f"  beta  = {cert.beta_exact}  = {cert.beta:.12f}")

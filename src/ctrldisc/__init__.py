@@ -10,11 +10,11 @@ an objective value strictly below it, certified by a mesh-independent margin.
 
 Modules
 -------
-exactbasis : exact rational Lagrange bases, integrals, sign audits
+exactbasis : exact rational Lagrange bases, integrals, sign audits, certificates
 mesh       : interval meshes and structured unit-square triangulations
 quadrature : certified simplex quadrature rules
 fem        : P1 Neumann state equation, discontinuous control spaces
-ocp        : the constrained QP, certificates, feasibility audits, studies
+ocp        : the constrained QP, feasibility audits, convergence studies
 cli        : `ctrldisc` command-line entry point
 
 Each public name is listed once, in `_PUBLIC` with its defining module, and
@@ -23,7 +23,7 @@ Only `exactbasis`, which is pure-Python rationals, is imported with the
 package.  `mesh`, `quadrature`, `fem` and `ocp` are registered in sys.modules
 and bound here at once, but their bodies, and numpy with them, run at the
 first read of one of their attributes or of a public name they define.  So
-`import ctrldisc` and an `audit-basis` run load no numpy.
+`import ctrldisc` and an `audit-basis` or `certificate` run load no numpy.
 """
 
 import importlib.util
@@ -56,18 +56,18 @@ ocp = _lazy_submodule("ocp")
 _PUBLIC = {
     name: module
     for module, names in (
-        (exactbasis, ("AuditReport", "DegreeRecord", "LagrangeBasisSpec", "audit_degrees",
-                      "basis_integrals", "integral_of_square", "lagrange_basis",
+        (exactbasis, ("AuditReport", "CounterexampleCertificate", "DegreeRecord",
+                      "LagrangeBasisSpec", "audit_degrees", "basis_integrals",
+                      "build_certificate", "integral_of_square", "lagrange_basis",
                       "lattice_nodes", "monomial_integral", "multi_indices")),
         (mesh, ("SimplexMesh", "cell_geometry", "unit_interval_mesh", "unit_square_mesh")),
         (quadrature, ("QuadratureRule", "conical_product_rule", "gauss_legendre_interval",
                       "grundmann_moeller", "simplex_rule")),
         (fem, ("ControlSpace", "StateSpace", "assemble_control_mass", "assemble_coupling",
                "assemble_load", "assemble_p1_stiffness_mass", "l2_error")),
-        (ocp, ("ConvergenceStudy", "CounterexampleCertificate", "Discretization",
-               "FeasibilityAudit", "OcpConfig", "QpConvergenceError", "QpSolution",
-               "StudyRun", "build_certificate", "convergence_study", "feasibility_audit",
-               "solve_qp")),
+        (ocp, ("ConvergenceStudy", "Discretization", "FeasibilityAudit", "OcpConfig",
+               "QpConvergenceError", "QpSolution", "StudyRun", "convergence_study",
+               "feasibility_audit", "solve_qp")),
     )
     for name in names
 }

@@ -4,9 +4,10 @@ All reports are machine-readable, and their format is stated here alone: the
 exact and float layers return records, which each command turns into its
 report.  JSON is the default; floats are serialized with fixed
 17-significant-digit formatting so identical invocations produce
-byte-identical output.  The clean regime, where `ocp.build_certificate`
-returns None, is a `NoNegativeBasis` finding with exit code 0.  Exit codes:
-0 success, 2 usage error, 3 numerical failure.
+byte-identical output.  The clean regime, where
+`exactbasis.build_certificate` returns None, is a `NoNegativeBasis` finding
+with exit code 0.  Exit codes: 0 success, 2 usage error, 3 numerical failure.
+`audit-basis` and `certificate` run on the exact layer alone and load no numpy.
 """
 
 import argparse
@@ -15,8 +16,8 @@ import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
-from . import ocp  # loaded on first use: an audit loads no numpy
-from .exactbasis import SOLVE_DIMENSIONS, SUPPORTED_DIMENSIONS, audit_degrees
+from . import ocp  # loaded on first use: an audit or a certificate loads no numpy
+from .exactbasis import SOLVE_DIMENSIONS, SUPPORTED_DIMENSIONS, audit_degrees, build_certificate
 
 __all__ = ["dumps", "main", "parse_args"]
 
@@ -246,24 +247,22 @@ def _cmd_audit(args) -> str:
 
 
 def _cmd_certificate(args) -> str:
-    # the certificate reads no mesh; OcpConfig validates dim, degree and alpha
-    config = ocp.OcpConfig(dim=args.dim, degree=args.degree, n=1, alpha=args.alpha)
-    cert = ocp.build_certificate(config)
+    cert = build_certificate(args.dim, args.degree, args.alpha)
     if cert is None:  # the clean regime: a documented finding, not a failure
         payload = {
             "error": "NoNegativeBasis",
-            "dim": config.dim,
-            "degree": config.degree,
+            "dim": args.dim,
+            "degree": args.degree,
             "message": (
-                f"all reference basis integrals are non-negative for d={config.dim}, "
-                f"k={config.degree}; discrete optima converge to the feasible optimum"
+                f"all reference basis integrals are non-negative for d={args.dim}, "
+                f"k={args.degree}; discrete optima converge to the feasible optimum"
             ),
         }
         return dumps(payload)
     payload = {
-        "dim": config.dim,
-        "degree": config.degree,
-        "alpha": config.alpha,
+        "dim": cert.dim,
+        "degree": cert.degree,
+        "alpha": cert.alpha,
         "negative_local_indices": list(cert.ref_negative_indices),
         **_certificate_fields(cert),
         "L_n": cert.beta,  # ||y(w)||: y(w) is the constant -beta on every mesh
@@ -306,7 +305,8 @@ def _cmd_convergence(args) -> str:
         raise ValueError(f"--meshes must be comma-separated integers: {err}") from err
     if not meshes:
         raise ValueError(f"--meshes must be comma-separated integers, got {args.meshes!r}")
-    config = ocp.OcpConfig(dim=args.dim, degree=args.degree, n=max(meshes), alpha=args.alpha)
+    # the smallest mesh parameter: a bad one is named as the study would name it
+    config = ocp.OcpConfig(dim=args.dim, degree=args.degree, n=min(meshes), alpha=args.alpha)
     study = ocp.convergence_study(config, meshes)
     cert = study.certificate
     payload = {

@@ -22,6 +22,9 @@ d = 1 a Gram is instead A H B^T over the monomials x^p, the only place where
 monomial coefficients are built.  Lagrange interpolation on the lattice is
 unique, so the closed form gives exactly the rationals of the generalized
 Vandermonde solve, which the tests keep as an oracle (`solve_rational_system`).
+
+The paper's counterexample is exact too: `build_certificate` reads only a
+basis, its integrals and `integral_of_square`, so it needs no mesh and no numpy.
 """
 
 import math
@@ -29,14 +32,16 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 
 __all__ = [
     "AuditReport",
+    "CounterexampleCertificate",
     "DegreeRecord",
     "LagrangeBasisSpec",
     "audit_degrees",
     "basis_integrals",
+    "build_certificate",
     "exponents_of_degree",
     "gram",
     "integral_of_square",
@@ -51,6 +56,10 @@ SUPPORTED_DIMENSIONS = (1, 2, 3)
 # The dimensions with a mesh builder and a quadrature family, which a solve
 # accepts: always 1..n, since the checks read only the last one
 SOLVE_DIMENSIONS = (1, 2)
+# The largest exactness of a `quadrature` rule, and the largest control degree
+# k whose audit rule (exactness 2k + 2) exists
+MAX_EXACTNESS = 30
+MAX_CONTROL_DEGREE = (MAX_EXACTNESS - 2) // 2
 
 
 def _check_size(name: str, value, low: int, high: int | None = None) -> int:
@@ -75,6 +84,22 @@ def _check_size(name: str, value, low: int, high: int | None = None) -> int:
 def _check_sizes(d: int, k: int, k_name: str = "degree") -> tuple[int, int]:
     """(d, k) as ints; ValueError unless d is a supported dimension and k an integer >= 1."""
     return _check_size("dimension", d, 1, SUPPORTED_DIMENSIONS[-1]), _check_size(k_name, k, 1)
+
+
+def _check_weight(name: str, value) -> float:
+    """`value`, a real number but no bool, as its double; ValueError unless finite and > 0."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < float(value) < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)  # numpy floats and Fractions too
+
+
+def _check_instance(dim, degree, alpha) -> tuple[int, int, float]:
+    """The (dim, degree, alpha) of `build_certificate` and `ocp.OcpConfig` as int, int, float."""
+    return (
+        _check_size("dim", dim, 1, SOLVE_DIMENSIONS[-1]),
+        _check_size("control degree", degree, 1, MAX_CONTROL_DEGREE),
+        _check_weight("alpha", alpha),
+    )
 
 
 def _graded_exponents(d: int, k: int) -> list[list[tuple[int, ...]]]:
@@ -190,7 +215,7 @@ class LagrangeBasisSpec(namedtuple("LagrangeBasisSpec", "dim degree alphas integ
 
     Fields: dim (int), degree (int), alphas (tuple of int tuples) and
     integrals (tuple of Fractions).  A named tuple, so the fields are
-    immutable and equality and hash go by them; the exact layer's three
+    immutable and equality and hash go by them; the exact layer's four
     records are named tuples because ``dataclasses`` would double the cost of
     ``import ctrldisc``.  No ``__slots__``: the cached properties below keep
     their values in the instance ``__dict__``.
@@ -527,3 +552,67 @@ def audit_degrees(d: int, k_max: int) -> AuditReport:
             )
         )
     return AuditReport(dim=d, records=tuple(records))
+
+
+class CounterexampleCertificate(
+    namedtuple(
+        "CounterexampleCertificate",
+        "dim degree alpha ref_negative_indices beta_exact m2_exact beta m_squared step margin "
+        "objective_bound measured_objective",
+    )
+):
+    """Mesh-independent witness that discrete optima stay below volume - margin.
+
+    The direction w sums the control basis functions with negative integral.
+    beta = -integral of w and m_squared = ||w||^2 are exact reference-simplex
+    rationals (beta_exact, m2_exact) times d!, the same on every mesh.  The
+    negative set is invariant under permutations of the barycentric
+    coordinates, so C w = -beta M 1, and A 1 = M 1 makes the state y(w)
+    exactly the constant -beta: ||y(w)|| = beta on the unit domains.  Hence
+    J(t w) = (1 - t beta)^2 + alpha t^2 m_squared on every mesh, and at
+    step = beta / ((1 + alpha) m_squared) it is at most volume - margin with
+    margin = beta * step.  measured_objective is J(step * w) computed in
+    rationals at the exact step (alpha's double taken exactly) and rounded once.
+
+    Fields: dim, degree, alpha (a float), ref_negative_indices, beta_exact and
+    m2_exact (Fractions) and the floats beta, m_squared, step, margin,
+    objective_bound = 1 - margin and measured_objective; a named tuple.
+    """
+
+    __slots__ = ()
+
+
+def build_certificate(dim: int, degree: int, alpha: float) -> CounterexampleCertificate | None:
+    """The negative-direction certificate of (dim, degree, alpha), or None in the clean regime.
+
+    Reads only the exact reference basis: no mesh, no assembly and no solve.
+    None means every reference basis integral is >= 0: no counterexample
+    direction exists, and coefficient-wise non-negativity is preserved in the
+    limit, a finding, not a failure.  Cell-local signs equal reference signs
+    because the push-forward only scales integrals by |det B| > 0.
+    """
+    dim, degree, alpha = _check_instance(dim, degree, alpha)
+    ref = lagrange_basis(dim, degree)
+    negative = ref.negative_indices
+    if not negative:
+        return None
+
+    # Exact reference quantities; volume * |That|^{-1} = d! for the unit domains.
+    fact = Fraction(math.factorial(dim))
+    beta_exact = -fact * sum((ref.integrals[j] for j in negative), Fraction(0))
+    m2_exact = fact * integral_of_square(ref, negative)
+    if beta_exact <= 0 or m2_exact <= 0:
+        raise RuntimeError("certificate construction produced non-positive invariants")
+
+    # y(t w) is the constant -t beta, so J(t w) = (1 - t beta)^2 + alpha t^2 M^2
+    exact_alpha = Fraction(alpha)
+    t_exact = beta_exact / ((1 + exact_alpha) * m2_exact)
+    objective = (1 - t_exact * beta_exact) ** 2 + exact_alpha * t_exact**2 * m2_exact
+    if objective > 1 - t_exact * beta_exact:
+        raise RuntimeError(f"J(t_hat w) = {float(objective)} exceeds the certificate bound")
+
+    beta, m_squared = float(beta_exact), float(m2_exact)
+    step = beta / ((1.0 + alpha) * m_squared)
+    margin = beta * step
+    return CounterexampleCertificate(dim, degree, alpha, negative, beta_exact, m2_exact, beta,
+                                     m_squared, step, margin, 1.0 - margin, float(objective))

@@ -9,26 +9,25 @@ basis coefficients.  The desired state is fixed at -1, so u = 0 (objective
 Whether the discrete optima stay near that value is decided by the signs of
 the reference basis integrals: if some are negative, the direction built from
 the negative-integral basis functions drops the objective below volume - delta
-uniformly in the mesh (see :func:`build_certificate`), and the discrete optima
-acquire a persistent negative part.
+uniformly in the mesh (see `exactbasis.build_certificate`), and the discrete
+optima acquire a persistent negative part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
 from .exactbasis import (
-    SOLVE_DIMENSIONS,
+    CounterexampleCertificate,
+    _check_instance,
     _check_size,
+    _check_weight,
     basis_integrals,
-    integral_of_square,
-    lagrange_basis,
+    build_certificate,
 )
 # cg_solve and cell_affine_map are not called here; perfbench's tracer test
 # checks that ocp.cg_solve is fem.cg_solve and ocp.cell_affine_map is mesh's
@@ -48,27 +47,22 @@ from .mesh import (
     unit_interval_mesh,
     unit_square_mesh,
 )
-from .quadrature import MAX_EXACTNESS, simplex_rule
+from .quadrature import simplex_rule
 
 __all__ = [
     "ConvergenceStudy",
-    "CounterexampleCertificate",
     "Discretization",
     "FeasibilityAudit",
     "OcpConfig",
     "QpConvergenceError",
     "QpSolution",
     "StudyRun",
-    "build_certificate",
     "convergence_study",
     "estimate_operator_norm",
     "feasibility_audit",
     "minimize_nonneg_quadratic",
     "solve_qp",
 ]
-
-# Largest control degree k whose audit rule (exactness 2k + 2) exists.
-MAX_CONTROL_DEGREE = (MAX_EXACTNESS - 2) // 2
 
 # The target state of the model problem. Fixed: the whole point of the model
 # is that (y, u) = (0, 0) is optimal yet the objective is pushed below volume
@@ -101,17 +95,11 @@ class OcpConfig:
     qp_tol: float = 1e-10
 
     def __post_init__(self):
-        sizes = {
-            "dim": _check_size("dim", self.dim, 1, SOLVE_DIMENSIONS[-1]),
-            "degree": _check_size("control degree", self.degree, 1, MAX_CONTROL_DEGREE),
-            "n": _check_size("mesh parameter", self.n, 1),
-        }
-        for name, value in sizes.items():  # a numpy integer is kept as the int it equals
+        # the exact layer's instance rule, then n and qp_tol; each is kept as an int or a float
+        checked = (*_check_instance(self.dim, self.degree, self.alpha),
+                   _check_size("mesh parameter", self.n, 1), _check_weight("qp_tol", self.qp_tol))
+        for name, value in zip(("dim", "degree", "alpha", "n", "qp_tol"), checked):
             object.__setattr__(self, name, value)
-        for name in ("alpha", "qp_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < math.inf):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 class Discretization:
@@ -564,82 +552,6 @@ def solve_qp(disc: Discretization) -> QpSolution:
 
 
 @dataclass(frozen=True)
-class CounterexampleCertificate:
-    """Mesh-independent witness that discrete optima stay below volume - margin.
-
-    The direction w sums the control basis functions with negative integral.
-    beta = -integral of w and m_squared = ||w||^2 are exact reference-simplex
-    rationals (beta_exact, m2_exact) times d!, the same on every mesh.  The
-    negative set is invariant under permutations of the barycentric
-    coordinates, so C w = -beta M 1, and A 1 = M 1 makes the state y(w)
-    exactly the constant -beta: ||y(w)|| = beta on the unit domains.  Hence
-    J(t w) = (1 - t beta)^2 + alpha t^2 m_squared on every mesh, and at
-    step = beta / ((1 + alpha) m_squared) it is at most volume - margin with
-    margin = beta * step.  measured_objective is J(step * w) computed in
-    rationals at the exact step (alpha's double taken exactly) and rounded once.
-    """
-
-    config: OcpConfig
-    ref_negative_indices: tuple[int, ...]
-    beta_exact: Fraction
-    m2_exact: Fraction
-    beta: float
-    m_squared: float
-    step: float
-    margin: float
-    objective_bound: float
-    measured_objective: float
-
-
-def build_certificate(config: OcpConfig) -> CounterexampleCertificate | None:
-    """Build the negative-direction certificate for a config, or None in the clean regime.
-
-    Reads only the exact reference basis of the config's dimension and
-    degree: no mesh, no assembly and no solve.  Returns None when every
-    reference basis integral is >= 0: no counterexample direction exists, and
-    coefficient-wise non-negativity is preserved in the limit.  That is a
-    finding, not a failure.  Cell-local signs equal reference signs because
-    the push-forward only scales integrals by |det B| > 0.
-    """
-    ref = lagrange_basis(config.dim, config.degree)
-    ref_ints = basis_integrals(ref)
-    neg_local = ref.negative_indices
-    if not neg_local:
-        return None
-
-    # Exact reference quantities; volume * |That|^{-1} = d! for the unit domains.
-    fact = Fraction(math.factorial(config.dim))
-    beta_exact = -fact * sum((ref_ints[j] for j in neg_local), Fraction(0))
-    m2_exact = fact * integral_of_square(ref, neg_local)
-    if beta_exact <= 0 or m2_exact <= 0:
-        raise RuntimeError("certificate construction produced non-positive invariants")
-
-    # y(t w) is the constant -t beta, so J(t w) = (1 - t beta)^2 + alpha t^2 M^2
-    alpha = Fraction(config.alpha)
-    t_exact = beta_exact / ((1 + alpha) * m2_exact)
-    objective = (1 - t_exact * beta_exact) ** 2 + alpha * t_exact**2 * m2_exact
-    if objective > 1 - t_exact * beta_exact:
-        raise RuntimeError(f"J(t_hat w) = {float(objective)} exceeds the certificate bound")
-
-    beta = float(beta_exact)
-    m_squared = float(m2_exact)
-    step = beta / ((1.0 + config.alpha) * m_squared)
-    margin = beta * step
-    return CounterexampleCertificate(
-        config=config,
-        ref_negative_indices=neg_local,
-        beta_exact=beta_exact,
-        m2_exact=m2_exact,
-        beta=beta,
-        m_squared=m_squared,
-        step=step,
-        margin=margin,
-        objective_bound=1.0 - margin,
-        measured_objective=float(objective),
-    )
-
-
-@dataclass(frozen=True)
 class FeasibilityAudit:
     """Cell-integral feasibility fingerprints of a discrete control."""
 
@@ -716,7 +628,7 @@ def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
         raise ValueError("a convergence study needs at least two mesh parameters")
     ns = [_check_size("mesh parameter", n, 1) for n in ns]
 
-    certificate = build_certificate(config)
+    certificate = build_certificate(config.dim, config.degree, config.alpha)
     runs, audit_parts = [], None
     for n in ns:
         disc = Discretization(replace(config, n=n))

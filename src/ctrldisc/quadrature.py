@@ -30,6 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .exactbasis import (
+    MAX_EXACTNESS,
     SOLVE_DIMENSIONS,
     _check_size,
     _moment_scales,
@@ -38,15 +39,12 @@ from .exactbasis import (
 )
 
 __all__ = [
-    "MAX_EXACTNESS",
     "QuadratureRule",
     "conical_product_rule",
     "gauss_legendre_interval",
     "grundmann_moeller",
     "simplex_rule",
 ]
-
-MAX_EXACTNESS = 30
 
 # Relative error allowed per monomial when certifying a rule.
 CERTIFICATE_RTOL = 1e-13

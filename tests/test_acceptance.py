@@ -15,6 +15,7 @@ import pytest
 from ctrldisc.exactbasis import (
     audit_degrees,
     basis_integrals,
+    build_certificate,
     lagrange_basis,
     monomial_integral,
     multi_indices,
@@ -23,7 +24,6 @@ from ctrldisc.fem import assemble_load, l2_error
 from ctrldisc.ocp import (
     Discretization,
     OcpConfig,
-    build_certificate,
     feasibility_audit,
     minimize_nonneg_quadratic,
     solve_qp,
@@ -49,7 +49,7 @@ def counterexample_runs():
     runs = {}
     for n in (4, 8, 16):
         disc = Discretization(replace(base, n=n))
-        certificate = build_certificate(disc.config)
+        certificate = build_certificate(base.dim, base.degree, base.alpha)
         solution = solve_qp(disc)
         audit = feasibility_audit(disc, solution.control)
         runs[n] = (certificate, solution, audit)
@@ -107,7 +107,7 @@ def test_criterion_4_counterexample_gap(counterexample_runs):
     details = []
     betas, m2s = [], []
     for n, (certificate, solution, _) in sorted(counterexample_runs.items()):
-        alpha = certificate.config.alpha
+        alpha = certificate.alpha
         delta = certificate.beta**2 / ((1 + alpha) * certificate.m_squared)
         ok = ok and solution.objective <= 1.0 - delta + 1e-8
         ok = ok and solution.objective <= certificate.measured_objective + 1e-10

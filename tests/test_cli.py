@@ -221,6 +221,17 @@ CONVERGENCE = ["convergence", "--dim", "1", "--degree", "2"]
             "k_max must be >= 1, got 0",
             id="audit-max-degree-0",
         ),
+        # both name the smallest bad mesh parameter, as the study checks them
+        pytest.param(
+            ["convergence", "--dim", "2", "--degree", "4", "--meshes=-3,-2"],
+            "mesh parameter must be >= 1, got -3",
+            id="meshes-all-negative",
+        ),
+        pytest.param(
+            ["convergence", "--dim", "2", "--degree", "4", "--meshes=2,-3,-2"],
+            "mesh parameter must be >= 1, got -3",
+            id="meshes-some-negative",
+        ),
     ],
 )
 def test_invalid_values_are_usage_errors_that_name_the_option(capsys, argv, named):

@@ -28,6 +28,7 @@ from ctrldisc import exactbasis
 from ctrldisc.exactbasis import (
     audit_degrees,
     basis_integrals,
+    build_certificate,
     exponents_of_degree,
     gram,
     integral_of_square,
@@ -42,7 +43,6 @@ from ctrldisc.mesh import SimplexMesh, unit_interval_mesh, unit_square_mesh
 from ctrldisc.ocp import (
     Discretization,
     OcpConfig,
-    build_certificate,
     convergence_study,
     feasibility_audit,
     solve_qp,
@@ -491,7 +491,7 @@ def test_a_negative_solve_builds_no_coefficient_matrix(matrix_builds):
     # at d >= 2 every Gram comes by orbits, and nothing else reads the matrix
     config = OcpConfig(2, 4, 4)
     solve_qp(Discretization(config))
-    build_certificate(config)
+    build_certificate(2, 4, config.alpha)
     assert not matrix_builds
 
 

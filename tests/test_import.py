@@ -2,14 +2,15 @@
 
 `import ctrldisc` and `import ctrldisc.cli` load the exact layer alone: the
 float layers (`mesh`, `quadrature`, `fem`, `ocp`) are registered but run,
-and load numpy, only on first use.  So an `audit-basis` process loads no
-numpy, runs where numpy is not installed, and prints the same bytes; without
-numpy, a command that needs it fails with numpy's own ImportError.  The exact
-layer's records are named tuples, so that process loads no `dataclasses`
-either, nor the `inspect` it imports, nor `__future__`: about half of what
-a bare `import ctrldisc` cost before.  An `audit-basis` or `certificate`
-process never loads scipy.  A clean-regime solve neither factors A nor
-builds a quadrature rule, so it loads none either.  A negative-regime solve
+and load numpy, only on first use.  So an `audit-basis` or a `certificate`
+process loads no numpy, runs where numpy is not installed, and prints the
+same bytes, usage errors included; without numpy, a solve or a study fails
+with numpy's own ImportError.  The exact layer's records are named tuples,
+so those processes load no `dataclasses` either, nor the `inspect` it
+imports, nor `__future__`: about half of what a bare `import ctrldisc` cost
+before.  An `audit-basis` or `certificate` process never loads scipy.  A
+clean-regime solve neither factors A nor builds a quadrature rule, so it
+loads none either.  A negative-regime solve
 factors A with LAPACK dpbtrf/dpbtrs, called in numpy's own bundled OpenBLAS
 (`fem._numpy_lapack`), so it loads no scipy either, and on Linux maps one
 OpenBLAS.  Where numpy bundles none, the fallback `fem._flapack` takes them
@@ -109,7 +110,6 @@ def test_audit_basis_usage_error_without_numpy(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["certificate", "--dim", "2", "--degree", "4"],
         ["solve", "--dim", "2", "--degree", "4", "--mesh", "2"],
         ["convergence", "--dim", "1", "--degree", "10", "--meshes", "2,4"],
     ],
@@ -137,6 +137,11 @@ def test_without_numpy_a_solve_exits_as_an_uncaught_exception():
 # besides numpy, the exact path loads no dataclasses, whose import brings
 # inspect, ast, dis and tokenize, and no __future__
 EXACT_PATH_UNLOADED = ("numpy", "dataclasses", "inspect", "__future__")
+# a CLI run where none of them can be imported
+CLI_EXACT_PATH_ONLY = (
+    "".join(f"sys.modules[{name!r}] = None; " for name in EXACT_PATH_UNLOADED[1:])
+    + CLI_WITHOUT_NUMPY
+)
 
 
 def test_audit_basis_loads_no_numpy():
@@ -150,11 +155,41 @@ def test_audit_basis_loads_no_numpy():
     )
     assert out.splitlines() == ["[]", "0 []"]
     # and runs where none of them can be imported, printing the same bytes
-    blocked = "".join(f"sys.modules[{name!r}] = None; " for name in EXACT_PATH_UNLOADED[1:])
-    proc = fresh_process(blocked + CLI_WITHOUT_NUMPY, "audit-basis", "--dim", "3",
+    proc = fresh_process(CLI_EXACT_PATH_ONLY, "audit-basis", "--dim", "3",
                          "--max-degree", "6")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "audit_basis_d3_k6.json").read_text()
+
+
+# the exact layer's certificate reports: negative and clean regime
+CERTIFICATE_GOLDENS = {
+    "certificate_d2_k4.json": ["certificate", "--dim", "2", "--degree", "4"],
+    "certificate_d1_k10.json": ["certificate", "--dim", "1", "--degree", "10"],
+    "certificate_d2_k3.json": ["certificate", "--dim", "2", "--degree", "3"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CERTIFICATE_GOLDENS))
+def test_certificate_without_numpy_prints_the_golden(golden):
+    # nor dataclasses, inspect or __future__: the certificate is a named tuple
+    proc = fresh_process(CLI_EXACT_PATH_ONLY, *CERTIFICATE_GOLDENS[golden])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certificate", "--dim", "1", "--degree", "25"],
+        ["certificate", "--dim", "2", "--degree", "4", "--alpha", "inf"],
+    ],
+    ids=["degree-25", "alpha-inf"],
+)
+def test_certificate_usage_error_without_numpy(capsys, argv):
+    proc = fresh_process(CLI_EXACT_PATH_ONLY, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert cli.main(argv) == 2
+    assert proc.stdout == capsys.readouterr().out  # the same bytes with numpy loaded
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -203,8 +238,9 @@ def test_the_package_root_resolves_without_the_float_layers():
         "print([m for m in ('mesh', 'quadrature', 'fem', 'ocp')\n"
         "       if type(sys.modules['ctrldisc.' + m]) is types.ModuleType])"
     )
-    exact = sorted(["AuditReport", "DegreeRecord", "LagrangeBasisSpec", "audit_degrees",
-                    "basis_integrals", "integral_of_square", "lagrange_basis", "lattice_nodes",
+    exact = sorted(["AuditReport", "CounterexampleCertificate", "DegreeRecord",
+                    "LagrangeBasisSpec", "audit_degrees", "basis_integrals", "build_certificate",
+                    "integral_of_square", "lagrange_basis", "lattice_nodes",
                     "monomial_integral", "multi_indices"])
     assert out.splitlines() == [f"{len(PUBLIC_NAMES)} True", f"{exact} True", "[]"]
 

@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import re
-from dataclasses import replace
 from fractions import Fraction
 from operator import mul
 
@@ -14,8 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ctrldisc import cli, ocp
-from ctrldisc.exactbasis import basis_integrals, gram, lagrange_basis, solve_rational_system
+from ctrldisc import cli, exactbasis, ocp
+from ctrldisc.exactbasis import (
+    MAX_CONTROL_DEGREE,
+    basis_integrals,
+    build_certificate,
+    gram,
+    lagrange_basis,
+    solve_rational_system,
+)
 from ctrldisc.fem import (
     ControlSpace,
     StateSpace,
@@ -25,11 +31,9 @@ from ctrldisc.fem import (
 )
 from ctrldisc.mesh import cell_geometry
 from ctrldisc.ocp import (
-    MAX_CONTROL_DEGREE,
     Discretization,
     OcpConfig,
     QpConvergenceError,
-    build_certificate,
     convergence_study,
     estimate_operator_norm,
     feasibility_audit,
@@ -418,6 +422,11 @@ def test_objective_and_gradient_match_exact_rationals(dim, degree):
     assert np.abs(g - exact_g).max() <= 1e-13 * np.abs(exact_g).max()
 
 
+def certificate_of(config):
+    """The certificate of a config's (dim, degree, alpha); its mesh parameter plays no part."""
+    return build_certificate(config.dim, config.degree, config.alpha)
+
+
 def certificate_direction(disc, cert):
     """The 0/1 coefficient vector of w: the negative-integral functions of every cell."""
     mask = np.zeros(disc.control_space.local_dim)
@@ -434,7 +443,7 @@ def test_certificate_direction_has_a_constant_state(dim, degree, n):
     # L_n = ||y(w)|| = beta on the unit domain; build_certificate relies on
     # it, and the float state solve checks it here
     disc = Discretization(OcpConfig(dim=dim, degree=degree, n=n))
-    cert = build_certificate(disc.config)
+    cert = certificate_of(disc.config)
     y = disc.solve_state(certificate_direction(disc, cert))
     assert np.ptp(y) <= 1e-14
     assert abs(y.mean() + cert.beta) <= 1e-12 * cert.beta
@@ -523,7 +532,7 @@ def test_negative_regime_factors_once_per_discretization(monkeypatch):
     disc = Discretization(OcpConfig(2, 4, 4))
     assert len(factors) == 0
     solution = solve_qp(disc)
-    build_certificate(disc.config)
+    certificate_of(disc.config)
     feasibility_audit(disc, solution.control)
     assert len(factors) == 1
     assert solution.iterations > 0
@@ -578,7 +587,7 @@ def test_lazy_operators_equal_eager_assembly_and_are_built_once(monkeypatch):
     disc = Discretization(OcpConfig(2, 4, 4))
     assert not any(calls.values())
     solution = solve_qp(disc)
-    build_certificate(disc.config)
+    certificate_of(disc.config)
     feasibility_audit(disc, solution.control)
 
     mesh = disc.mesh
@@ -640,14 +649,14 @@ def test_regime_label_certificate_and_origin_share_one_test():
         assert (study.regime == "INFEASIBLE_LIMIT") == bool(negative)
         assert (study.runs[0].iterations > 0) == bool(negative)
         if negative:
-            assert build_certificate(disc.config).ref_negative_indices == negative
+            assert certificate_of(disc.config).ref_negative_indices == negative
         else:
-            assert build_certificate(disc.config) is None
+            assert certificate_of(disc.config) is None
 
 
 def test_counterexample_solution_beats_certificate_bound():
     disc = Discretization(OcpConfig(dim=2, degree=4, n=4))
-    certificate = build_certificate(disc.config)
+    certificate = certificate_of(disc.config)
     solution = solve_qp(disc)
     assert solution.objective <= certificate.objective_bound + 1e-8
     assert solution.objective <= certificate.measured_objective + 1e-10
@@ -689,7 +698,7 @@ def test_qp_iteration_budget_d2k4(n, alpha):
     solution = solve_qp(disc)
     assert solution.iterations == (5 if alpha == 0.4 else 6)
     assert scaled_kkt_residual(disc, solution.control) <= 1.01 * disc.config.qp_tol
-    assert solution.objective <= build_certificate(disc.config).objective_bound
+    assert solution.objective <= certificate_of(disc.config).objective_bound
 
 
 @pytest.mark.parametrize(
@@ -859,11 +868,11 @@ def test_solve_qp_iteration_cap_carries_best(monkeypatch):
 
 def test_certificate_refused_when_all_integrals_nonnegative():
     for degree in (1, 2, 3, 5):
-        assert build_certificate(OcpConfig(dim=2, degree=degree, n=2)) is None
+        assert build_certificate(2, degree, 0.1) is None
 
 
 def test_certificate_exists_for_d1_k8():
-    certificate = build_certificate(OcpConfig(dim=1, degree=8, n=4))
+    certificate = build_certificate(1, 8, 0.1)
     assert certificate.beta > 0
     assert certificate.m_squared > 0
     assert len(certificate.ref_negative_indices) > 0
@@ -874,35 +883,29 @@ def test_certificate_existence_matches_audit_d1():
 
     report = audit_degrees(1, 11)
     for record in report.records:
-        config = OcpConfig(dim=1, degree=record.degree, n=2)
         if record.all_nonnegative:
-            assert build_certificate(config) is None
+            assert build_certificate(1, record.degree, 0.1) is None
         else:
-            certificate = build_certificate(config)
+            certificate = build_certificate(1, record.degree, 0.1)
             assert certificate.ref_negative_indices == record.negative_indices
 
 
 def test_certificate_d2k4_values_and_mesh_independence():
-    cert4 = build_certificate(OcpConfig(dim=2, degree=4, n=4))
-    cert8 = build_certificate(OcpConfig(dim=2, degree=4, n=8))
+    # no argument names a mesh, so no field can depend on one; the float
+    # pipeline checks the same values mesh by mesh below
+    cert = build_certificate(2, 4, 0.1)
+    assert (cert.dim, cert.degree, cert.alpha) == (2, 4, 0.1)
 
     # the d=2 degree-4 negative functions are the three edge midpoints at -1/90
-    assert cert4.ref_negative_indices == (3, 5, 12)
-    assert cert4.beta_exact == Fraction(1, 15)
-    assert cert4.beta == pytest.approx(2.0 * 3.0 / 90.0, abs=1e-15)
-
-    assert abs(cert4.beta - cert8.beta) <= 1e-10
-    assert abs(cert4.m_squared - cert8.m_squared) <= 1e-10
-    assert cert4.beta_exact == cert8.beta_exact
-    assert cert4.m2_exact == cert8.m2_exact
+    assert cert.ref_negative_indices == (3, 5, 12)
+    assert cert.beta_exact == Fraction(1, 15)
+    assert cert.beta == pytest.approx(2.0 * 3.0 / 90.0, abs=1e-15)
+    assert cert.m2_exact == Fraction(272, 1575)
 
     # step and margin follow the closed formulas
-    alpha = cert4.config.alpha
-    assert cert4.step == pytest.approx(cert4.beta / ((1 + alpha) * cert4.m_squared))
-    assert cert4.margin == pytest.approx(cert4.beta**2 / ((1 + alpha) * cert4.m_squared))
-    assert cert4.measured_objective <= cert4.objective_bound
-    # no field depends on the mesh
-    assert replace(cert8, config=cert4.config) == cert4
+    assert cert.step == pytest.approx(cert.beta / ((1 + cert.alpha) * cert.m_squared))
+    assert cert.margin == pytest.approx(cert.beta**2 / ((1 + cert.alpha) * cert.m_squared))
+    assert cert.measured_objective <= cert.objective_bound
 
 
 # The d=2 cases keep their bare-degree ids; d=1 adds every negative degree.
@@ -917,10 +920,10 @@ NEGATIVE_CERTIFICATE_CASES = [pytest.param(2, k, id=str(k)) for k in (4, 6, 7, 8
 def test_certificate_descent_bound_all_negative_degrees_d2(dim, degree):
     # J(t_hat w) <= (1+alpha) M^2 t^2 - 2 beta t + 1 = 1 - delta for every
     # degree with a negative integral (builder enforces it; assert explicitly)
-    certificate = build_certificate(OcpConfig(dim=dim, degree=degree, n=2))
+    certificate = build_certificate(dim, degree, 0.1)
     assert certificate.measured_objective <= certificate.objective_bound + 1e-8
     closed_form = (
-        (1 + certificate.config.alpha) * certificate.m_squared * certificate.step**2
+        (1 + certificate.alpha) * certificate.m_squared * certificate.step**2
         - 2 * certificate.beta * certificate.step
         + 1.0
     )
@@ -933,7 +936,7 @@ def test_certificate_matches_mesh_assembled_quantities():
     # solved objective at t_hat w is the exact J(t_hat w)
     for (dim, degree), n in itertools.product(EXACT_ORACLE_CASES, (2, 4, 8)):
         disc = Discretization(OcpConfig(dim=dim, degree=degree, n=n))
-        cert = build_certificate(disc.config)
+        cert = certificate_of(disc.config)
         w = certificate_direction(disc, cert)
         measured = {
             "beta": (-float(column_sums(disc) @ w), cert.beta),
@@ -948,23 +951,49 @@ def test_certificate_bound_is_an_exact_comparison(monkeypatch):
     # Cauchy-Schwarz gives beta^2 <= M^2 on the unit domains, and J(t_hat w)
     # is exactly 1 - delta at equality; an M^2 a factor 1 - 1e-30 below it
     # must be refused, which no float comparison could tell
-    config = OcpConfig(dim=2, degree=4, n=1)
     beta = Fraction(1, 15)
-    monkeypatch.setattr(ocp, "integral_of_square", lambda ref, indices: beta**2 / 2)
-    assert build_certificate(config).m2_exact == beta**2
+    monkeypatch.setattr(exactbasis, "integral_of_square", lambda ref, indices: beta**2 / 2)
+    assert build_certificate(2, 4, 0.1).m2_exact == beta**2
     below = beta**2 / 2 * (1 - Fraction(1, 10**30))
-    monkeypatch.setattr(ocp, "integral_of_square", lambda ref, indices: below)
+    monkeypatch.setattr(exactbasis, "integral_of_square", lambda ref, indices: below)
     with pytest.raises(RuntimeError, match="exceeds the certificate bound"):
-        build_certificate(config)
+        build_certificate(2, 4, 0.1)
 
 
-def test_certificate_builds_no_float_layer(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("float layer built for a certificate")
+# The instance rule that build_certificate and OcpConfig share: one message
+# from both.  The last alpha is > 0, but its double is 0.
+BAD_ALPHAS = (0.0, -1e-3, math.inf, math.nan, True, np.True_, "0.1", None, np.longdouble("1e-400"))
+BAD_INSTANCES = [
+    ((3, 4, 0.1), "dim must be in 1..2, got 3"),
+    ((True, 4, 0.1), "dim must be an integer, got True"),
+    ((2, 0, 0.1), "control degree must be in 1..14, got 0"),
+    ((1, 25, 0.1), "control degree must be in 1..14, got 25"),
+    ((2, 4.0, 0.1), "control degree must be an integer, got 4.0"),
+    *(((2, 4, alpha), f"alpha must be finite and > 0, got {alpha!r}") for alpha in BAD_ALPHAS),
+]
 
-    for name in (*FLOAT_LAYERS, "Discretization", "unit_interval_mesh", "unit_square_mesh"):
-        monkeypatch.setattr(ocp, name, refuse)
-    assert build_certificate(OcpConfig(dim=2, degree=4, n=4)).beta_exact == Fraction(1, 15)
+
+@pytest.mark.parametrize(
+    "instance, message", [pytest.param(*case, id=repr(case[0])) for case in BAD_INSTANCES]
+)
+def test_certificate_and_config_share_the_instance_rule(instance, message):
+    for build in (build_certificate, lambda dim, degree, alpha: OcpConfig(dim, degree, 2, alpha)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(*instance)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [np.float32(0.1), np.float16(0.1), np.longdouble(0.1), np.float64(0.1), Fraction(1, 10), 1],
+    ids=repr,
+)
+def test_certificate_takes_a_weight_as_its_double(alpha):
+    # numpy registers its floats as numbers.Real: the certificate, like
+    # OcpConfig (test_config_validation), keeps the Python float a weight
+    # rounds to, a Fraction's included
+    certificate = build_certificate(2, 4, alpha)
+    assert type(certificate.alpha) is float
+    assert certificate == build_certificate(2, 4, float(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -1107,6 +1136,14 @@ def test_config_validation():
             OcpConfig(dim=2, degree=1, n=2, alpha=value)
         with pytest.raises(ValueError, match="qp_tol"):
             OcpConfig(dim=2, degree=1, n=2, qp_tol=value)
+    # numpy floats are numbers.Real: each is kept as the float it rounds to,
+    # so a long double weight solves as its double does
+    for value in (np.float32(0.1), np.float16(0.1), np.longdouble(0.1)):
+        config = OcpConfig(dim=2, degree=4, n=2, alpha=value, qp_tol=value)
+        assert (config.alpha, config.qp_tol) == (float(value), float(value))
+        assert (type(config.alpha), type(config.qp_tol)) == (float, float)
+    solution = solve_qp(Discretization(OcpConfig(2, 4, 2, alpha=np.longdouble(0.1))))
+    assert solution.objective == solve_qp(Discretization(OcpConfig(2, 4, 2, alpha=0.1))).objective
 
 
 @pytest.mark.parametrize("name", ["dim", "degree", "n"])

@@ -7,9 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from ctrldisc.exactbasis import monomial_integral, multi_indices
+from ctrldisc.exactbasis import MAX_EXACTNESS, monomial_integral, multi_indices
 from ctrldisc.quadrature import (
-    MAX_EXACTNESS,
     QuadratureRule,
     _certify,
     _gauss_jacobi_1_0,
