@@ -4,10 +4,14 @@ All reports are machine-readable, and their format is stated here alone: the
 exact and float layers return records, which each command turns into its
 report.  JSON is the default; floats are serialized with fixed
 17-significant-digit formatting so identical invocations produce
-byte-identical output.  The clean regime, where
-`exactbasis.build_certificate` returns None, is a `NoNegativeBasis` finding
-with exit code 0.  Exit codes: 0 success, 2 usage error, 3 numerical failure.
-`audit-basis` and `certificate` run on the exact layer alone and load no numpy.
+byte-identical output.  Exit codes: 0 success, 2 usage error, 3 numerical
+failure.  The clean regime, where no reference basis integral is negative,
+is decided exactly: `certificate` reports it as a `NoNegativeBasis` finding
+(`build_certificate` returns None), and `solve` and `convergence`, after
+`ocp`'s own input rules, report lambda = 0, J = |Omega| = 1 and zeros, the
+discrete optimum on every mesh (see `ocp.solve_qp`).  So `audit-basis`,
+`certificate` and a clean-regime `solve` or `convergence` run on the exact
+layer alone and load no numpy.
 """
 
 import argparse
@@ -16,8 +20,9 @@ import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
-from . import ocp  # loaded on first use: an audit or a certificate loads no numpy
-from .exactbasis import SOLVE_DIMENSIONS, SUPPORTED_DIMENSIONS, audit_degrees, build_certificate
+from . import ocp  # loaded on first use: only a negative-regime solve or study loads numpy
+from .exactbasis import (DEFAULT_QP_TOL, SOLVE_DIMENSIONS, SUPPORTED_DIMENSIONS, _check_config,
+                         _check_meshes, audit_degrees, build_certificate, lagrange_basis)
 
 __all__ = ["dumps", "main", "parse_args"]
 
@@ -147,7 +152,7 @@ _COMMANDS = {
         (
             *_CERTIFICATE_OPTIONS,
             _Option("--mesh", int, required=True),
-            _Option("--tol", float, default=1e-10),
+            _Option("--tol", float, default=DEFAULT_QP_TOL),
         ),
     ),
     "convergence": (
@@ -272,28 +277,48 @@ def _cmd_certificate(args) -> str:
     return dumps(payload)
 
 
+def _solve_report(
+    config, objective, iterations, kkt_residual, control_norm, min_cell_avg, neg_part_norm
+) -> str:
+    """The solve report; config is the checked (dim, degree, n, alpha, qp_tol)."""
+    dim, degree, n, alpha, tol = config
+    payload = {
+        "config": {"dim": dim, "degree": degree, "alpha": alpha, "mesh": n, "tol": tol},
+        "J": objective,
+        "iterations": iterations,
+        "kkt_residual": kkt_residual,
+        "control_norm": control_norm,
+        "min_cell_avg": min_cell_avg,
+        "neg_part_norm": neg_part_norm,
+    }
+    return dumps(payload)
+
+
 def _cmd_solve(args) -> str:
-    config = ocp.OcpConfig(
-        dim=args.dim, degree=args.degree, n=args.mesh, alpha=args.alpha, qp_tol=args.tol
-    )
-    disc = ocp.Discretization(config)
+    config = _check_config(args.dim, args.degree, args.mesh, args.alpha, args.tol)
+    if not lagrange_basis(*config[:2]).negative_indices:
+        # the clean regime: lambda = 0, y = 0 and J = |Omega| = 1 on every mesh
+        return _solve_report(config, 1.0, 0, 0.0, 0.0, 0.0, 0.0)
+    disc = ocp.Discretization(ocp.OcpConfig(*config))
     solution = ocp.solve_qp(disc)
     audit = ocp.feasibility_audit(disc, solution.control)
+    # np.linalg.norm of a real vector is sqrt(u.dot(u)), bit for bit
+    control_norm = math.sqrt(solution.control.dot(solution.control))
+    return _solve_report(config, solution.objective, solution.iterations, solution.kkt_residual,
+                         control_norm, audit.min_cell_average, audit.negative_part_norm)
+
+
+def _study_report(config, regime, cert, runs) -> str:
+    """The study report; config as for `_solve_report`, runs (n, J, min avg, neg norm, iters)."""
+    dim, degree, _, alpha, tol = config
     payload = {
-        "config": {
-            "dim": config.dim,
-            "degree": config.degree,
-            "alpha": config.alpha,
-            "mesh": config.n,
-            "tol": config.qp_tol,
-        },
-        "J": solution.objective,
-        "iterations": solution.iterations,
-        "kkt_residual": solution.kkt_residual,
-        # np.linalg.norm of a real vector is sqrt(u.dot(u)), bit for bit
-        "control_norm": math.sqrt(solution.control.dot(solution.control)),
-        "min_cell_avg": audit.min_cell_average,
-        "neg_part_norm": audit.negative_part_norm,
+        "config": {"dim": dim, "degree": degree, "alpha": alpha, "tol": tol},
+        "regime": regime,
+        "certificate": None if cert is None else _certificate_fields(cert),
+        "runs": [
+            {"n": n, "J": j, "min_cell_avg": average, "neg_part_norm": norm, "iters": iterations}
+            for n, j, average, norm, iterations in runs
+        ],
     }
     return dumps(payload)
 
@@ -305,31 +330,16 @@ def _cmd_convergence(args) -> str:
         raise ValueError(f"--meshes must be comma-separated integers: {err}") from err
     if not meshes:
         raise ValueError(f"--meshes must be comma-separated integers, got {args.meshes!r}")
-    # the smallest mesh parameter: a bad one is named as the study would name it
-    config = ocp.OcpConfig(dim=args.dim, degree=args.degree, n=min(meshes), alpha=args.alpha)
-    study = ocp.convergence_study(config, meshes)
-    cert = study.certificate
-    payload = {
-        "config": {
-            "dim": config.dim,
-            "degree": config.degree,
-            "alpha": config.alpha,
-            "tol": config.qp_tol,
-        },
-        "regime": study.regime,
-        "certificate": None if cert is None else _certificate_fields(cert),
-        "runs": [
-            {
-                "n": r.n,
-                "J": r.objective,
-                "min_cell_avg": r.min_cell_average,
-                "neg_part_norm": r.negative_part_norm,
-                "iters": r.iterations,
-            }
-            for r in study.runs
-        ],
-    }
-    return dumps(payload)
+    # the smallest mesh parameter first: a bad one is named as the study would name it
+    config = _check_config(args.dim, args.degree, min(meshes), args.alpha, DEFAULT_QP_TOL)
+    ns = _check_meshes(meshes)
+    if not lagrange_basis(*config[:2]).negative_indices:
+        # the clean regime: no certificate, and every mesh's optimum is lambda = 0
+        return _study_report(config, "FEASIBLE_LIMIT", None, [(n, 1.0, 0.0, 0.0, 0) for n in ns])
+    study = ocp.convergence_study(ocp.OcpConfig(*config), ns)
+    runs = [(r.n, r.objective, r.min_cell_average, r.negative_part_norm, r.iterations)
+            for r in study.runs]
+    return _study_report(config, study.regime, study.certificate, runs)
 
 
 def main(argv=None) -> int:

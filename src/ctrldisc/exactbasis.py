@@ -60,6 +60,8 @@ SOLVE_DIMENSIONS = (1, 2)
 # k whose audit rule (exactness 2k + 2) exists
 MAX_EXACTNESS = 30
 MAX_CONTROL_DEGREE = (MAX_EXACTNESS - 2) // 2
+# The QP tolerance of a solve or a study that names none
+DEFAULT_QP_TOL = 1e-10
 
 
 def _check_size(name: str, value, low: int, high: int | None = None) -> int:
@@ -88,18 +90,37 @@ def _check_sizes(d: int, k: int, k_name: str = "degree") -> tuple[int, int]:
 
 def _check_weight(name: str, value) -> float:
     """`value`, a real number but no bool, as its double; ValueError unless finite and > 0."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < float(value) < math.inf:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return float(value)  # numpy floats and Fractions too
+    if not isinstance(value, bool) and isinstance(value, Real):
+        try:
+            double = float(value)  # numpy floats and Fractions too
+        except OverflowError:  # an int or a Fraction beyond the float range
+            double = math.inf
+        if 0 < double < math.inf:
+            return double
+    raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _check_instance(dim, degree, alpha) -> tuple[int, int, float]:
-    """The (dim, degree, alpha) of `build_certificate` and `ocp.OcpConfig` as int, int, float."""
+    """The (dim, degree, alpha) of `build_certificate` as int, int, float."""
     return (
         _check_size("dim", dim, 1, SOLVE_DIMENSIONS[-1]),
         _check_size("control degree", degree, 1, MAX_CONTROL_DEGREE),
         _check_weight("alpha", alpha),
     )
+
+
+def _check_config(dim, degree, n, alpha, qp_tol) -> tuple[int, int, int, float, float]:
+    """The fields of `ocp.OcpConfig`, in its order, checked as the instance, n, then qp_tol."""
+    dim, degree, alpha = _check_instance(dim, degree, alpha)
+    return dim, degree, _check_size("mesh parameter", n, 1), alpha, _check_weight("qp_tol", qp_tol)
+
+
+def _check_meshes(mesh_parameters) -> list[int]:
+    """A study's mesh parameters, sorted and distinct, as ints; ValueError unless >= 2, all >= 1."""
+    ns = sorted(set(mesh_parameters))
+    if len(ns) < 2:
+        raise ValueError("a convergence study needs at least two mesh parameters")
+    return [_check_size("mesh parameter", n, 1) for n in ns]
 
 
 def _graded_exponents(d: int, k: int) -> list[list[tuple[int, ...]]]:

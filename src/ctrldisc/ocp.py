@@ -22,10 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .exactbasis import (
+    DEFAULT_QP_TOL,
     CounterexampleCertificate,
-    _check_instance,
-    _check_size,
-    _check_weight,
+    _check_config,
+    _check_meshes,
     basis_integrals,
     build_certificate,
 )
@@ -92,13 +92,12 @@ class OcpConfig:
     degree: int
     n: int
     alpha: float = 0.1
-    qp_tol: float = 1e-10
+    qp_tol: float = DEFAULT_QP_TOL
 
     def __post_init__(self):
-        # the exact layer's instance rule, then n and qp_tol; each is kept as an int or a float
-        checked = (*_check_instance(self.dim, self.degree, self.alpha),
-                   _check_size("mesh parameter", self.n, 1), _check_weight("qp_tol", self.qp_tol))
-        for name, value in zip(("dim", "degree", "alpha", "n", "qp_tol"), checked):
+        # the exact layer's rule; each field is kept as an int or a float
+        checked = _check_config(self.dim, self.degree, self.n, self.alpha, self.qp_tol)
+        for name, value in zip(("dim", "degree", "n", "alpha", "qp_tol"), checked):
             object.__setattr__(self, name, value)
 
 
@@ -623,11 +622,7 @@ def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
     depend only on (d, k): in the negative regime they are built on the first
     mesh and handed to the later ones.
     """
-    ns = sorted(set(mesh_parameters))
-    if len(ns) < 2:
-        raise ValueError("a convergence study needs at least two mesh parameters")
-    ns = [_check_size("mesh parameter", n, 1) for n in ns]
-
+    ns = _check_meshes(mesh_parameters)
     certificate = build_certificate(config.dim, config.degree, config.alpha)
     runs, audit_parts = [], None
     for n in ns:

@@ -10,6 +10,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ import ctrldisc
 from ctrldisc import cli
 from ctrldisc.cli import dumps, main
 
-from test_ocp import exact_reference_optimum, kkt_error_bounds, solution_support
+from test_ocp import CLEAN_DEGREES, exact_reference_optimum, kkt_error_bounds, solution_support
 
 
 def run_cli(capsys, argv):
@@ -186,6 +187,33 @@ def test_usage_errors_exit_2(capsys):
 SOLVE = ["solve", "--dim", "2", "--degree", "1", "--mesh", "2"]
 CONVERGENCE = ["convergence", "--dim", "1", "--degree", "2"]
 
+# Usage errors of `solve` and `convergence` after `--dim 2 --degree k`, with
+# their message.  At d=2, k=3 is in the clean regime and k=4 in the negative
+# one, and a usage error must not tell which (`malformed_cases` has the
+# argparse errors).
+REGIME_USAGE_ERRORS = [
+    (["solve", "--mesh", "0"], "mesh parameter must be >= 1, got 0"),
+    (["solve", "--mesh=-1"], "mesh parameter must be >= 1, got -1"),
+    (["solve", "--mesh", "4", "--tol", "0"], "qp_tol must be finite and > 0, got 0.0"),
+    (["solve", "--mesh", "4", "--tol", "inf"], "qp_tol must be finite and > 0, got inf"),
+    (["solve", "--mesh", "4", "--alpha", "nan"], "alpha must be finite and > 0, got nan"),
+    # a repeated option: the last value counts
+    (["solve", "--mesh", "4", "--degree", "15"], "control degree must be in 1..14, got 15"),
+    (["convergence", "--meshes", "4"], "a convergence study needs at least two mesh parameters"),
+    (["convergence", "--meshes", "4", "--degree", "15"], "control degree must be in 1..14, got 15"),
+    (
+        ["convergence", "--meshes", "4,x"],
+        "--meshes must be comma-separated integers: invalid literal for int() with base 10: 'x'",
+    ),
+    (["convergence", "--meshes=2,-3,-2"], "mesh parameter must be >= 1, got -3"),
+    (["convergence", "--alpha", "nan"], "alpha must be finite and > 0, got nan"),
+]
+
+
+def regime_argv(argv, degree):
+    """`argv` of REGIME_USAGE_ERRORS with `--dim 2 --degree degree` after its command."""
+    return [argv[0], "--dim", "2", "--degree", str(degree), *argv[1:]]
+
 
 @pytest.mark.parametrize(
     "argv,named",
@@ -232,6 +260,11 @@ CONVERGENCE = ["convergence", "--dim", "1", "--degree", "2"]
             "mesh parameter must be >= 1, got -3",
             id="meshes-some-negative",
         ),
+        *(
+            pytest.param(regime_argv(argv, degree), message, id=f"k{degree}-{' '.join(argv)}")
+            for argv, message in REGIME_USAGE_ERRORS
+            for degree in (3, 4)
+        ),
     ],
 )
 def test_invalid_values_are_usage_errors_that_name_the_option(capsys, argv, named):
@@ -257,6 +290,60 @@ def test_clean_regime_ignores_tight_tolerances(capsys, tol):
     assert report["kkt_residual"] == 0
     assert report["control_norm"] == 0
     assert report["neg_part_norm"] == 0
+
+
+# The clean regime's two routes.  `cli` writes a clean-regime report from
+# the exact finding alone; the library writes it from `solve_qp`,
+# `feasibility_audit` and `convergence_study` on a Discretization, which
+# `cli` runs in the negative regime.  Both must print the same bytes.
+CLEAN_WEIGHTS = [("0.1", "1e-10"), ("3.7e-4", "1e-300"), ("25", "1e-16")]
+
+
+def take_the_library_route(monkeypatch):
+    """Send every solve and study through `ocp`; return the configs `ocp.solve_qp` gets."""
+    from ctrldisc import ocp
+
+    solve_qp, configs = ocp.solve_qp, []
+
+    def recorded(disc):
+        configs.append(disc.config)
+        return solve_qp(disc)
+
+    monkeypatch.setattr(ocp, "solve_qp", recorded)
+    monkeypatch.setattr(cli, "lagrange_basis", lambda dim, degree: SimpleNamespace(
+        negative_indices=(0,)))  # a negative regime, as cli sees it
+    return configs
+
+
+@pytest.mark.parametrize("dim, degree", CLEAN_DEGREES)
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_a_clean_solve_prints_the_library_report(capsys, monkeypatch, dim, degree, n):
+    argvs = [
+        ["solve", "--dim", str(dim), "--degree", str(degree), "--mesh", str(n),
+         "--alpha", alpha, "--tol", tol]
+        for alpha, tol in CLEAN_WEIGHTS
+    ]
+    exact = [run_cli(capsys, argv) for argv in argvs]
+    configs = take_the_library_route(monkeypatch)
+    assert [run_cli(capsys, argv) for argv in argvs] == exact
+    assert [(c.dim, c.degree, c.n) for c in configs] == [(dim, degree, n)] * len(argvs)
+    assert {code for code, _ in exact} == {0}
+
+
+@pytest.mark.parametrize("dim, degree", CLEAN_DEGREES)
+@pytest.mark.parametrize("meshes", ["1,3,8", "8,3,3,1", "2,1"])
+def test_a_clean_study_prints_the_library_report(capsys, monkeypatch, dim, degree, meshes):
+    argvs = [
+        ["convergence", "--dim", str(dim), "--degree", str(degree), "--meshes", meshes,
+         "--alpha", alpha]
+        for alpha, _ in CLEAN_WEIGHTS
+    ]
+    exact = [run_cli(capsys, argv) for argv in argvs]
+    configs = take_the_library_route(monkeypatch)
+    assert [run_cli(capsys, argv) for argv in argvs] == exact
+    ns = sorted(set(map(int, meshes.split(","))))
+    assert [c.n for c in configs] == ns * len(argvs)
+    assert {code for code, _ in exact} == {0}
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
@@ -463,6 +550,9 @@ def malformed_cases():
     yield ["solve", *VALID["solve"], "--dim", "1"]  # a repeated option
     yield ["solve", "--dim", "2", "--mesh", "4", "--deg", "4", "--mes", "8"]
     yield ["certificate", "--dim", "2", "--degree", "4", "--alpha", "-1e-3"]
+    for degree in ("3", "4"):  # both regimes
+        yield ["solve", "--dim", "2", "--degree", degree, "--mesh", "4", "--alpha", "-1e-3"]
+        yield ["convergence", "--dim", "2", "--degree", degree, "--alpha", "-1e-3"]
     yield ["certificate", "--dim", "2", "--degree", "4", "--alpha"]  # no value
     yield []
     yield ["-h"]

@@ -2,15 +2,15 @@
 
 `import ctrldisc` and `import ctrldisc.cli` load the exact layer alone: the
 float layers (`mesh`, `quadrature`, `fem`, `ocp`) are registered but run,
-and load numpy, only on first use.  So an `audit-basis` or a `certificate`
-process loads no numpy, runs where numpy is not installed, and prints the
-same bytes, usage errors included; without numpy, a solve or a study fails
-with numpy's own ImportError.  The exact layer's records are named tuples,
-so those processes load no `dataclasses` either, nor the `inspect` it
-imports, nor `__future__`: about half of what a bare `import ctrldisc` cost
-before.  An `audit-basis` or `certificate` process never loads scipy.  A
-clean-regime solve neither factors A nor builds a quadrature rule, so it
-loads none either.  A negative-regime solve
+and load numpy, only on first use.  So an `audit-basis`, a `certificate`
+and a clean-regime `solve` or `convergence` process, whose report `cli`
+writes from the exact regime test without reading `ocp`, load no numpy, run
+where numpy is not installed, and print the same bytes, usage errors of
+either regime included; without numpy, a negative-regime solve or study
+fails with numpy's own ImportError.  The exact layer's records are named
+tuples, so those processes load no `dataclasses` either, nor the `inspect`
+it imports, nor `__future__`: about half of what a bare `import ctrldisc`
+cost before.  None of them loads scipy.  A negative-regime solve
 factors A with LAPACK dpbtrf/dpbtrs, called in numpy's own bundled OpenBLAS
 (`fem._numpy_lapack`), so it loads no scipy either, and on Linux maps one
 OpenBLAS.  Where numpy bundles none, the fallback `fem._flapack` takes them
@@ -109,7 +109,7 @@ def test_audit_basis_usage_error_without_numpy(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [
+    [  # negative regime: only these solve on a mesh
         ["solve", "--dim", "2", "--degree", "4", "--mesh", "2"],
         ["convergence", "--dim", "1", "--degree", "10", "--meshes", "2,4"],
     ],
@@ -186,6 +186,54 @@ def test_certificate_without_numpy_prints_the_golden(golden):
     ids=["degree-25", "alpha-inf"],
 )
 def test_certificate_usage_error_without_numpy(capsys, argv):
+    proc = fresh_process(CLI_EXACT_PATH_ONLY, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert cli.main(argv) == 2
+    assert proc.stdout == capsys.readouterr().out  # the same bytes with numpy loaded
+
+
+# the clean regime's solve and study reports, written from the exact regime test
+CLEAN_GOLDENS = {
+    "solve_d2_k3_n64_alpha0.0502188.json": ["solve", "--dim", "2", "--degree", "3", "--mesh",
+                                            "64", "--alpha", "0.0502188"],
+    "convergence_d1_k7_m2_4.json": ["convergence", "--dim", "1", "--degree", "7",
+                                    "--meshes", "2,4"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CLEAN_GOLDENS))
+def test_a_clean_solve_or_study_without_numpy_prints_the_golden(golden):
+    # nor dataclasses, inspect or __future__: the report reads nothing in ocp
+    proc = fresh_process(CLI_EXACT_PATH_ONLY, *CLEAN_GOLDENS[golden])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("golden", sorted(CLEAN_GOLDENS))
+def test_a_clean_solve_or_study_loads_no_float_layer(golden):
+    # where numpy is installed too: ocp stays the lazy module registered at import
+    loaded = f"sorted(m for m in {EXACT_PATH_UNLOADED!r} if m in sys.modules)"
+    out = run_fresh(
+        "import io, contextlib, types; from ctrldisc import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({CLEAN_GOLDENS[golden]!r})\n"
+        f"print(code, {loaded}, [m for m in ('mesh', 'quadrature', 'fem', 'ocp')\n"
+        "       if type(sys.modules['ctrldisc.' + m]) is types.ModuleType])"
+    )
+    assert out.strip() == "0 [] []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--dim", "2", "--degree", "3", "--mesh", "0"],
+        ["solve", "--dim", "2", "--degree", "3", "--mesh", "4", "--tol", "inf"],
+        ["convergence", "--dim", "1", "--degree", "7", "--meshes", "4"],
+        ["convergence", "--dim", "2", "--degree", "3", "--meshes=2,-3,-2"],
+    ],
+    ids=["mesh-0", "tol-inf", "meshes-4", "meshes-negative"],
+)
+def test_a_clean_usage_error_without_numpy(capsys, argv):
     proc = fresh_process(CLI_EXACT_PATH_ONLY, *argv)
     assert proc.returncode == 2, proc.stderr
     assert cli.main(argv) == 2

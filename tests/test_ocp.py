@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import reprlib
 from fractions import Fraction
 from operator import mul
 
@@ -961,8 +962,10 @@ def test_certificate_bound_is_an_exact_comparison(monkeypatch):
 
 
 # The instance rule that build_certificate and OcpConfig share: one message
-# from both.  The last alpha is > 0, but its double is 0.
-BAD_ALPHAS = (0.0, -1e-3, math.inf, math.nan, True, np.True_, "0.1", None, np.longdouble("1e-400"))
+# from both.  The long double is > 0, but its double is 0; the int and the
+# Fraction are finite, but their doubles overflow.
+BAD_ALPHAS = (0.0, -1e-3, math.inf, math.nan, True, np.True_, "0.1", None, np.longdouble("1e-400"),
+              10**400, Fraction(10**400, 3))
 BAD_INSTANCES = [
     ((3, 4, 0.1), "dim must be in 1..2, got 3"),
     ((True, 4, 0.1), "dim must be an integer, got True"),
@@ -974,7 +977,7 @@ BAD_INSTANCES = [
 
 
 @pytest.mark.parametrize(
-    "instance, message", [pytest.param(*case, id=repr(case[0])) for case in BAD_INSTANCES]
+    "instance, message", [pytest.param(*case, id=reprlib.repr(case[0])) for case in BAD_INSTANCES]
 )
 def test_certificate_and_config_share_the_instance_rule(instance, message):
     for build in (build_certificate, lambda dim, degree, alpha: OcpConfig(dim, degree, 2, alpha)):
@@ -1130,8 +1133,9 @@ def test_config_validation():
         OcpConfig(dim=2, degree=1, n=2, alpha=0.0)
     with pytest.raises(ValueError):
         OcpConfig(dim=2, degree=1, n=2, qp_tol=0.0)
-    # np.True_ is no bool and no Real; a str or None is no number at all
-    for value in (math.inf, math.nan, True, np.True_, "0.1", None):
+    # np.True_ is no bool and no Real; a str or None is no number at all; an
+    # int beyond the float range has no finite double
+    for value in (math.inf, math.nan, True, np.True_, "0.1", None, 10**400):
         with pytest.raises(ValueError, match="alpha"):
             OcpConfig(dim=2, degree=1, n=2, alpha=value)
         with pytest.raises(ValueError, match="qp_tol"):

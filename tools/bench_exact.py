@@ -98,6 +98,7 @@ FRESH_CASES = [
     "certificate --dim 2 --degree 4",
     "audit-basis --dim 3 --max-degree 6",
     "solve --dim 2 --degree 3 --mesh 64 --alpha 0.1",
+    "convergence --dim 1 --degree 7 --meshes 2,4",
 ]
 FRESH_ROUNDS = 21
 
