@@ -13,14 +13,13 @@ two regimes side by side:
   limit of the discrete optima is not a feasible control.
 """
 
-from ctrldisc import OcpConfig, convergence_study
+from ctrldisc import convergence_study
 from ctrldisc.cli import main
 
 MESHES = (4, 8, 16)
 
 for degree in (7, 8):
-    config = OcpConfig(dim=1, degree=degree, alpha=0.1, n=MESHES[-1])
-    study = convergence_study(config, MESHES)
+    study = convergence_study(1, degree, MESHES, alpha=0.1)
     print(f"\ndegree {degree}: {study.regime}")
     if study.certificate is not None:
         print(f"  certified objective gap delta = {study.certificate.margin:.6f}")

@@ -8,10 +8,10 @@ byte-identical output.  Exit codes: 0 success, 2 usage error, 3 numerical
 failure.  The clean regime, where no reference basis integral is negative,
 is decided exactly: `certificate` reports it as a `NoNegativeBasis` finding
 (`build_certificate` returns None), and `solve` and `convergence`, after
-`ocp`'s own input rules, report lambda = 0, J = |Omega| = 1 and zeros, the
-discrete optimum on every mesh (see `ocp.solve_qp`).  So `audit-basis`,
-`certificate` and a clean-regime `solve` or `convergence` run on the exact
-layer alone and load no numpy.
+the input rules `ocp` applies, report lambda = 0, J = |Omega| = 1, zeros and
+no certificate: the discrete optimum on every mesh (see `ocp.solve_qp`).  So
+`audit-basis`, `certificate` and a clean-regime `solve` or `convergence` run
+on the exact layer alone and load no numpy.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import ocp  # loaded on first use: only a negative-regime solve or study loads numpy
 from .exactbasis import (DEFAULT_QP_TOL, SOLVE_DIMENSIONS, SUPPORTED_DIMENSIONS, _check_config,
-                         _check_meshes, audit_degrees, build_certificate, lagrange_basis)
+                         _check_study, audit_degrees, build_certificate, lagrange_basis)
 
 __all__ = ["dumps", "main", "parse_args"]
 
@@ -308,12 +308,12 @@ def _cmd_solve(args) -> str:
                          control_norm, audit.min_cell_average, audit.negative_part_norm)
 
 
-def _study_report(config, regime, cert, runs) -> str:
-    """The study report; config as for `_solve_report`, runs (n, J, min avg, neg norm, iters)."""
-    dim, degree, _, alpha, tol = config
+def _study_report(config, cert, runs) -> str:
+    """The study report: config (dim, degree, alpha, tol), runs (n, J, min avg, neg norm, iters)."""
+    dim, degree, alpha, tol = config
     payload = {
         "config": {"dim": dim, "degree": degree, "alpha": alpha, "tol": tol},
-        "regime": regime,
+        "regime": "FEASIBLE_LIMIT" if cert is None else "INFEASIBLE_LIMIT",
         "certificate": None if cert is None else _certificate_fields(cert),
         "runs": [
             {"n": n, "J": j, "min_cell_avg": average, "neg_part_norm": norm, "iters": iterations}
@@ -330,16 +330,14 @@ def _cmd_convergence(args) -> str:
         raise ValueError(f"--meshes must be comma-separated integers: {err}") from err
     if not meshes:
         raise ValueError(f"--meshes must be comma-separated integers, got {args.meshes!r}")
-    # the smallest mesh parameter first: a bad one is named as the study would name it
-    config = _check_config(args.dim, args.degree, min(meshes), args.alpha, DEFAULT_QP_TOL)
-    ns = _check_meshes(meshes)
-    if not lagrange_basis(*config[:2]).negative_indices:
+    d, k, ns, alpha, tol = _check_study(args.dim, args.degree, meshes, args.alpha, DEFAULT_QP_TOL)
+    if not lagrange_basis(d, k).negative_indices:
         # the clean regime: no certificate, and every mesh's optimum is lambda = 0
-        return _study_report(config, "FEASIBLE_LIMIT", None, [(n, 1.0, 0.0, 0.0, 0) for n in ns])
-    study = ocp.convergence_study(ocp.OcpConfig(*config), ns)
+        return _study_report((d, k, alpha, tol), None, [(n, 1.0, 0.0, 0.0, 0) for n in ns])
+    study = ocp.convergence_study(d, k, ns, alpha, tol)
     runs = [(r.n, r.objective, r.min_cell_average, r.negative_part_norm, r.iterations)
             for r in study.runs]
-    return _study_report(config, study.regime, study.certificate, runs)
+    return _study_report((d, k, alpha, tol), study.certificate, runs)
 
 
 def main(argv=None) -> int:

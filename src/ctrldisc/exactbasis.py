@@ -115,12 +115,15 @@ def _check_config(dim, degree, n, alpha, qp_tol) -> tuple[int, int, int, float, 
     return dim, degree, _check_size("mesh parameter", n, 1), alpha, _check_weight("qp_tol", qp_tol)
 
 
-def _check_meshes(mesh_parameters) -> list[int]:
-    """A study's mesh parameters, sorted and distinct, as ints; ValueError unless >= 2, all >= 1."""
-    ns = sorted(set(mesh_parameters))
+def _check_study(dim, degree, mesh_parameters, alpha, qp_tol) -> tuple:
+    """A study's (dim, degree, sorted distinct meshes, alpha, qp_tol), the count checked last."""
+    dim, degree, alpha = _check_instance(dim, degree, alpha)
+    # each mesh parameter from the smallest up, before merging: True == 1 and 2.0 == 2
+    ns = sorted({_check_size("mesh parameter", n, 1) for n in sorted(mesh_parameters)})
+    qp_tol = _check_weight("qp_tol", qp_tol)
     if len(ns) < 2:
         raise ValueError("a convergence study needs at least two mesh parameters")
-    return [_check_size("mesh parameter", n, 1) for n in ns]
+    return dim, degree, ns, alpha, qp_tol
 
 
 def _graded_exponents(d: int, k: int) -> list[list[tuple[int, ...]]]:

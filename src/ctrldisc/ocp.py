@@ -16,7 +16,7 @@ optima acquire a persistent negative part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,7 @@ from .exactbasis import (
     DEFAULT_QP_TOL,
     CounterexampleCertificate,
     _check_config,
-    _check_meshes,
+    _check_study,
     basis_integrals,
     build_certificate,
 )
@@ -569,7 +569,7 @@ def feasibility_audit(disc: Discretization, lam: np.ndarray) -> FeasibilityAudit
     no nonzero coefficient both are exactly 0, with no quadrature and no
     product with the reference integrals.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = disc._control_vector(lam)
     lam_cells = lam.reshape(disc.mesh.num_cells, disc.control_space.local_dim)
 
     if not lam.any():
@@ -600,7 +600,7 @@ class StudyRun:
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Per-mesh solve records plus the regime flag they evidence.
+    """Per-mesh solve records of one instance plus the regime flag they evidence.
 
     FEASIBLE_LIMIT: no negative basis integral; objectives stay at the domain
     volume and the audits are clean.  INFEASIBLE_LIMIT: a certificate exists;
@@ -608,25 +608,26 @@ class ConvergenceStudy:
     the optima persists under refinement.
     """
 
-    config: OcpConfig
     regime: str
     certificate: CounterexampleCertificate | None
     runs: tuple[StudyRun, ...]
 
 
-def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
-    """Solve the QP on a family of meshes and classify the limit regime.
+def convergence_study(
+    dim: int, degree: int, mesh_parameters, alpha: float = 0.1, qp_tol: float = DEFAULT_QP_TOL
+) -> ConvergenceStudy:
+    """Solve the QP on each mesh that `exactbasis._check_study` returns and classify the limit.
 
     The regime is FEASIBLE_LIMIT, with no certificate, exactly when
     `build_certificate` returns None.  The audit rule and its basis table
     depend only on (d, k): in the negative regime they are built on the first
     mesh and handed to the later ones.
     """
-    ns = _check_meshes(mesh_parameters)
-    certificate = build_certificate(config.dim, config.degree, config.alpha)
+    dim, degree, ns, alpha, qp_tol = _check_study(dim, degree, mesh_parameters, alpha, qp_tol)
+    certificate = build_certificate(dim, degree, alpha)
     runs, audit_parts = [], None
     for n in ns:
-        disc = Discretization(replace(config, n=n))
+        disc = Discretization(OcpConfig(dim, degree, n, alpha, qp_tol))
         if audit_parts is not None:
             disc.audit_rule, disc._audit_tab = audit_parts
         solution = solve_qp(disc)
@@ -644,6 +645,4 @@ def convergence_study(config: OcpConfig, mesh_parameters) -> ConvergenceStudy:
         )
     # a certificate exists exactly when solve_qp's exact origin test finds a negative integral
     regime = "FEASIBLE_LIMIT" if certificate is None else "INFEASIBLE_LIMIT"
-    return ConvergenceStudy(
-        config=config, regime=regime, certificate=certificate, runs=tuple(runs)
-    )
+    return ConvergenceStudy(regime=regime, certificate=certificate, runs=tuple(runs))

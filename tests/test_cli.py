@@ -206,6 +206,9 @@ REGIME_USAGE_ERRORS = [
         "--meshes must be comma-separated integers: invalid literal for int() with base 10: 'x'",
     ),
     (["convergence", "--meshes=2,-3,-2"], "mesh parameter must be >= 1, got -3"),
+    (["convergence", "--meshes=-3,-2"], "mesh parameter must be >= 1, got -3"),
+    # a bad parameter is named before the distinct ones are counted
+    (["convergence", "--meshes", "0,0"], "mesh parameter must be >= 1, got 0"),
     (["convergence", "--alpha", "nan"], "alpha must be finite and > 0, got nan"),
 ]
 
@@ -293,9 +296,10 @@ def test_clean_regime_ignores_tight_tolerances(capsys, tol):
 
 
 # The clean regime's two routes.  `cli` writes a clean-regime report from
-# the exact finding alone; the library writes it from `solve_qp`,
-# `feasibility_audit` and `convergence_study` on a Discretization, which
-# `cli` runs in the negative regime.  Both must print the same bytes.
+# the exact finding alone; the library writes it from `solve_qp` and
+# `feasibility_audit` on a Discretization, and from
+# `convergence_study(dim, degree, meshes, alpha, qp_tol)`, which `cli` runs
+# in the negative regime.  Both must print the same bytes.
 CLEAN_WEIGHTS = [("0.1", "1e-10"), ("3.7e-4", "1e-300"), ("25", "1e-16")]
 
 

@@ -720,7 +720,7 @@ def gram_computations(monkeypatch):
 def test_each_gram_is_computed_once(gram_computations):
     # the certificate and each mesh's control mass share the P4 Gram, and
     # every mesh's reordered P1 basis shares the P1 Grams
-    convergence_study(OcpConfig(2, 4, 4), [4, 8, 16])
+    convergence_study(2, 4, [4, 8, 16])
     assert gram_computations == {
         ("_gram_by_orbits", 2, 4, 4): 1,
         ("_gram_by_orbits", 2, 1, 4): 1,

@@ -563,11 +563,10 @@ def test_clean_regime_builds_no_float_layer(monkeypatch, capsys, dim, degree):
         monkeypatch.setattr(Discretization, name, property(refuse(name)))
     # nor the control dofs' cell layout, which only the cell-block operators read
     monkeypatch.setattr(ControlSpace, "cell_dofs", property(refuse("cell_dofs")))
-    config = OcpConfig(dim, degree, 8)
-    disc = Discretization(config)
+    disc = Discretization(OcpConfig(dim, degree, 8))
     solution = solve_qp(disc)
     audit = feasibility_audit(disc, solution.control)
-    study = convergence_study(config, [4, 8])
+    study = convergence_study(dim, degree, [4, 8])
     assert not solution.control.any() and solution.objective == 1.0
     assert (audit.min_cell_average, audit.negative_part_norm) == (0.0, 0.0)
     assert study.regime == "FEASIBLE_LIMIT"
@@ -646,7 +645,7 @@ def test_regime_label_certificate_and_origin_share_one_test():
         assert negative == tuple(
             j for j, v in enumerate(basis_integrals(disc.control_space.ref)) if v < 0
         )
-        study = convergence_study(disc.config, [1, 2])
+        study = convergence_study(dim, degree, [1, 2])
         assert (study.regime == "INFEASIBLE_LIMIT") == bool(negative)
         assert (study.runs[0].iterations > 0) == bool(negative)
         if negative:
@@ -1047,8 +1046,16 @@ def test_zero_audit_is_exactly_zero_without_the_reference_integrals(monkeypatch)
     assert audit.min_cell_average == 0.0 and not np.signbit(audit.min_cell_average)
     assert audit.negative_part_norm == 0.0
     assert audit.negative_cell_fraction == 0.0
-    with pytest.raises(ValueError):
-        feasibility_audit(disc, np.zeros(disc.num_control_dofs + 1))
+    # the control-vector rule of solve_state: one coefficient per control dof,
+    # as a flat vector, not the (cells, m) array it is reshaped to
+    wrong = (
+        np.zeros((disc.mesh.num_cells, disc.control_space.local_dim)),
+        np.zeros(disc.num_control_dofs + 1),
+        np.zeros(5),
+    )
+    for lam in wrong:
+        with pytest.raises(ValueError, match=f"must have length {disc.num_control_dofs}$"):
+            feasibility_audit(disc, lam)
 
 
 def test_audit_nonneg_coeffs_clean_for_clean_basis(disc_d2k2):
@@ -1072,8 +1079,7 @@ def test_audit_detects_negative_cells():
 
 
 def test_study_feasible_regime_d1():
-    config = OcpConfig(dim=1, degree=7, n=4)
-    study = convergence_study(config, [2, 4])
+    study = convergence_study(1, 7, [2, 4])
     assert study.regime == "FEASIBLE_LIMIT"
     assert study.certificate is None
     for run in study.runs:
@@ -1082,8 +1088,7 @@ def test_study_feasible_regime_d1():
 
 
 def test_study_infeasible_regime_d1():
-    config = OcpConfig(dim=1, degree=8, n=4)
-    study = convergence_study(config, [2, 4])
+    study = convergence_study(1, 8, [2, 4])
     assert study.regime == "INFEASIBLE_LIMIT"
     assert study.certificate is not None
     bound = 1.0 - study.certificate.margin
@@ -1104,16 +1109,31 @@ def test_a_study_builds_the_audit_rule_once(monkeypatch, capsys, degree, builds)
 
 
 def test_study_requires_two_meshes():
-    with pytest.raises(ValueError):
-        convergence_study(OcpConfig(dim=1, degree=2, n=4), [4])
+    count = "^a convergence study needs at least two mesh parameters$"
+    for meshes in ([4], [4, 4], []):
+        with pytest.raises(ValueError, match=count):
+            convergence_study(1, 2, meshes)
+
+
+def test_study_checks_the_instance_each_mesh_parameter_qp_tol_then_the_count():
+    cases = (
+        ((1, 15, [0]), {}, r"control degree must be in 1\.\.14, got 15"),
+        ((1, 2, [0]), {}, "mesh parameter must be >= 1, got 0"),
+        ((1, 2, [2, -3, -2]), {"qp_tol": 0.0}, "mesh parameter must be >= 1, got -3"),
+        ((1, 2, [4]), {"qp_tol": 0.0}, "qp_tol must be finite and > 0, got 0.0"),
+    )
+    for args, kwargs, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            convergence_study(*args, **kwargs)
 
 
 def test_study_rejects_non_integral_mesh_parameters():
-    config = OcpConfig(dim=1, degree=2, n=4)
-    for meshes, bad in (([2, 4.9], "4.9"), ([True, 4], "True")):
+    # each parameter is checked before equal ones merge: True == 1 and 2.0 == 2
+    cases = (([2, 4.9], "4.9"), ([True, 4], "True"), ([1, True, 3], "True"), ([2, 2.0, 4], "2.0"))
+    for meshes, bad in cases:
         with pytest.raises(ValueError, match=f"mesh parameter must be an integer, got {bad}"):
-            convergence_study(config, meshes)
-    study = convergence_study(config, np.array([4, 2]))
+            convergence_study(1, 2, meshes)
+    study = convergence_study(1, 2, np.array([4, 2]))
     assert [type(run.n) for run in study.runs] == [int, int]
     assert [run.n for run in study.runs] == [2, 4]
 
